@@ -1,10 +1,14 @@
-"""Arbitrary-precision unsigned integers with an explicit multiplication kernel.
+"""Arbitrary-precision unsigned integers, plus the paper's limb multiplication kernel.
 
 Values are wrapped in :class:`Natural`, an immutable non-negative integer.
-Multiplication is implemented by hand on little-endian lists of 64-bit limbs:
-schoolbook below a configurable limb threshold, Karatsuba above it.  Addition,
-subtraction, and modular reduction are delegated to Python's built-in integer
-arithmetic; they are exact and are not a performance bottleneck here.
+Arithmetic on the ciphertext path (:func:`mul`, :func:`add`, :func:`sub`,
+:func:`mod`) is Python's built-in integer arithmetic, which is exact.
+
+:func:`karatsuba_mul` is the hand-written reference kernel on little-endian
+lists of 64-bit limbs: schoolbook below a limb threshold, Karatsuba above
+it.  It computes the same products as :func:`mul`, but one to two orders of
+magnitude slower, so nothing on the ciphertext path calls it; the tests
+validate it against native products.
 
 Randomness is always drawn from an explicitly passed ``random.Random``
 instance (a Mersenne Twister), so every caller controls determinism by
@@ -107,15 +111,17 @@ def mod(a: Natural, m: Natural) -> Natural:
     return Natural(a.value % m.value)
 
 
-def mul(a: Natural, b: Natural, threshold: int | None = None) -> Natural:
+def mul(a: Natural, b: Natural) -> Natural:
+    return Natural(a.value * b.value)
+
+
+def karatsuba_mul(a: Natural, b: Natural, threshold: int = KARATSUBA_THRESHOLD) -> Natural:
     """Multiply via the limb kernel.
 
     ``threshold`` is the limb count below which recursion bottoms out into
-    schoolbook; ``None`` uses :data:`KARATSUBA_THRESHOLD`.  Values below 2
-    are clamped to 2 (a split point of zero limbs cannot recurse).
+    schoolbook.  Values below 2 are clamped to 2 (a split point of zero limbs
+    cannot recurse).
     """
-    if threshold is None:
-        threshold = KARATSUBA_THRESHOLD
     la = _to_limbs(a.value)
     lb = _to_limbs(b.value)
     return Natural(_from_limbs(_mul_limbs(la, lb, max(threshold, 2))))

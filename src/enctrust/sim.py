@@ -469,9 +469,10 @@ def run_discovery(
     t3 = time.perf_counter()
     outcome = source_finalize(keys, rp, params)
     wall["finalize"] = time.perf_counter() - t3
-    assert not outcome.trusted or outcome.trust == oracle.trust, (
-        f"certified run disagrees with oracle: {outcome.trust} != {oracle.trust}"
-    )
+    if outcome.trusted and outcome.trust != oracle.trust:
+        raise RuntimeError(
+            f"certified run disagrees with oracle: {outcome.trust} != {oracle.trust}"
+        )
     return RunReport(
         status=DELIVERED,
         path=outcome.path,

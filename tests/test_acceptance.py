@@ -12,7 +12,7 @@ import random
 import time
 
 from enctrust import she
-from enctrust.bignum import Natural, mul, random_bits
+from enctrust.bignum import Natural, karatsuba_mul, random_bits
 from enctrust.circuits import (
     build_ripple_adder,
     compile_to_star,
@@ -249,8 +249,8 @@ def test_c08_karatsuba_equivalence():
             bbits = max(1, int(math.exp(rng.uniform(0, log_hi))))
             a = random_bits(abits, rng)
             b = random_bits(bbits, rng)
-            kara = mul(a, b, threshold=2)
-            school = mul(a, b, threshold=10**9)
+            kara = karatsuba_mul(a, b, threshold=2)
+            school = karatsuba_mul(a, b, threshold=10**9)
             assert kara == school
             assert kara.value == a.value * b.value
         patterns = [
@@ -264,8 +264,8 @@ def test_c08_karatsuba_equivalence():
         ]
         for a in patterns:
             for b in patterns:
-                assert mul(a, b, threshold=2) == mul(a, b, threshold=10**9)
-                assert mul(a, b).value == a.value * b.value
+                assert karatsuba_mul(a, b, threshold=2) == karatsuba_mul(a, b, threshold=10**9)
+                assert karatsuba_mul(a, b).value == a.value * b.value
         assert time.perf_counter() - t0 < 60
 
 

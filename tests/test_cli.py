@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import enctrust
 from enctrust.cli import main
 from enctrust.sim import Topology, load_topology, save_topology
 
@@ -163,18 +166,23 @@ def test_corrupt_topology_file_reports_line(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # The child imports the same enctrust as this process, also from an
+    # uninstalled checkout where only pytest's pythonpath makes it importable.
+    package_root = str(Path(enctrust.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     t = str(tmp_path / "t.json")
     result = subprocess.run(
         [sys.executable, "-m", "enctrust.cli", "gen", "--nodes", "5", "--degree", "2",
          "--seed", "1", "--out", t],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "5 nodes" in result.stdout
     result = subprocess.run(
         [sys.executable, "-m", "enctrust.cli", "plan", "--width", "1", "--hops", "1",
          "--lambda", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "eta: 8" in result.stdout

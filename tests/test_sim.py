@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
+from enctrust import sim
 from enctrust.sim import (
     DELIVERED,
     DROPPED,
@@ -309,6 +311,34 @@ def test_run_discovery_audit_collects_sound_ciphertexts():
     sk = audit.keys.sk.value
     for ct in audit.ciphertexts:
         assert (ct.value.value % sk).bit_length() <= ct.noise_bits
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certified_star_run_seven_updates(seed):
+    t = chain_topology(10, seed=seed)
+    audit = NoiseAudit()
+    report = run_discovery(t, 0, 9, RunConfig(lam=3, seed=seed, star_mode=True), audit=audit)
+    oracle = plaintext_oracle(t, 0, 9)
+    assert len(report.per_node_stats) == 7
+    assert report.eta == required_eta(4, 7, 3, star_mode=True)
+    assert report.trusted
+    assert report.path == oracle.path
+    assert report.decrypted_trust == oracle.trust
+    sk = audit.keys.sk.value
+    for ct in audit.ciphertexts:
+        assert (ct.value.value % sk).bit_length() <= ct.noise_bits
+
+
+def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeypatch):
+    real_finalize = sim.source_finalize
+
+    def forged_finalize(keys, rp, params):
+        outcome = real_finalize(keys, rp, params)
+        return dataclasses.replace(outcome, trust=(outcome.trust + 1) % 16, trusted=True)
+
+    monkeypatch.setattr(sim, "source_finalize", forged_finalize)
+    with pytest.raises(RuntimeError, match="disagrees with oracle"):
+        run_discovery(chain_topology(5, seed=6), 0, 4, RunConfig(lam=3, seed=8))
 
 
 def test_run_discovery_too_deep_raises():

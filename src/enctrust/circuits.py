@@ -16,6 +16,7 @@ firing the triples and binds its own freshly encrypted local inputs.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -175,7 +176,7 @@ class EvalStats:
             n_he_add=obj["adds"],
             n_he_mul=obj["muls"],
             max_noise_bits=obj["max_noise_bits"],
-            wall_time=obj["wall_time"],
+            wall_time=obj.get("wall_time", 0.0),
         )
 
 
@@ -354,12 +355,16 @@ def eval_star(
     return outputs, stats
 
 
+@functools.cache
 def build_ripple_adder(width: int) -> Circuit:
     """LSB-first ripple-carry adder computing (A + B) mod 2**width.
 
     Inputs 0..width-1 are A's bits, width..2*width-1 are B's bits.  A half
     adder (1 XOR, 1 AND) seeds the carry; each further position is a full
     adder of 3 XOR and 2 AND.  The final carry is discarded.
+
+    Built and validated once per width: the result is frozen, so every
+    caller shares the same ``Circuit``.
     """
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
@@ -431,8 +436,9 @@ class CircuitInterface:
         )
 
 
+@functools.cache
 def adder_interface(width: int) -> CircuitInterface:
-    """The ripple adder's contract: ACC block first, then LOCAL block."""
+    """The ripple adder's contract: ACC block first, then LOCAL block (one per width)."""
     return CircuitInterface(
         num_acc_inputs=width,
         num_local_inputs=width,

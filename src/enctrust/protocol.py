@@ -273,6 +273,14 @@ def source_finalize(
     return DiscoveryOutcome(path=rp.path, trust=trust, trusted=trusted)
 
 
+def _stats_to_json(stats: EvalStats) -> dict:
+    # Wall time stays with the hop that measured it: on the wire it would
+    # make same-seed requests differ and tell each hop its predecessors' timings.
+    obj = stats.to_json()
+    del obj["wall_time"]
+    return obj
+
+
 def rr_to_json(rr: RouteRequest) -> dict:
     return {
         "pk": bignum.to_hex(rr.pk),
@@ -287,7 +295,7 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "acc_trust": [ct_to_hex(ct) for ct in rr.acc_trust],
         "acc_trust_noise_bits": [ct.noise_bits for ct in rr.acc_trust],
         "payload": payload_to_json(rr.payload),
-        "stats": rr.stats_so_far.to_json(),
+        "stats": _stats_to_json(rr.stats_so_far),
     }
 
 
@@ -317,7 +325,7 @@ def rp_to_json(rp: RouteReply) -> dict:
         "path": list(rp.path),
         "acc_trust": [ct_to_hex(ct) for ct in rp.acc_trust],
         "acc_trust_noise_bits": [ct.noise_bits for ct in rp.acc_trust],
-        "stats": rp.stats.to_json(),
+        "stats": _stats_to_json(rp.stats),
     }
 
 

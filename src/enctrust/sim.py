@@ -11,6 +11,7 @@ certified correct by construction as long as the tracked bounds hold.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import random
 import time
@@ -85,14 +86,17 @@ class Topology:
             if not 1 <= t <= 10:
                 raise ValueError(f"trust['{arc[0]}->{arc[1]}'] = {t} outside [1, 10]")
 
-    def neighbors(self, node: NodeId) -> frozenset[NodeId]:
-        out = set()
+    @functools.cached_property
+    def _adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
+        # Cached on the instance, not a field: equality and repr ignore it.
+        out: dict[NodeId, set[NodeId]] = {node: set() for node in self.nodes}
         for a, b in self.edges:
-            if a == node:
-                out.add(b)
-            elif b == node:
-                out.add(a)
-        return frozenset(out)
+            out[a].add(b)
+            out[b].add(a)
+        return {node: frozenset(nbs) for node, nbs in out.items()}
+
+    def neighbors(self, node: NodeId) -> frozenset[NodeId]:
+        return self._adjacency.get(node, frozenset())
 
     def to_json(self) -> dict:
         return {
@@ -281,7 +285,10 @@ def plaintext_oracle(
 ) -> OracleResult:
     """Reference answer: the greedy path and its trust sum mod 2**width."""
     _check_endpoints(t, source, destination)
-    walk = _greedy_walk(t, source, destination)
+    return _oracle_result(t, _greedy_walk(t, source, destination), width)
+
+
+def _oracle_result(t: Topology, walk: _Walk, width: int) -> OracleResult:
     total = sum(t.trust[arc] for arc in walk.arcs) % (1 << width)
     return OracleResult(path=walk.path, trust=total, status=walk.status)
 
@@ -392,7 +399,7 @@ def run_discovery(
     """Drive one encrypted discovery and compare it against the oracle."""
     _check_endpoints(t, source, destination)
     walk = _greedy_walk(t, source, destination)
-    oracle = plaintext_oracle(t, source, destination, cfg.width)
+    oracle = _oracle_result(t, walk, cfg.width)
     if cfg.eta is not None:
         eta = cfg.eta
     else:

@@ -1,10 +1,11 @@
 """Fixed-seed outputs pinned across arithmetic backends.
 
 Every route request of one plain and one star discovery is serialized with
-``rr_to_json`` (``stats.wall_time`` zeroed, as it is the only clock reading)
-and hashed.  The digests and the decrypted trust were computed with the limb
-Karatsuba kernel as ``bignum.mul``; a backend that changes any ciphertext,
-noise bound or op count changes a digest.
+``rr_to_json`` and hashed.  The wire carries no clock reading; the digests
+date from when ``stats.wall_time`` was on the wire (zeroed for hashing), so
+it is put back as 0.0 before hashing.  The digests and the decrypted trust
+were computed with the limb Karatsuba kernel as ``bignum.mul``; a backend
+that changes any ciphertext, noise bound or op count changes a digest.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ SEED = 21
 
 def _digest(rr) -> str:
     obj = rr_to_json(rr)
+    assert "wall_time" not in obj["stats"]
     obj["stats"]["wall_time"] = 0.0
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

@@ -294,3 +294,30 @@ def test_rr_validation():
         dataclasses.replace(rr, path=(0, 1, 1))
     with pytest.raises(ValueError):
         dataclasses.replace(rr, destination=0)
+
+
+def test_same_seed_discoveries_serialize_byte_identical():
+    def wire_texts():
+        params, rng, nodes = chain_fixture([7, 5, 4, 6])
+        keys, rr = source_initiate(nodes[0], 4, params, rng)
+        texts = []
+        current = rr.next_hop
+        while True:
+            text = json.dumps(rr_to_json(rr), sort_keys=True)
+            texts.append(text)
+            decision = process_rr(nodes[current], rr_from_json(json.loads(text)), rng)
+            if isinstance(decision, Reply):
+                texts.append(json.dumps(rp_to_json(decision.reply), sort_keys=True))
+                return texts
+            if isinstance(decision, ForwardUnchanged):
+                current = decision.next_hop
+                continue
+            assert isinstance(decision, ForwardUpdated), decision
+            rr = decision.rr
+            current = rr.next_hop
+
+    first = wire_texts()
+    # the source's request, one per update, the unchanged forward, the reply
+    assert len(first) == 5
+    assert first == wire_texts()
+    assert all("wall_time" not in json.loads(text)["stats"] for text in first)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from enctrust import sim
+from enctrust.circuits import adder_interface, build_ripple_adder
 from enctrust.sim import (
     DELIVERED,
     DROPPED,
@@ -147,12 +148,44 @@ def test_chain_topology_structure():
     assert t.neighbors(3) == frozenset({2, 4})
 
 
+def edge_scan_neighbors(t, node):
+    return frozenset({b for a, b in t.edges if a == node} | {a for a, b in t.edges if b == node})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_topology(10, 3, seed=4),
+        lambda: chain_topology(7, seed=1),
+        lambda: generate_topology(64, 5, seed=2),
+    ],
+    ids=["random-10", "chain-7", "mesh-64"],
+)
+def test_neighbors_match_edge_scan(make):
+    t = make()
+    for i in t.nodes:
+        assert t.neighbors(i) == edge_scan_neighbors(t, i)
+    assert t.neighbors(max(t.nodes) + 1) == frozenset()
+    fresh = make()
+    assert t == fresh
+    assert repr(t) == repr(fresh)
+
+
 def test_build_nodes_mirrors_topology():
     t = triangle_with_pendant()
     nodes = build_nodes(t, width=4)
     assert nodes[0].neighbors == frozenset({1, 2, 3})
     assert nodes[0].trust_db == {1: 9, 2: 4, 3: 1}
     assert nodes[2].trust_db == {0: 3, 1: 6}
+
+
+def test_build_nodes_share_one_frozen_circuit():
+    nodes = build_nodes(generate_topology(12, 3, seed=1), width=4)
+    assert all(node.circuit is build_ripple_adder(4) for node in nodes.values())
+    assert build_ripple_adder(4) is build_ripple_adder(4)
+    assert all(node.interface is adder_interface(4) for node in nodes.values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        build_ripple_adder(4).gates = ()
 
 
 def test_oracle_shortcut_semantics():
@@ -274,6 +307,32 @@ def test_run_discovery_drop():
     assert report.dropped_at == 2
     assert "no trusted next hop" in report.drop_reason
     assert report.path == plaintext_oracle(t, 0, 3).path
+
+
+@pytest.mark.parametrize(
+    "topo, source, destination, status",
+    [
+        (chain_topology(5, seed=2), 0, 4, DELIVERED),
+        (triangle_with_pendant(), 0, 3, DROPPED),
+    ],
+    ids=["delivered", "dropped"],
+)
+def test_run_discovery_walks_once(monkeypatch, topo, source, destination, status):
+    calls = []
+    real_walk = sim._greedy_walk
+
+    def counting_walk(*args):
+        calls.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(sim, "_greedy_walk", counting_walk)
+    report = run_discovery(topo, source, destination, RunConfig(lam=3, seed=4))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    oracle = plaintext_oracle(topo, source, destination)
+    assert report.status == oracle.status == status
+    assert report.oracle_path == oracle.path
+    assert report.oracle_trust == oracle.trust
 
 
 def test_run_discovery_two_nodes_direct():

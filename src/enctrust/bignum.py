@@ -1,8 +1,9 @@
-"""Arbitrary-precision unsigned integers, plus the paper's limb multiplication kernel.
+"""Big-integer arithmetic for ciphertexts, plus the paper's limb multiplication kernel.
 
-Values are wrapped in :class:`Natural`, an immutable non-negative integer.
-Arithmetic on the ciphertext path (:func:`mul`, :func:`add`, :func:`sub`,
-:func:`mod`) is Python's built-in integer arithmetic, which is exact.
+Keys and ciphertext values are plain non-negative Python ``int``s.  Every
+ciphertext multiplication goes through :func:`mul` and every reduction
+through :func:`mod`, both Python's exact built-in integer arithmetic, so
+there is one place to time, count or replace them.
 
 :func:`karatsuba_mul` is the hand-written reference kernel on little-endian
 lists of 64-bit limbs: schoolbook below a limb threshold, Karatsuba above
@@ -18,7 +19,7 @@ choosing the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import re
 
 LIMB_BITS = 64
 LIMB_MASK = (1 << LIMB_BITS) - 1
@@ -28,148 +29,62 @@ LIMB_MASK = (1 << LIMB_BITS) - 1
 # around 2000 bits on CPython 3.10.
 KARATSUBA_THRESHOLD = 32
 
+_HEX = re.compile(r"[0-9a-fA-F]+")
+
 
 class UnderflowError(ArithmeticError):
     """Subtraction would produce a negative value."""
 
 
-@dataclass(frozen=True, slots=True)
-class Natural:
-    """An immutable arbitrary-precision non-negative integer."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise TypeError(f"Natural requires an int, got {type(self.value).__name__}")
-        if self.value < 0:
-            raise ValueError(f"Natural cannot be negative: {self.value}")
-
-    @property
-    def bit_length(self) -> int:
-        return self.value.bit_length()
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __lt__(self, other: "Natural") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "Natural") -> bool:
-        return self.value <= other.value
-
-    def __gt__(self, other: "Natural") -> bool:
-        return self.value > other.value
-
-    def __ge__(self, other: "Natural") -> bool:
-        return self.value >= other.value
-
-    def __add__(self, other: "Natural") -> "Natural":
-        if not isinstance(other, Natural):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other: "Natural") -> "Natural":
-        if not isinstance(other, Natural):
-            return NotImplemented
-        return sub(self, other)
-
-    def __mul__(self, other: "Natural") -> "Natural":
-        if not isinstance(other, Natural):
-            return NotImplemented
-        return mul(self, other)
-
-    def __mod__(self, other: "Natural") -> "Natural":
-        if not isinstance(other, Natural):
-            return NotImplemented
-        return mod(self, other)
-
-    def __repr__(self) -> str:
-        return f"Natural({self.value})"
+def mod(a: int, m: int) -> int:
+    """``a mod m``: the one reduction on the ciphertext path."""
+    return a % m
 
 
-ZERO = Natural(0)
-ONE = Natural(1)
+def mul(a: int, b: int) -> int:
+    """``a * b``: the one multiplication on the ciphertext path."""
+    return a * b
 
 
-def add(a: Natural, b: Natural) -> Natural:
-    return Natural(a.value + b.value)
-
-
-def sub(a: Natural, b: Natural) -> Natural:
-    if b.value > a.value:
-        raise UnderflowError(f"cannot subtract {b.value} from {a.value}")
-    return Natural(a.value - b.value)
-
-
-def mod(a: Natural, m: Natural) -> Natural:
-    if m.value == 0:
-        raise ZeroDivisionError("modulus is zero")
-    return Natural(a.value % m.value)
-
-
-def mul(a: Natural, b: Natural) -> Natural:
-    return Natural(a.value * b.value)
-
-
-def karatsuba_mul(a: Natural, b: Natural, threshold: int = KARATSUBA_THRESHOLD) -> Natural:
-    """Multiply via the limb kernel.
+def karatsuba_mul(a: int, b: int, threshold: int = KARATSUBA_THRESHOLD) -> int:
+    """Multiply two non-negative ints via the limb kernel.
 
     ``threshold`` is the limb count below which recursion bottoms out into
     schoolbook.  Values below 2 are clamped to 2 (a split point of zero limbs
     cannot recurse).
     """
-    la = _to_limbs(a.value)
-    lb = _to_limbs(b.value)
-    return Natural(_from_limbs(_mul_limbs(la, lb, max(threshold, 2))))
+    return _from_limbs(_mul_limbs(_to_limbs(a), _to_limbs(b), max(threshold, 2)))
 
 
-def to_hex(n: Natural) -> str:
+def to_hex(n: int) -> str:
     """Canonical lowercase hex: no leading zeros, ``"0"`` for zero."""
-    return format(n.value, "x")
+    return format(n, "x")
 
 
-def from_hex(s: str) -> Natural:
-    text = s.strip()
-    if not text:
-        raise ValueError("empty hex string")
-    try:
-        return Natural(int(text, 16))
-    except ValueError:
-        raise ValueError(f"invalid hex string: {s!r}") from None
+def from_hex(s: str) -> int:
+    """Parse a string of hex digits: no sign, ``0x`` prefix, ``_`` or whitespace."""
+    if not isinstance(s, str) or not _HEX.fullmatch(s):
+        raise ValueError(f"invalid hex string: {s!r}")
+    return int(s, 16)
 
 
-def to_decimal(n: Natural) -> str:
-    return str(n.value)
-
-
-def from_decimal(s: str) -> Natural:
-    text = s.strip()
-    if not text.isdigit():
-        raise ValueError(f"invalid decimal string: {s!r}")
-    return Natural(int(text, 10))
-
-
-def random_bits(n: int, rng: random.Random) -> Natural:
-    """A uniform n-bit value with the top bit forced, so bit_length == n."""
+def random_bits(n: int, rng: random.Random) -> int:
+    """A uniform n-bit value with the top bit forced, so bit_length() == n."""
     if n < 1:
         raise ValueError(f"bit width must be positive, got {n}")
     if n == 1:
-        return ONE
-    return Natural((1 << (n - 1)) | rng.getrandbits(n - 1))
+        return 1
+    return (1 << (n - 1)) | rng.getrandbits(n - 1)
 
 
-def random_odd(n: int, rng: random.Random) -> Natural:
+def random_odd(n: int, rng: random.Random) -> int:
     """A uniform odd n-bit value: top and bottom bits forced."""
     if n < 1:
         raise ValueError(f"bit width must be positive, got {n}")
     if n == 1:
-        return ONE
+        return 1
     middle = rng.getrandbits(n - 2) if n > 2 else 0
-    return Natural((1 << (n - 1)) | (middle << 1) | 1)
+    return (1 << (n - 1)) | (middle << 1) | 1
 
 
 # Limb kernel.  Limbs are little-endian lists of ints in [0, 2^64), with no

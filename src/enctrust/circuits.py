@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import bignum, she
-from .bignum import Natural
 from .she import Ciphertext, SecurityParams
 
 XOR = "XOR"
@@ -184,7 +183,7 @@ def star_eval(
     a: Ciphertext,
     b: Ciphertext,
     flag: Ciphertext,
-    pk: Natural,
+    pk: int,
     params: SecurityParams,
     stats: EvalStats | None = None,
 ) -> Ciphertext:
@@ -248,7 +247,7 @@ def symbolic_output_noise(
 
 
 def compile_to_star(
-    circuit: Circuit, pk: Natural, params: SecurityParams, rng: random.Random
+    circuit: Circuit, pk: int, params: SecurityParams, rng: random.Random
 ) -> StarCircuit:
     """Replace every gate with a universal gate whose encrypted flag selects its kind."""
     gates = tuple(
@@ -280,14 +279,14 @@ def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
 
 
 def _const_ct(
-    bit: int, pk: Natural, params: SecurityParams, rng: random.Random | None, stats: EvalStats
+    bit: int, pk: int, params: SecurityParams, rng: random.Random | None, stats: EvalStats
 ) -> Ciphertext:
     # Without an rng the constant is embedded as the trivial ciphertext of
     # itself, which is valid but reveals the bit; pass an rng to rerandomize.
     if rng is not None:
         ct = she.encrypt_bit(pk, bit, params, rng)
     else:
-        ct = Ciphertext(value=Natural(bit), noise_bits=1)
+        ct = Ciphertext(value=bit, noise_bits=1)
     stats.observe(ct)
     return ct
 
@@ -295,7 +294,7 @@ def _const_ct(
 def eval_plain(
     circuit: Circuit,
     inputs: Sequence[Ciphertext],
-    pk: Natural,
+    pk: int,
     params: SecurityParams,
     rng: random.Random | None = None,
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
@@ -330,7 +329,7 @@ def eval_plain(
 def eval_star(
     circuit: StarCircuit,
     inputs: Sequence[Ciphertext],
-    pk: Natural,
+    pk: int,
     params: SecurityParams,
     rng: random.Random | None = None,
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
@@ -464,7 +463,7 @@ class AdaptedPayload:
 def adapt(
     outputs: Sequence[Ciphertext],
     next_iface: CircuitInterface,
-    pk: Natural,
+    pk: int,
     params: SecurityParams,
     rng: random.Random,
 ) -> AdaptedPayload:
@@ -504,7 +503,7 @@ def bind_and_continue(
     payload: AdaptedPayload,
     local_bits: Sequence[Ciphertext],
     star_circuit: StarCircuit,
-    pk: Natural,
+    pk: int,
     params: SecurityParams,
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
     """Recover accumulator bits from the payload's triples, bind local bits, evaluate."""

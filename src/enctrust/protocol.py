@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import bignum, she
-from .bignum import Natural
 from .circuits import (
     AdaptedPayload,
     Circuit,
@@ -96,7 +95,7 @@ def make_node(
 
 @dataclass(frozen=True)
 class RouteRequest:
-    pk: Natural
+    pk: int
     params: SecurityParams
     source: NodeId
     destination: NodeId
@@ -286,7 +285,6 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "pk": bignum.to_hex(rr.pk),
         "lambda": rr.params.lam,
         "eta": rr.params.eta,
-        "reduce_mod_pk": rr.params.reduce_mod_pk,
         "width": len(rr.acc_trust),
         "source": rr.source,
         "destination": rr.destination,
@@ -300,15 +298,16 @@ def rr_to_json(rr: RouteRequest) -> dict:
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
-    params = SecurityParams.from_lambda(
-        obj["lambda"], eta=obj["eta"], reduce_mod_pk=obj.get("reduce_mod_pk", True)
-    )
+    params = SecurityParams.from_lambda(obj["lambda"], eta=obj["eta"])
+    pk = bignum.from_hex(obj["pk"])
+    if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
+        raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
     acc = tuple(
         ct_from_hex(hx, nb)
         for hx, nb in zip(obj["acc_trust"], obj["acc_trust_noise_bits"], strict=True)
     )
     return RouteRequest(
-        pk=bignum.from_hex(obj["pk"]),
+        pk=pk,
         params=params,
         source=obj["source"],
         destination=obj["destination"],

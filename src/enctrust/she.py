@@ -7,6 +7,12 @@ computes AND, as long as the accumulated noise ``(c mod sk)`` stays below
 ``sk``.  Noise is tracked alongside every ciphertext as a bit-length upper
 bound, so validity is decidable without the secret key.
 
+Keys and ciphertext values are plain ``int``s.  Every multiplication of
+ciphertexts or keys goes through :func:`bignum.mul` and every reduction
+through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
+``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
+without changing the decryption or the noise residue.
+
 Parameters follow a single security knob ``lam``: the public key is
 ``lam**3`` bits, fresh noise ``r`` is ``lam`` bits, and the multiplier ``Q``
 is ``lam**2`` bits.  The secret key width ``eta`` defaults to ``lam**2`` and
@@ -22,26 +28,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import bignum
-from .bignum import Natural
-
-TWO = Natural(2)
 
 
 @dataclass(frozen=True, slots=True)
 class SecurityParams:
-    """Size schedule for one instance of the scheme.
-
-    ``reduce_mod_pk`` keeps ciphertexts reduced modulo ``pk`` after every
-    homomorphic operation; since ``pk`` is a multiple of ``sk`` this never
-    changes the decryption or the noise residue.
-    """
+    """Size schedule for one instance of the scheme."""
 
     lam: int
     eta: int
     pk_bits: int
     r_bits: int
     q_bits: int
-    reduce_mod_pk: bool = True
 
     def __post_init__(self) -> None:
         if self.lam < 2:
@@ -56,9 +53,7 @@ class SecurityParams:
             raise ValueError("r_bits and q_bits must be positive")
 
     @classmethod
-    def from_lambda(
-        cls, lam: int, eta: int | None = None, reduce_mod_pk: bool = True
-    ) -> "SecurityParams":
+    def from_lambda(cls, lam: int, eta: int | None = None) -> "SecurityParams":
         """Standard schedule: pk lam**3 bits, r lam bits, Q lam**2 bits.
 
         When ``eta`` is raised beyond the default ``lam**2`` the public key
@@ -68,14 +63,7 @@ class SecurityParams:
         if eta is None:
             eta = lam * lam
         pk_bits = max(lam**3, eta + max(lam, 2))
-        return cls(
-            lam=lam,
-            eta=eta,
-            pk_bits=pk_bits,
-            r_bits=lam,
-            q_bits=lam * lam,
-            reduce_mod_pk=reduce_mod_pk,
-        )
+        return cls(lam=lam, eta=eta, pk_bits=pk_bits, r_bits=lam, q_bits=lam * lam)
 
     @property
     def fresh_ct_bits(self) -> int:
@@ -85,16 +73,16 @@ class SecurityParams:
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    sk: Natural
-    pk: Natural
-    q0: Natural
+    sk: int
+    pk: int
+    q0: int
 
 
 @dataclass(frozen=True, slots=True)
 class Ciphertext:
     """An encrypted bit plus a key-free upper bound on its noise bit length."""
 
-    value: Natural
+    value: int
     noise_bits: int
 
     def __post_init__(self) -> None:
@@ -135,13 +123,13 @@ def keygen(params: SecurityParams, rng: random.Random) -> KeyPair:
         for _ in range(64):
             q0 = bignum.random_odd(q_width, rng)
             pk = bignum.mul(sk, q0)
-            if pk.bit_length == params.pk_bits:
+            if pk.bit_length() == params.pk_bits:
                 return KeyPair(sk=sk, pk=pk, q0=q0)
     raise RuntimeError("key generation failed to hit the target public key width")
 
 
 def encrypt_bit(
-    pk: Natural,
+    pk: int,
     m: int,
     params: SecurityParams,
     rng: random.Random,
@@ -156,40 +144,36 @@ def encrypt_bit(
     """
     if m not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {m!r}")
-    r = Natural(_forced_r) if _forced_r is not None else bignum.random_bits(params.r_bits, rng)
-    q = Natural(_forced_q) if _forced_q is not None else bignum.random_bits(params.q_bits, rng)
-    value = Natural(m) + TWO * r + bignum.mul(pk, q)
+    r = _forced_r if _forced_r is not None else bignum.random_bits(params.r_bits, rng)
+    q = _forced_q if _forced_q is not None else bignum.random_bits(params.q_bits, rng)
+    value = m + 2 * r + bignum.mul(pk, q)
     ct = Ciphertext(value=value, noise_bits=fresh_noise_bits(params))
     _notify_audit(ct)
     return ct
 
 
-def decrypt_bit(sk: Natural, ct: Ciphertext) -> int:
-    return int((ct.value % sk) % TWO)
+def decrypt_bit(sk: int, ct: Ciphertext) -> int:
+    return bignum.mod(ct.value, sk) & 1
 
 
-def he_add(c1: Ciphertext, c2: Ciphertext, pk: Natural, params: SecurityParams) -> Ciphertext:
+def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
     """Homomorphic XOR of the underlying bits."""
-    value = c1.value + c2.value
-    if params.reduce_mod_pk:
-        value = value % pk
+    value = bignum.mod(c1.value + c2.value, pk)
     ct = Ciphertext(value=value, noise_bits=add_noise_bits(c1.noise_bits, c2.noise_bits))
     _notify_audit(ct)
     return ct
 
 
-def he_mul(c1: Ciphertext, c2: Ciphertext, pk: Natural, params: SecurityParams) -> Ciphertext:
+def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
     """Homomorphic AND of the underlying bits."""
-    value = bignum.mul(c1.value, c2.value)
-    if params.reduce_mod_pk:
-        value = value % pk
+    value = bignum.mod(bignum.mul(c1.value, c2.value), pk)
     ct = Ciphertext(value=value, noise_bits=mul_noise_bits(c1.noise_bits, c2.noise_bits))
     _notify_audit(ct)
     return ct
 
 
 def encrypt_value(
-    pk: Natural, v: int, width: int, params: SecurityParams, rng: random.Random
+    pk: int, v: int, width: int, params: SecurityParams, rng: random.Random
 ) -> tuple[Ciphertext, ...]:
     """Encrypt an integer bitwise, least significant bit first."""
     if width < 1:
@@ -199,7 +183,7 @@ def encrypt_value(
     return tuple(encrypt_bit(pk, (v >> i) & 1, params, rng) for i in range(width))
 
 
-def decrypt_value(sk: Natural, cts: Sequence[Ciphertext]) -> int:
+def decrypt_value(sk: int, cts: Sequence[Ciphertext]) -> int:
     """Decrypt a bitwise encryption, least significant bit first; () -> 0."""
     v = 0
     for i, ct in enumerate(cts):

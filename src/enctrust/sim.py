@@ -338,7 +338,6 @@ class RunConfig:
     width: int = 4
     seed: int = 0
     star_mode: bool = False
-    reduce_mod_pk: bool = True
 
 
 @dataclass
@@ -409,7 +408,7 @@ def run_discovery(
                 f"cannot certify {walk.updates} updates at width {cfg.width}, "
                 f"lam {cfg.lam}, star_mode={cfg.star_mode}"
             )
-    params = SecurityParams.from_lambda(cfg.lam, eta=eta, reduce_mod_pk=cfg.reduce_mod_pk)
+    params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
 

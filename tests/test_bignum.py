@@ -6,43 +6,38 @@ from hypothesis import strategies as st
 
 from enctrust import bignum
 from enctrust.bignum import (
-    Natural,
     UnderflowError,
-    add,
-    from_decimal,
     from_hex,
     karatsuba_mul,
     mod,
     mul,
     random_bits,
     random_odd,
-    sub,
-    to_decimal,
     to_hex,
 )
 
 naturals = st.integers(min_value=0, max_value=(1 << 4096) - 1)
 
 
-def test_constructor_rejects_negative_and_non_int():
-    with pytest.raises(ValueError):
-        Natural(-1)
-    with pytest.raises(TypeError):
-        Natural(1.5)
-    with pytest.raises(TypeError):
-        Natural(True)
+def _limbs(x):
+    return bignum._to_limbs(x)
+
+
+def _int(limbs):
+    return bignum._from_limbs(limbs)
 
 
 def test_bit_length_all_ones():
-    n = Natural(2**128 - 1)
-    assert n.bit_length == 128
-    assert n.value == int("1" * 128, 2)
+    # The limb split of the widest value that fits in two limbs.
+    n = 2**128 - 1
+    assert _limbs(n) == [bignum.LIMB_MASK, bignum.LIMB_MASK]
+    assert _int(_limbs(n)) == int("1" * 128, 2)
 
 
 def test_bit_length_edges():
-    assert Natural(0).bit_length == 0
-    assert Natural(1).bit_length == 1
-    assert Natural(2**64).bit_length == 65
+    assert _limbs(0) == []
+    assert _limbs(1) == [1]
+    assert _limbs(2**64) == [0, 1]
 
 
 def test_add_matches_oracle_on_random_1000_bit_values():
@@ -50,69 +45,60 @@ def test_add_matches_oracle_on_random_1000_bit_values():
     for _ in range(50):
         a = rng.getrandbits(1000)
         b = rng.getrandbits(1000)
-        assert add(Natural(a), Natural(b)).value == a + b
+        assert _int(bignum._add_limbs(_limbs(a), _limbs(b))) == a + b
 
 
 def test_mul_known_product():
-    a = Natural(12345678901234567890)
-    b = Natural(98765432109876543210)
-    assert mul(a, b).value == 1219326311370217952237463801111263526900
+    a = 12345678901234567890
+    b = 98765432109876543210
+    assert mul(a, b) == 1219326311370217952237463801111263526900
 
 
 def test_mul_zero_and_one():
-    assert mul(Natural(0), Natural(12345)).value == 0
-    assert mul(Natural(12345), Natural(0)).value == 0
-    assert mul(Natural(1), Natural(12345)).value == 12345
+    assert mul(0, 12345) == 0
+    assert mul(12345, 0) == 0
+    assert mul(1, 12345) == 12345
 
 
 def test_sub_underflow_raises():
     with pytest.raises(UnderflowError):
-        sub(Natural(3), Natural(5))
+        bignum._sub_limbs(_limbs(3), _limbs(5))
 
 
 def test_mod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        mod(Natural(10), Natural(0))
-
-
-def test_operator_sugar():
-    assert (Natural(6) * Natural(7)).value == 42
-    assert (Natural(6) + Natural(7)).value == 13
-    assert (Natural(7) - Natural(6)).value == 1
-    assert (Natural(7) % Natural(4)).value == 3
-    assert Natural(3) < Natural(4) <= Natural(4)
-    assert int(Natural(9)) == 9
+        mod(10, 0)
 
 
 @given(naturals, naturals)
 def test_add_commutes_and_matches_ints(a, b):
-    assert add(Natural(a), Natural(b)).value == a + b
-    assert add(Natural(b), Natural(a)).value == b + a
+    assert _int(bignum._add_limbs(_limbs(a), _limbs(b))) == a + b
+    assert _int(bignum._add_limbs(_limbs(b), _limbs(a))) == b + a
 
 
 @given(naturals, naturals)
 def test_mul_matches_ints(a, b):
-    assert mul(Natural(a), Natural(b)).value == a * b
+    assert mul(a, b) == a * b
 
 
 @given(naturals, naturals)
 def test_sub_then_add_roundtrips(a, b):
     lo, hi = sorted((a, b))
-    assert add(sub(Natural(hi), Natural(lo)), Natural(lo)).value == hi
+    assert _int(bignum._add_limbs(bignum._sub_limbs(_limbs(hi), _limbs(lo)), _limbs(lo))) == hi
 
 
 @given(naturals, st.integers(min_value=1, max_value=(1 << 2048) - 1))
 def test_mod_matches_ints(a, m):
-    assert mod(Natural(a), Natural(m)).value == a % m
+    assert mod(a, m) == a % m
 
 
 @settings(max_examples=30)
 @given(naturals, naturals)
 def test_mul_threshold_independence(a, b):
     # Forcing schoolbook everywhere or Karatsuba down to 2 limbs must agree.
-    school = karatsuba_mul(Natural(a), Natural(b), threshold=10**9)
-    kara = karatsuba_mul(Natural(a), Natural(b), threshold=2)
-    assert school.value == kara.value == a * b
+    school = karatsuba_mul(a, b, threshold=10**9)
+    kara = karatsuba_mul(a, b, threshold=2)
+    assert school == kara == a * b
 
 
 def test_mul_adversarial_patterns():
@@ -128,65 +114,64 @@ def test_mul_adversarial_patterns():
     ]
     for a in patterns:
         for b in patterns:
-            assert karatsuba_mul(Natural(a), Natural(b)).value == a * b
-            assert karatsuba_mul(Natural(a), Natural(b), threshold=2).value == a * b
+            assert karatsuba_mul(a, b) == a * b
+            assert karatsuba_mul(a, b, threshold=2) == a * b
 
 
 def test_hex_canonical_form():
-    assert to_hex(Natural(0)) == "0"
-    assert to_hex(Natural(255)) == "ff"
-    assert to_hex(Natural(2**64)) == "10000000000000000"
-    assert from_hex("ff").value == 255
-    assert from_hex("0").value == 0
+    assert to_hex(0) == "0"
+    assert to_hex(255) == "ff"
+    assert to_hex(2**64) == "10000000000000000"
+    assert from_hex("ff") == 255
+    assert from_hex("0") == 0
     with pytest.raises(ValueError):
         from_hex("")
     with pytest.raises(ValueError):
         from_hex("xyz")
 
 
+@pytest.mark.parametrize("text", ["+ff", "-ff", "0xff", "0XFF", "f_f", " ff", "ff\n", "\u0661"])
+def test_from_hex_rejects_non_digits(text):
+    # int(text, 16) accepts the first five (and whitespace) or decodes a
+    # non-ASCII digit; the wire format is hex digits only.
+    with pytest.raises(ValueError):
+        from_hex(text)
+
+
+def test_from_hex_rejects_non_strings():
+    with pytest.raises(ValueError):
+        from_hex(255)
+
+
 @given(naturals)
 def test_hex_roundtrip(a):
-    s = to_hex(Natural(a))
+    s = to_hex(a)
     assert s == s.lower()
     assert s == "0" or not s.startswith("0")
-    assert from_hex(s).value == a
-
-
-@given(naturals)
-def test_decimal_roundtrip(a):
-    assert from_decimal(to_decimal(Natural(a))).value == a
-
-
-def test_decimal_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_decimal("12a3")
-    with pytest.raises(ValueError):
-        from_decimal("-5")
-    with pytest.raises(ValueError):
-        from_decimal("")
+    assert from_hex(s) == a
 
 
 def test_random_bits_exact_width():
     rng = random.Random(123)
     for _ in range(10_000):
         v = random_bits(16, rng)
-        assert 2**15 <= v.value < 2**16
-    assert random_bits(1, rng).value == 1
+        assert 2**15 <= v < 2**16
+    assert random_bits(1, rng) == 1
 
 
 def test_random_odd_width_and_parity():
     rng = random.Random(123)
     for _ in range(10_000):
         v = random_odd(27, rng)
-        assert 2**26 <= v.value < 2**27
-        assert v.value % 2 == 1
-    assert random_odd(1, rng).value == 1
-    assert random_odd(2, rng).value == 3
+        assert 2**26 <= v < 2**27
+        assert v % 2 == 1
+    assert random_odd(1, rng) == 1
+    assert random_odd(2, rng) == 3
 
 
 def test_random_draws_are_deterministic_per_seed():
-    a = [random_bits(32, random.Random(42)).value for _ in range(3)]
-    b = [random_bits(32, random.Random(42)).value for _ in range(3)]
+    a = [random_bits(32, random.Random(42)) for _ in range(3)]
+    b = [random_bits(32, random.Random(42)) for _ in range(3)]
     assert a == b
 
 

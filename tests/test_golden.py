@@ -1,11 +1,14 @@
 """Fixed-seed outputs pinned across arithmetic backends.
 
 Every route request of one plain and one star discovery is serialized with
-``rr_to_json`` and hashed.  The wire carries no clock reading; the digests
-date from when ``stats.wall_time`` was on the wire (zeroed for hashing), so
-it is put back as 0.0 before hashing.  The digests and the decrypted trust
-were computed with the limb Karatsuba kernel as ``bignum.mul``; a backend
-that changes any ciphertext, noise bound or op count changes a digest.
+``rr_to_json`` and hashed.  The digests date from a wire format with two
+fields it no longer carries, so ``_digest`` checks that each is absent and
+puts back the value it always had in these runs before hashing:
+``stats.wall_time`` (a clock reading, zeroed for hashing) as 0.0, and
+``reduce_mod_pk`` (reduction mod pk, now always on) as true.  The digests
+and the decrypted trust were computed with the limb Karatsuba kernel as
+``bignum.mul``; a backend that changes any ciphertext, noise bound or op
+count changes a digest.
 """
 
 import hashlib
@@ -35,7 +38,9 @@ SEED = 21
 def _digest(rr) -> str:
     obj = rr_to_json(rr)
     assert "wall_time" not in obj["stats"]
+    assert "reduce_mod_pk" not in obj
     obj["stats"]["wall_time"] = 0.0
+    obj["reduce_mod_pk"] = True
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 

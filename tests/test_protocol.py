@@ -265,7 +265,7 @@ def test_rr_json_roundtrip_and_determinism():
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
-    assert obj["pk"] == format(keys.pk.value, "x")
+    assert obj["pk"] == format(keys.pk, "x")
     assert obj["lambda"] == 3
     assert obj["width"] == 4
     assert obj["path"] == [0]
@@ -321,3 +321,41 @@ def test_same_seed_discoveries_serialize_byte_identical():
     assert len(first) == 5
     assert first == wire_texts()
     assert all("wall_time" not in json.loads(text)["stats"] for text in first)
+
+
+def test_rr_from_json_rejects_malformed_public_key():
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    short = keys.pk >> 1 | 1  # odd, one bit short of pk_bits
+    assert short.bit_length() == params.pk_bits - 1
+    for bad in ("0", "2", format(short, "x")):
+        obj = rr_to_json(rr)
+        obj["pk"] = bad
+        with pytest.raises(ValueError):
+            rr_from_json(obj)
+
+
+@pytest.mark.parametrize("text", ["+1", "0x1", "1_1", "-1"])
+def test_rr_from_json_rejects_non_hex_ciphertext(text):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    obj = rr_to_json(rr)
+    obj["acc_trust"][0] = text
+    with pytest.raises(ValueError):
+        rr_from_json(obj)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_wire_cannot_switch_reduction_off(star_mode):
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    obj = rr_to_json(rr)
+    obj["reduce_mod_pk"] = False
+    decision = process_rr(nodes[1], rr_from_json(obj), rng, star_mode)
+    assert isinstance(decision, ForwardUpdated)
+    out = decision.rr
+    # Every evaluated ciphertext is reduced; the adapter's fresh Enc(0)s are not evaluated.
+    cts = list(out.acc_trust) + [triple[0] for triple in out.payload.triples]
+    assert len(cts) == 8
+    assert all(ct.value < keys.pk for ct in cts)
+    assert decrypt_value(keys.sk, out.acc_trust) == 7 + 5

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enctrust.bignum import Natural
+from enctrust import bignum
 from enctrust.she import (
     Ciphertext,
     SecurityParams,
@@ -20,8 +20,8 @@ from enctrust.she import (
 )
 
 
-def make(lam=3, eta=None, reduce_mod_pk=True, seed=0):
-    params = SecurityParams.from_lambda(lam, eta=eta, reduce_mod_pk=reduce_mod_pk)
+def make(lam=3, eta=None, seed=0):
+    params = SecurityParams.from_lambda(lam, eta=eta)
     rng = random.Random(seed)
     keys = keygen(params, rng)
     return params, keys, rng
@@ -53,12 +53,12 @@ def test_params_validation():
 def test_keygen_invariants():
     for lam in (2, 3, 5):
         params, keys, _ = make(lam=lam, seed=11)
-        assert keys.sk.value % 2 == 1
-        assert keys.sk.bit_length == params.eta
-        assert keys.q0.value % 2 == 1
-        assert keys.pk.value == keys.sk.value * keys.q0.value
-        assert keys.pk.bit_length == params.pk_bits
-        assert keys.pk.value % 2 == 1
+        assert keys.sk % 2 == 1
+        assert keys.sk.bit_length() == params.eta
+        assert keys.q0 % 2 == 1
+        assert keys.pk == keys.sk * keys.q0
+        assert keys.pk.bit_length() == params.pk_bits
+        assert keys.pk % 2 == 1
 
 
 def test_keygen_narrow_q0_terminates():
@@ -66,15 +66,15 @@ def test_keygen_narrow_q0_terminates():
     # secret key must be resampled until the product lands on pk_bits.
     params = SecurityParams(lam=3, eta=40, pk_bits=42, r_bits=3, q_bits=9)
     keys = keygen(params, random.Random(9))
-    assert keys.pk.bit_length == 42
+    assert keys.pk.bit_length() == 42
 
 
 def test_encrypt_bit_exact_form_with_forced_randomness():
     params, keys, rng = make(lam=3, seed=2)
     ct = encrypt_bit(keys.pk, 1, params, rng, _forced_r=5, _forced_q=9)
-    assert ct.value.value == 1 + 2 * 5 + keys.pk.value * 9
+    assert ct.value == 1 + 2 * 5 + keys.pk * 9
     ct0 = encrypt_bit(keys.pk, 0, params, rng, _forced_r=5, _forced_q=9)
-    assert ct0.value.value == 0 + 2 * 5 + keys.pk.value * 9
+    assert ct0.value == 0 + 2 * 5 + keys.pk * 9
 
 
 def test_encrypt_rejects_non_bits():
@@ -124,27 +124,63 @@ def test_noise_tracking_rules():
 
 def test_noise_ok_boundary():
     params = SecurityParams.from_lambda(3, eta=10)
-    assert noise_ok(Ciphertext(Natural(1), 9), params)
-    assert not noise_ok(Ciphertext(Natural(1), 10), params)
+    assert noise_ok(Ciphertext(1, 9), params)
+    assert not noise_ok(Ciphertext(1, 10), params)
 
 
 def test_reduction_mod_pk_is_decryption_neutral():
-    seed = 77
-    pr, keys_r, rng_r = make(lam=3, eta=40, reduce_mod_pk=True, seed=seed)
-    pn, keys_n, rng_n = make(lam=3, eta=40, reduce_mod_pk=False, seed=seed)
-    assert keys_r == keys_n  # same rng draws
+    params, keys, rng = make(lam=3, eta=40, seed=77)
+    pk, sk = keys.pk, keys.sk
     for a in (0, 1):
         for b in (0, 1):
-            ca_r = encrypt_bit(keys_r.pk, a, pr, rng_r)
-            cb_r = encrypt_bit(keys_r.pk, b, pr, rng_r)
-            ca_n = encrypt_bit(keys_n.pk, a, pn, rng_n)
-            cb_n = encrypt_bit(keys_n.pk, b, pn, rng_n)
-            out_r = he_mul(he_add(ca_r, cb_r, keys_r.pk, pr), ca_r, keys_r.pk, pr)
-            out_n = he_mul(he_add(ca_n, cb_n, keys_n.pk, pn), ca_n, keys_n.pk, pn)
-            assert out_r.value.value < keys_r.pk.value
-            assert out_r.value.value == out_n.value.value % keys_n.pk.value
-            assert decrypt_bit(keys_r.sk, out_r) == decrypt_bit(keys_n.sk, out_n)
-            assert out_r.noise_bits == out_n.noise_bits
+            ca = encrypt_bit(pk, a, params, rng)
+            cb = encrypt_bit(pk, b, params, rng)
+            raw_sum = ca.value + cb.value
+            raw_prod = ca.value * cb.value
+            s = he_add(ca, cb, pk, params)
+            p = he_mul(ca, cb, pk, params)
+            out = he_mul(s, ca, pk, params)
+            raw_out = raw_sum * ca.value
+            expected = ((s, raw_sum, a ^ b), (p, raw_prod, a & b), (out, raw_out, (a ^ b) & a))
+            for ct, raw, bit in expected:
+                assert ct.value < pk
+                assert ct.value % pk == raw % pk
+                assert decrypt_bit(sk, ct) == (raw % sk) % 2 == bit
+            assert s.noise_bits == max(ca.noise_bits, cb.noise_bits) + 1
+            assert p.noise_bits == ca.noise_bits + cb.noise_bits
+            assert out.noise_bits == s.noise_bits + ca.noise_bits
+
+
+def test_ciphertext_arithmetic_goes_through_bignum(monkeypatch):
+    params, keys, rng = make(lam=3, seed=12)
+    calls = {"mul": 0, "mod": 0}
+    mul, mod = bignum.mul, bignum.mod
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counting_mod(a, m):
+        calls["mod"] += 1
+        return mod(a, m)
+
+    monkeypatch.setattr(bignum, "mul", counting_mul)
+    monkeypatch.setattr(bignum, "mod", counting_mod)
+
+    def counted(fn, *args):
+        calls.update(mul=0, mod=0)
+        result = fn(*args)
+        return result, dict(calls)
+
+    c1, n = counted(encrypt_bit, keys.pk, 1, params, rng)
+    assert n == {"mul": 1, "mod": 0}
+    c2, _ = counted(encrypt_bit, keys.pk, 0, params, rng)
+    _, n = counted(he_add, c1, c2, keys.pk, params)
+    assert n == {"mul": 0, "mod": 1}
+    _, n = counted(he_mul, c1, c2, keys.pk, params)
+    assert n == {"mul": 1, "mod": 1}
+    _, n = counted(decrypt_bit, keys.sk, c1)
+    assert n == {"mul": 0, "mod": 1}
 
 
 def test_true_noise_never_exceeds_tracked_bound():
@@ -160,7 +196,7 @@ def test_true_noise_never_exceeds_tracked_bound():
                 pool[rng.randrange(len(pool))] = ct
     assert produced
     for ct in produced:
-        residue = ct.value.value % keys.sk.value
+        residue = ct.value % keys.sk
         assert residue.bit_length() <= ct.noise_bits
 
 

@@ -367,9 +367,9 @@ def test_run_discovery_audit_collects_sound_ciphertexts():
     assert report.status == DELIVERED
     assert audit.keys is not None
     assert len(audit.ciphertexts) > 50
-    sk = audit.keys.sk.value
+    sk = audit.keys.sk
     for ct in audit.ciphertexts:
-        assert (ct.value.value % sk).bit_length() <= ct.noise_bits
+        assert (ct.value % sk).bit_length() <= ct.noise_bits
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -383,9 +383,9 @@ def test_certified_star_run_seven_updates(seed):
     assert report.trusted
     assert report.path == oracle.path
     assert report.decrypted_trust == oracle.trust
-    sk = audit.keys.sk.value
+    sk = audit.keys.sk
     for ct in audit.ciphertexts:
-        assert (ct.value.value % sk).bit_length() <= ct.noise_bits
+        assert (ct.value % sk).bit_length() <= ct.noise_bits
 
 
 def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeypatch):

@@ -8,10 +8,10 @@ gate computes ``(a xor b) xor flag*((a and b) xor (a xor b))`` and the
 encrypted flag selects AND (1) or XOR (0).  A compiled circuit reveals the
 topology but not which gates are which.
 
-Multi-hop chaining runs through an adapter: each output ciphertext is wrapped
-into an identity universal-gate triple ``(out, Enc(0), Enc(0))`` addressed to
-the next evaluator's input layout, which recovers its accumulator inputs by
-firing the triples and binds its own freshly encrypted local inputs.
+Multi-hop chaining runs through an adapter: per accumulator bit it draws two
+fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
+``(acc_i, Enc(0), Enc(0))`` to rerandomize the bit, then binds its own local
+inputs.  Every evaluator's inputs are the ACC block, then the LOCAL block.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ class EvalStats:
     @classmethod
     def from_json(cls, obj: dict) -> "EvalStats":
         return cls(
-            n_he_add=obj["adds"],
-            n_he_mul=obj["muls"],
-            max_noise_bits=obj["max_noise_bits"],
-            wall_time=obj.get("wall_time", 0.0),
+            n_he_add=json_field(obj, "adds", int),
+            n_he_mul=json_field(obj, "muls", int),
+            max_noise_bits=json_field(obj, "max_noise_bits", int),
+            wall_time=json_field(obj, "wall_time", (int, float)) if "wall_time" in obj else 0.0,
         )
 
 
@@ -398,118 +398,89 @@ def build_ripple_adder(width: int) -> Circuit:
 class CircuitInterface:
     """An evaluator's input contract.
 
-    ``layout`` maps input positions to labels: ``ACC_i`` for the i-th
-    accumulator bit arriving from the previous hop, ``LOCAL_j`` for the j-th
-    locally supplied bit.
+    The circuit reads ``num_acc_inputs`` accumulator bits arriving from the
+    previous hop, then ``num_local_inputs`` locally supplied bits.
     """
 
     num_acc_inputs: int
     num_local_inputs: int
-    layout: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.layout) != self.num_acc_inputs + self.num_local_inputs:
-            raise ValueError(
-                f"layout has {len(self.layout)} labels, expected "
-                f"{self.num_acc_inputs + self.num_local_inputs}"
-            )
-        expected = {f"ACC_{i}" for i in range(self.num_acc_inputs)} | {
-            f"LOCAL_{j}" for j in range(self.num_local_inputs)
-        }
-        if set(self.layout) != expected or len(set(self.layout)) != len(self.layout):
-            raise ValueError(f"layout must name each ACC_i and LOCAL_j exactly once: {self.layout}")
 
     def to_json(self) -> dict:
-        return {
-            "acc": self.num_acc_inputs,
-            "local": self.num_local_inputs,
-            "layout": list(self.layout),
-        }
+        return {"acc": self.num_acc_inputs, "local": self.num_local_inputs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CircuitInterface":
-        return cls(
-            num_acc_inputs=obj["acc"],
-            num_local_inputs=obj["local"],
-            layout=tuple(obj["layout"]),
-        )
+        return cls(json_field(obj, "acc", int), json_field(obj, "local", int))
 
 
 @functools.cache
 def adder_interface(width: int) -> CircuitInterface:
-    """The ripple adder's contract: ACC block first, then LOCAL block (one per width)."""
-    return CircuitInterface(
-        num_acc_inputs=width,
-        num_local_inputs=width,
-        layout=tuple(f"ACC_{i}" for i in range(width)) + tuple(f"LOCAL_{j}" for j in range(width)),
-    )
+    """The ripple adder's contract: ``width`` accumulator and ``width`` local bits."""
+    return CircuitInterface(num_acc_inputs=width, num_local_inputs=width)
 
 
 @dataclass(frozen=True, slots=True)
 class AdaptedPayload:
-    """Identity universal-gate triples carrying accumulator bits to the next hop."""
+    """Per accumulator bit, the operand and flag ``Enc(0)`` of its identity universal gate.
 
-    triples: tuple[tuple[Ciphertext, Ciphertext, Ciphertext], ...]
+    The accumulator bit itself travels once, in the route request.
+    """
+
+    pairs: tuple[tuple[Ciphertext, Ciphertext], ...]
     interface: CircuitInterface
 
     def __post_init__(self) -> None:
-        if len(self.triples) != self.interface.num_acc_inputs:
+        if len(self.pairs) != self.interface.num_acc_inputs:
             raise ValueError(
-                f"payload has {len(self.triples)} triples, interface expects "
+                f"payload has {len(self.pairs)} pairs, interface expects "
                 f"{self.interface.num_acc_inputs} accumulator inputs"
             )
 
 
 def adapt(
-    outputs: Sequence[Ciphertext],
     next_iface: CircuitInterface,
     pk: int,
     params: SecurityParams,
     rng: random.Random,
 ) -> AdaptedPayload:
-    """Wrap each output as (out, Enc(0), Enc(0)): an identity universal gate.
+    """Draw the ``(Enc(0), Enc(0))`` pair of each accumulator bit's identity gate.
 
-    Firing the triple computes out xor 0 with a zero flag, so the carried bit
-    is preserved while the wire is rerandomized by the fresh encryptions.
+    Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
+    the bit is preserved and the wire rerandomized by the fresh encryptions.
     """
-    if len(outputs) != next_iface.num_acc_inputs:
-        raise ValueError(
-            f"{len(outputs)} outputs cannot feed an interface with "
-            f"{next_iface.num_acc_inputs} accumulator inputs"
-        )
-    triples = tuple(
-        (out, she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))
-        for out in outputs
+    pairs = tuple(
+        (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))
+        for _ in range(next_iface.num_acc_inputs)
     )
-    return AdaptedPayload(triples=triples, interface=next_iface)
+    return AdaptedPayload(pairs=pairs, interface=next_iface)
 
 
 def arrange_inputs(
     iface: CircuitInterface, acc: Sequence[Ciphertext], local: Sequence[Ciphertext]
 ) -> tuple[Ciphertext, ...]:
-    """Order accumulator and local bits into circuit input positions per the layout."""
+    """Circuit inputs in the one order every evaluator uses: the ACC block, then LOCAL."""
     if len(acc) != iface.num_acc_inputs:
         raise ValueError(f"expected {iface.num_acc_inputs} accumulator bits, got {len(acc)}")
     if len(local) != iface.num_local_inputs:
         raise ValueError(f"expected {iface.num_local_inputs} local bits, got {len(local)}")
-    ordered = []
-    for label in iface.layout:
-        role, _, idx = label.rpartition("_")
-        ordered.append(acc[int(idx)] if role == "ACC" else local[int(idx)])
-    return tuple(ordered)
+    return (*acc, *local)
 
 
 def bind_and_continue(
     payload: AdaptedPayload,
+    acc: Sequence[Ciphertext],
     local_bits: Sequence[Ciphertext],
     star_circuit: StarCircuit,
     pk: int,
     params: SecurityParams,
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
-    """Recover accumulator bits from the payload's triples, bind local bits, evaluate."""
+    """Fire each accumulator bit's identity gate with its own payload pair, bind, evaluate."""
     stats = EvalStats()
     t0 = time.perf_counter()
-    recovered = [star_eval(a, b, flag, pk, params, stats) for (a, b, flag) in payload.triples]
+    recovered = [
+        star_eval(a, b, flag, pk, params, stats)
+        for a, (b, flag) in zip(acc, payload.pairs, strict=True)
+    ]
     stats.wall_time = time.perf_counter() - t0
     inputs = arrange_inputs(payload.interface, recovered, local_bits)
     outputs, eval_stats = eval_star(star_circuit, inputs, pk, params)
@@ -561,6 +532,37 @@ def ct_from_hex(hex_value: str, noise_bits: int) -> Ciphertext:
     return Ciphertext(value=bignum.from_hex(hex_value), noise_bits=noise_bits)
 
 
+def json_field(obj: object, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]`` if present and of JSON type ``kind`` (never a boolean), else ``ValueError``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return _json_check(obj[key], kind, key)
+
+
+def json_list(obj: object, key: str, kind: type) -> list:
+    """The list ``obj[key]``, each element of JSON type ``kind``, else ``ValueError``."""
+    return [_json_check(item, kind, key) for item in json_field(obj, key, list)]
+
+
+def _json_check(value: object, kind: type | tuple[type, ...], key: str):
+    # Python takes JSON ``true`` for the integer 1; no wire field is a boolean.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
+    return value
+
+
+def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
+    """Ciphertexts as hex under ``key``, their noise bounds under ``key + "_noise_bits"``."""
+    return {key: [ct_to_hex(c) for c in cts], f"{key}_noise_bits": [c.noise_bits for c in cts]}
+
+
+def cts_from_json(obj: dict, key: str) -> tuple[Ciphertext, ...]:
+    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed field."""
+    hexes = json_list(obj, key, str)
+    bounds = json_list(obj, f"{key}_noise_bits", int)
+    return tuple(ct_from_hex(hx, nb) for hx, nb in zip(hexes, bounds, strict=True))
+
+
 def star_circuit_to_json(sc: StarCircuit) -> dict:
     return {
         "num_inputs": sc.num_inputs,
@@ -593,18 +595,16 @@ def star_circuit_from_json(obj: dict) -> StarCircuit:
 
 
 def payload_to_json(p: AdaptedPayload) -> dict:
+    # Flat on the wire: accumulator bit i's pair is zeros[2i], zeros[2i+1].
     return {
-        "triples": [[ct_to_hex(a), ct_to_hex(b), ct_to_hex(f)] for (a, b, f) in p.triples],
-        "triples_noise_bits": [
-            [a.noise_bits, b.noise_bits, f.noise_bits] for (a, b, f) in p.triples
-        ],
+        **cts_to_json("zeros", [ct for pair in p.pairs for ct in pair]),
         "iface": p.interface.to_json(),
     }
 
 
 def payload_from_json(obj: dict) -> AdaptedPayload:
-    triples = tuple(
-        (ct_from_hex(hx[0], nb[0]), ct_from_hex(hx[1], nb[1]), ct_from_hex(hx[2], nb[2]))
-        for hx, nb in zip(obj["triples"], obj["triples_noise_bits"], strict=True)
+    zeros = cts_from_json(obj, "zeros")
+    return AdaptedPayload(
+        pairs=tuple(zip(zeros[0::2], zeros[1::2], strict=True)),
+        interface=CircuitInterface.from_json(json_field(obj, "iface", dict)),
     )
-    return AdaptedPayload(triples=triples, interface=CircuitInterface.from_json(obj["iface"]))

@@ -12,9 +12,11 @@ decrypt the path's total trust.
 
 Intermediate evaluation runs in one of two modes: plain homomorphic XOR/AND
 gates reading the accumulator ciphertexts directly, or the universal-gate
-pipeline in which the node recovers its accumulator inputs by firing the
-adapter triples from the previous hop and evaluates a flag-compiled circuit,
-never learning which gates compute what.
+pipeline in which the node fires an identity gate on each accumulator
+ciphertext with the two fresh ``Enc(0)``s the previous hop's adapter sent,
+then evaluates a flag-compiled circuit, never learning which gates compute
+what.  Each accumulator ciphertext travels once, in ``acc_trust``; every
+hop's adder inputs are the accumulator block, then its local block.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from .circuits import (
     bind_and_continue,
     build_ripple_adder,
     compile_to_star,
-    ct_from_hex,
-    ct_to_hex,
+    cts_from_json,
+    cts_to_json,
     eval_plain,
+    json_field,
+    json_list,
     payload_from_json,
     payload_to_json,
 )
@@ -188,7 +192,7 @@ def source_initiate(
     keys = _keys if _keys is not None else she.keygen(params, rng)
     acc = she.encrypt_value(keys.pk, node.trust_db[next_hop], node.width, params, rng)
     iface = iface_lookup(next_hop) if iface_lookup else adder_interface(node.width)
-    payload = adapt(acc, iface, keys.pk, params, rng)
+    payload = adapt(iface, keys.pk, params, rng)
     rr = RouteRequest(
         pk=keys.pk,
         params=params,
@@ -235,12 +239,14 @@ def process_rr(
         local = she.encrypt_value(pk, node.trust_db[next_hop], node.width, params, rng)
         if star_mode:
             star_circuit = compile_to_star(node.circuit, pk, params, rng)
-            outputs, node_stats = bind_and_continue(rr.payload, local, star_circuit, pk, params)
+            outputs, node_stats = bind_and_continue(
+                rr.payload, rr.acc_trust, local, star_circuit, pk, params
+            )
         else:
             inputs = arrange_inputs(rr.payload.interface, rr.acc_trust, local)
             outputs, node_stats = eval_plain(node.circuit, inputs, pk, params, rng=rng)
         next_iface = iface_lookup(next_hop) if iface_lookup else adder_interface(node.width)
-        new_payload = adapt(outputs, next_iface, pk, params, rng)
+        new_payload = adapt(next_iface, pk, params, rng)
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
     updated = replace(
@@ -290,51 +296,44 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "destination": rr.destination,
         "next_hop": rr.next_hop,
         "path": list(rr.path),
-        "acc_trust": [ct_to_hex(ct) for ct in rr.acc_trust],
-        "acc_trust_noise_bits": [ct.noise_bits for ct in rr.acc_trust],
+        **cts_to_json("acc_trust", rr.acc_trust),
         "payload": payload_to_json(rr.payload),
         "stats": _stats_to_json(rr.stats_so_far),
     }
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
-    params = SecurityParams.from_lambda(obj["lambda"], eta=obj["eta"])
-    pk = bignum.from_hex(obj["pk"])
+    """Decode a request; ``ValueError`` on a missing or ill-typed field or a bad key."""
+    lam, eta = json_field(obj, "lambda", int), json_field(obj, "eta", int)
+    params = SecurityParams.from_lambda(lam, eta=eta)
+    pk = bignum.from_hex(json_field(obj, "pk", str))
     if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
         raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
-    acc = tuple(
-        ct_from_hex(hx, nb)
-        for hx, nb in zip(obj["acc_trust"], obj["acc_trust_noise_bits"], strict=True)
-    )
     return RouteRequest(
         pk=pk,
         params=params,
-        source=obj["source"],
-        destination=obj["destination"],
-        next_hop=obj["next_hop"],
-        path=tuple(obj["path"]),
-        acc_trust=acc,
-        payload=payload_from_json(obj["payload"]),
-        stats_so_far=EvalStats.from_json(obj["stats"]),
+        source=json_field(obj, "source", int),
+        destination=json_field(obj, "destination", int),
+        next_hop=json_field(obj, "next_hop", int),
+        path=tuple(json_list(obj, "path", int)),
+        acc_trust=cts_from_json(obj, "acc_trust"),
+        payload=payload_from_json(json_field(obj, "payload", dict)),
+        stats_so_far=EvalStats.from_json(json_field(obj, "stats", dict)),
     )
 
 
 def rp_to_json(rp: RouteReply) -> dict:
     return {
         "path": list(rp.path),
-        "acc_trust": [ct_to_hex(ct) for ct in rp.acc_trust],
-        "acc_trust_noise_bits": [ct.noise_bits for ct in rp.acc_trust],
+        **cts_to_json("acc_trust", rp.acc_trust),
         "stats": _stats_to_json(rp.stats),
     }
 
 
 def rp_from_json(obj: dict) -> RouteReply:
-    acc = tuple(
-        ct_from_hex(hx, nb)
-        for hx, nb in zip(obj["acc_trust"], obj["acc_trust_noise_bits"], strict=True)
-    )
+    """Decode a reply; ``ValueError`` on a missing or ill-typed field."""
     return RouteReply(
-        path=tuple(obj["path"]),
-        acc_trust=acc,
-        stats=EvalStats.from_json(obj["stats"]),
+        path=tuple(json_list(obj, "path", int)),
+        acc_trust=cts_from_json(obj, "acc_trust"),
+        stats=EvalStats.from_json(json_field(obj, "stats", dict)),
     )

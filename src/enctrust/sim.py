@@ -309,7 +309,7 @@ def required_eta(
 
     Propagates the noise-tracking rules symbolically through the hop
     pipeline: in star mode each hop first recovers its accumulator inputs
-    through identity universal-gate triples, then evaluates the flag-compiled
+    through the adapter's identity universal gates, then evaluates the flag-compiled
     adder; in plain mode the adder reads the accumulator directly.  Returns
     :data:`TOO_DEEP` once any bound exceeds ``ceiling``.
     """

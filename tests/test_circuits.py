@@ -244,25 +244,16 @@ def test_stats_merge_and_json_roundtrip():
 
 def test_interface_validation_and_layout():
     iface = adder_interface(4)
-    assert iface.num_acc_inputs == 4
-    assert iface.layout[:4] == ("ACC_0", "ACC_1", "ACC_2", "ACC_3")
-    assert iface.layout[4:] == ("LOCAL_0", "LOCAL_1", "LOCAL_2", "LOCAL_3")
+    assert (iface.num_acc_inputs, iface.num_local_inputs) == (4, 4)
     assert CircuitInterface.from_json(iface.to_json()) == iface
+    for bad in ({"acc": 4}, {"acc": "4", "local": 4}, {"acc": True, "local": 4}, [4, 4]):
+        with pytest.raises(ValueError):
+            CircuitInterface.from_json(bad)
+    # The one input order: the ACC block, then the LOCAL block.
+    acc, local = ["a0", "a1", "a2", "a3"], ["l0", "l1", "l2", "l3"]
+    assert arrange_inputs(iface, acc, local) == tuple(acc + local)
     with pytest.raises(ValueError):
-        CircuitInterface(2, 2, ("ACC_0", "ACC_1", "LOCAL_0"))
-    with pytest.raises(ValueError):
-        CircuitInterface(2, 2, ("ACC_0", "ACC_0", "LOCAL_0", "LOCAL_1"))
-    with pytest.raises(ValueError):
-        CircuitInterface(1, 1, ("ACC_0", "BOGUS_0"))
-
-
-def test_arrange_inputs_respects_layout():
-    iface = CircuitInterface(2, 1, ("LOCAL_0", "ACC_1", "ACC_0"))
-    acc = ["a0", "a1"]
-    local = ["l0"]
-    assert arrange_inputs(iface, acc, local) == ("l0", "a1", "a0")
-    with pytest.raises(ValueError):
-        arrange_inputs(iface, ["a0"], local)
+        arrange_inputs(iface, acc[:3], local)
     with pytest.raises(ValueError):
         arrange_inputs(iface, acc, [])
 
@@ -271,31 +262,36 @@ def test_adapt_identity_recovery():
     params, keys, rng = make(seed=5)
     for v in (0, 9, 15):
         cts = encrypt_value(keys.pk, v, 4, params, rng)
-        payload = adapt(cts, adder_interface(4), keys.pk, params, rng)
-        assert len(payload.triples) == 4
-        recovered = [star_eval(a, b, f, keys.pk, params) for a, b, f in payload.triples]
+        payload = adapt(adder_interface(4), keys.pk, params, rng)
+        assert len(payload.pairs) == 4
+        recovered = [star_eval(a, b, f, keys.pk, params) for a, (b, f) in zip(cts, payload.pairs)]
         assert decrypt_value(keys.sk, recovered) == v
-        for (a, _, _), original in zip(payload.triples, cts):
-            assert a == original
+        for pair in payload.pairs:
+            # Each pair is fresh: two encryptions of 0, neither an accumulator bit.
+            assert [decrypt_bit(keys.sk, z) for z in pair] == [0, 0]
+            assert not set(pair) & set(cts)
 
 
 def test_adapt_arity_mismatch():
     params, keys, rng = make(seed=6)
     cts = encrypt_value(keys.pk, 3, 2, params, rng)
+    payload = adapt(adder_interface(4), keys.pk, params, rng)
+    local = encrypt_value(keys.pk, 1, 4, params, rng)
+    sc = compile_to_star(build_ripple_adder(4), keys.pk, params, rng)
     with pytest.raises(ValueError):
-        adapt(cts, adder_interface(4), keys.pk, params, rng)
+        bind_and_continue(payload, cts, local, sc, keys.pk, params)
     with pytest.raises(ValueError):
-        AdaptedPayload(triples=((cts[0], cts[0], cts[1]),), interface=adder_interface(4))
+        AdaptedPayload(pairs=((cts[0], cts[1]),), interface=adder_interface(4))
 
 
 def test_bind_and_continue_single_hop():
     params, keys, rng = make(seed=7)
     c = build_ripple_adder(4)
     acc = encrypt_value(keys.pk, 9, 4, params, rng)
-    payload = adapt(acc, adder_interface(4), keys.pk, params, rng)
+    payload = adapt(adder_interface(4), keys.pk, params, rng)
     local = encrypt_value(keys.pk, 4, 4, params, rng)
     sc = compile_to_star(c, keys.pk, params, rng)
-    outs, stats = bind_and_continue(payload, local, sc, keys.pk, params)
+    outs, stats = bind_and_continue(payload, acc, local, sc, keys.pk, params)
     assert decrypt_value(keys.sk, outs) == 13
     # 4 recovery gates + 17 circuit gates, each 2 muls and 3 adds
     assert (stats.n_he_mul, stats.n_he_add) == (42, 63)
@@ -317,15 +313,15 @@ def test_bind_and_continue_two_hop_chain():
         )
     params, keys, rng = make(lam=lam, eta=max(acc_noise) + 2, seed=8)
     acc = encrypt_value(keys.pk, 9, width, params, rng)
-    payload = adapt(acc, iface, keys.pk, params, rng)
+    payload = adapt(iface, keys.pk, params, rng)
     total = EvalStats()
     for local_value in (4, 2):
         local = encrypt_value(keys.pk, local_value, width, params, rng)
         sc = compile_to_star(c, keys.pk, params, rng)
-        outs, stats = bind_and_continue(payload, local, sc, keys.pk, params)
-        payload = adapt(outs, iface, keys.pk, params, rng)
+        acc, stats = bind_and_continue(payload, acc, local, sc, keys.pk, params)
+        payload = adapt(iface, keys.pk, params, rng)
         total = total.merge(stats)
-    final = [a for (a, _, _) in payload.triples]
+    final = acc
     assert decrypt_value(keys.sk, final) == (9 + 4 + 2) % 16
     assert all(she.noise_ok(ct, params) for ct in final)
     assert (total.n_he_mul, total.n_he_add) == (84, 126)
@@ -361,6 +357,12 @@ def test_star_circuit_json_roundtrip_hides_gate_kinds():
 
 def test_payload_json_roundtrip():
     params, keys, rng = make(seed=10)
-    cts = encrypt_value(keys.pk, 5, 4, params, rng)
-    payload = adapt(cts, adder_interface(4), keys.pk, params, rng)
-    assert payload_from_json(payload_to_json(payload)) == payload
+    payload = adapt(adder_interface(4), keys.pk, params, rng)
+    obj = payload_to_json(payload)
+    assert payload_from_json(obj) == payload
+    # Two zeros per accumulator bit; an odd count cannot be paired.
+    assert len(obj["zeros"]) == len(obj["zeros_noise_bits"]) == 8
+    obj["zeros"].pop()
+    obj["zeros_noise_bits"].pop()
+    with pytest.raises(ValueError):
+        payload_from_json(obj)

@@ -1,14 +1,22 @@
-"""Fixed-seed outputs pinned across arithmetic backends.
+"""Fixed-seed outputs pinned across arithmetic backends and wire formats.
 
 Every route request of one plain and one star discovery is serialized with
-``rr_to_json`` and hashed.  The digests date from a wire format with two
-fields it no longer carries, so ``_digest`` checks that each is absent and
-puts back the value it always had in these runs before hashing:
-``stats.wall_time`` (a clock reading, zeroed for hashing) as 0.0, and
-``reduce_mod_pk`` (reduction mod pk, now always on) as true.  The digests
-and the decrypted trust were computed with the limb Karatsuba kernel as
-``bignum.mul``; a backend that changes any ciphertext, noise bound or op
-count changes a digest.
+``rr_to_json`` and hashed.  The digests date from an older wire format, and
+``_digest`` maps each request back to it before hashing:
+
+- ``stats.wall_time`` (a clock reading, zeroed for hashing) is put back as
+  0.0, and ``reduce_mod_pk`` (reduction mod pk, now always on) as true;
+- the payload carried every accumulator ciphertext a second time, as the
+  first element of its adapter triple ``(acc_i, Enc(0), Enc(0))``, and an
+  input ``layout`` that was always the ACC block, then the LOCAL block.  The
+  triples are rebuilt from ``acc_trust`` and the payload's flat ``zeros``
+  (two per accumulator bit, with their noise bounds), and the layout is put
+  back.
+
+So every ciphertext, noise bound and op count of the old format must still
+come out of the new one.  The digests and the decrypted trust were computed
+with the limb Karatsuba kernel as ``bignum.mul``; a backend or wire change
+that alters any ciphertext, noise bound or op count changes a digest.
 """
 
 import hashlib
@@ -41,6 +49,20 @@ def _digest(rr) -> str:
     assert "reduce_mod_pk" not in obj
     obj["stats"]["wall_time"] = 0.0
     obj["reduce_mod_pk"] = True
+    payload = obj["payload"]
+    assert set(payload) == {"zeros", "zeros_noise_bits", "iface"}
+    zeros, bounds = payload.pop("zeros"), payload.pop("zeros_noise_bits")
+    payload["triples"] = [
+        [acc, *zeros[2 * i : 2 * i + 2]] for i, acc in enumerate(obj["acc_trust"])
+    ]
+    payload["triples_noise_bits"] = [
+        [nb, *bounds[2 * i : 2 * i + 2]] for i, nb in enumerate(obj["acc_trust_noise_bits"])
+    ]
+    iface = payload["iface"]
+    assert set(iface) == {"acc", "local"}
+    iface["layout"] = [f"ACC_{i}" for i in range(iface["acc"])] + [
+        f"LOCAL_{j}" for j in range(iface["local"])
+    ]
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 

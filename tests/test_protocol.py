@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from enctrust.protocol import (
     source_initiate,
 )
 from enctrust.she import SecurityParams, decrypt_value
+from enctrust.sim import build_nodes, chain_topology, plaintext_oracle, required_eta
 
 
 def params_for(eta=200, lam=3):
@@ -79,7 +81,10 @@ def test_source_initiate_builds_first_rr():
     assert rr.path == (5,)
     assert decrypt_value(keys.sk, rr.acc_trust) == 9
     assert rr.stats_so_far == EvalStats()
-    recovered = [star_eval(a, b, f, keys.pk, params) for a, b, f in rr.payload.triples]
+    recovered = [
+        star_eval(a, b, f, keys.pk, params)
+        for a, (b, f) in zip(rr.acc_trust, rr.payload.pairs, strict=True)
+    ]
     assert decrypt_value(keys.sk, recovered) == 9
 
 
@@ -172,7 +177,7 @@ def test_update_star_mode_matches_plain():
     decision = process_rr(nodes[1], rr, rng, star_mode=True)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 12
-    # 4 recovery triples + 17 adder gates, each universal gate is 2 muls 3 adds
+    # 4 recovery gates + 17 adder gates, each universal gate is 2 muls 3 adds
     assert (decision.node_stats.n_he_mul, decision.node_stats.n_he_add) == (42, 63)
 
 
@@ -193,13 +198,15 @@ def test_no_candidates_drops():
     assert "no trusted next hop" in decision.reason
 
 
-def test_malformed_payload_drops():
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+@pytest.mark.parametrize("kept", [2, 3])
+def test_malformed_payload_drops(star_mode, kept):
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     import dataclasses
 
-    bad = dataclasses.replace(rr, acc_trust=rr.acc_trust[:2])
-    decision = process_rr(nodes[1], bad, rng)
+    bad = dataclasses.replace(rr, acc_trust=rr.acc_trust[:kept])
+    decision = process_rr(nodes[1], bad, rng, star_mode)
     assert isinstance(decision, Drop)
     assert "malformed payload" in decision.reason
 
@@ -355,7 +362,116 @@ def test_wire_cannot_switch_reduction_off(star_mode):
     assert isinstance(decision, ForwardUpdated)
     out = decision.rr
     # Every evaluated ciphertext is reduced; the adapter's fresh Enc(0)s are not evaluated.
-    cts = list(out.acc_trust) + [triple[0] for triple in out.payload.triples]
-    assert len(cts) == 8
+    cts = list(out.acc_trust)
+    assert len(cts) == 4
     assert all(ct.value < keys.pk for ct in cts)
     assert decrypt_value(keys.sk, out.acc_trust) == 7 + 5
+
+
+DELETE = object()
+# Each mutation: the path to one field of the message, and its new value.
+REQUEST_MUTATIONS = {
+    "no-lambda": (["lambda"], DELETE),
+    "no-stats": (["stats"], DELETE),
+    "no-payload": (["payload"], DELETE),
+    "lambda-string": (["lambda"], "3"),
+    "noise-string": (["acc_trust_noise_bits", 0], "5"),
+    "zero-noise-string": (["payload", "zeros_noise_bits", 0], "5"),
+    "path-int": (["path"], 5),
+    "path-strings": (["path"], ["0"]),
+    "next-hop-string": (["next_hop"], "1"),
+    "next-hop-bool": (["next_hop"], True),
+    "stats-list": (["stats"], [0, 0, 0]),
+}
+REPLY_MUTATIONS = {
+    "no-stats": (["stats"], DELETE),
+    "no-acc": (["acc_trust"], DELETE),
+    "noise-string": (["acc_trust_noise_bits", 0], "5"),
+    "path-int": (["path"], 5),
+}
+
+
+@pytest.mark.parametrize(
+    "message, field_path, value",
+    [("rr", *m) for m in REQUEST_MUTATIONS.values()]
+    + [("rp", *m) for m in REPLY_MUTATIONS.values()],
+    ids=[f"rr-{name}" for name in REQUEST_MUTATIONS] + [f"rp-{name}" for name in REPLY_MUTATIONS],
+)
+def test_wire_decoders_reject_missing_and_ill_typed_fields(message, field_path, value):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    if message == "rr":
+        obj, decode = rr_to_json(rr), rr_from_json
+    else:
+        obj, decode = rp_to_json(destination_reply(rr)), rp_from_json
+    decode(json.loads(json.dumps(obj)))  # the unmutated message decodes
+    *parents, last = field_path
+    field = obj
+    for key in parents:
+        field = field[key]
+    if value is DELETE:
+        del field[last]
+    else:
+        field[last] = value
+    with pytest.raises(ValueError):
+        decode(obj)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_request_cannot_reorder_adder_inputs(star_mode):
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    obj = rr_to_json(rr)
+    # An input layout with accumulator bits 2 and 3 swapped: older requests
+    # carried one, and a hop obeyed it.
+    obj["payload"]["iface"]["layout"] = [
+        "ACC_0", "ACC_1", "ACC_3", "ACC_2", "LOCAL_0", "LOCAL_1", "LOCAL_2", "LOCAL_3",
+    ]
+    decision = process_rr(nodes[1], rr_from_json(obj), rng, star_mode)
+    assert isinstance(decision, ForwardUpdated)
+    assert decrypt_value(keys.sk, decision.rr.acc_trust) == 7 + 5
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_no_ciphertext_repeats_within_a_message(star_mode):
+    # lam 5: a fresh Enc(0) is 2r + pk*Q with 5-bit r and 25-bit Q, so two
+    # of them coincide by chance with probability about 2**-30 (2**-12 at lam 3).
+    lam, n = 5, 7
+    topo = chain_topology(n, seed=21)
+    oracle = plaintext_oracle(topo, 0, n - 1)
+    params = SecurityParams.from_lambda(
+        lam, eta=required_eta(4, len(oracle.path) - 2, lam, star_mode)
+    )
+    nodes = build_nodes(topo)
+    rng = random.Random(21)
+    keys, rr = source_initiate(nodes[0], n - 1, params, rng)
+    messages = []
+    current = rr.next_hop
+    for _ in range(2 * n):
+        messages.append(rr_to_json(rr))
+        decision = process_rr(nodes[current], rr_from_json(messages[-1]), rng, star_mode)
+        if isinstance(decision, Reply):
+            messages.append(rp_to_json(decision.reply))
+            break
+        if isinstance(decision, ForwardUnchanged):
+            current = decision.next_hop
+            continue
+        assert isinstance(decision, ForwardUpdated), decision
+        rr = decision.rr
+        current = rr.next_hop
+    assert source_finalize(keys, rp_from_json(messages[-1]), params).trust == oracle.trust
+    assert len(messages) >= 4
+    # A ciphertext on the wire is any hex string other than the public key.
+    pk = format(keys.pk, "x")
+    for obj in messages:
+        cts = [s for s in _json_strings(obj) if s != pk and re.fullmatch("[0-9a-f]+", s)]
+        assert len(cts) >= 4
+        assert len(cts) == len(set(cts)), obj
+
+
+def _json_strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, (list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _json_strings(item)

@@ -360,7 +360,10 @@ def build_ripple_adder(width: int) -> Circuit:
 
     Inputs 0..width-1 are A's bits, width..2*width-1 are B's bits.  A half
     adder (1 XOR, 1 AND) seeds the carry; each further position is a full
-    adder of 3 XOR and 2 AND.  The final carry is discarded.
+    adder of 3 XOR and 2 AND, except the top one, which computes only its
+    sum bit (2 XOR): the carry out of the top bit would be discarded, so it
+    is never computed.  Width w >= 2 takes 5w - 6 gates (3w - 3 XOR, 2w - 3
+    AND) and width 1 a single XOR; every gate lies on a path to an output.
 
     Built and validated once per width: the result is frozen, so every
     caller shares the same ``Circuit``.
@@ -368,7 +371,10 @@ def build_ripple_adder(width: int) -> Circuit:
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
     gates: list[Gate] = []
-    outputs: list[WireRef] = []
+
+    def emit(kind: str, a: WireRef, b: WireRef) -> WireRef:
+        gates.append(Gate(kind, a, b))
+        return gate_wire(len(gates) - 1)
 
     def a_bit(i: int) -> WireRef:
         return input_wire(i)
@@ -376,21 +382,16 @@ def build_ripple_adder(width: int) -> Circuit:
     def b_bit(i: int) -> WireRef:
         return input_wire(width + i)
 
-    gates.append(Gate(XOR, a_bit(0), b_bit(0)))
-    outputs.append(gate_wire(0))
-    gates.append(Gate(AND, a_bit(0), b_bit(0)))
-    carry = gate_wire(1)
+    outputs = [emit(XOR, a_bit(0), b_bit(0))]
+    if width > 1:
+        carry = emit(AND, a_bit(0), b_bit(0))
     for i in range(1, width):
-        axb = gate_wire(len(gates))
-        gates.append(Gate(XOR, a_bit(i), b_bit(i)))
-        outputs.append(gate_wire(len(gates)))
-        gates.append(Gate(XOR, axb, carry))
-        t = gate_wire(len(gates))
-        gates.append(Gate(AND, a_bit(i), b_bit(i)))
-        u = gate_wire(len(gates))
-        gates.append(Gate(AND, carry, axb))
-        carry = gate_wire(len(gates))
-        gates.append(Gate(XOR, t, u))
+        axb = emit(XOR, a_bit(i), b_bit(i))
+        outputs.append(emit(XOR, axb, carry))
+        if i < width - 1:
+            both = emit(AND, a_bit(i), b_bit(i))
+            carried = emit(AND, carry, axb)
+            carry = emit(XOR, both, carried)
     return Circuit(num_inputs=2 * width, gates=tuple(gates), outputs=tuple(outputs))
 
 
@@ -496,34 +497,6 @@ def wire_to_json(w: WireRef) -> dict:
     return {"kind": w.kind, "index": w.index}
 
 
-def wire_from_json(obj: dict) -> WireRef:
-    kind = obj["kind"]
-    if kind == CONST:
-        return const_wire(obj["bit"])
-    return WireRef(kind=kind, index=obj["index"])
-
-
-def circuit_to_json(c: Circuit) -> dict:
-    return {
-        "num_inputs": c.num_inputs,
-        "gates": [
-            {"kind": g.kind, "a": wire_to_json(g.a), "b": wire_to_json(g.b)} for g in c.gates
-        ],
-        "outputs": [wire_to_json(o) for o in c.outputs],
-    }
-
-
-def circuit_from_json(obj: dict) -> Circuit:
-    return Circuit(
-        num_inputs=obj["num_inputs"],
-        gates=tuple(
-            Gate(kind=g["kind"], a=wire_from_json(g["a"]), b=wire_from_json(g["b"]))
-            for g in obj["gates"]
-        ),
-        outputs=tuple(wire_from_json(o) for o in obj["outputs"]),
-    )
-
-
 def ct_to_hex(ct: Ciphertext) -> str:
     return bignum.to_hex(ct.value)
 
@@ -577,21 +550,6 @@ def star_circuit_to_json(sc: StarCircuit) -> dict:
         ],
         "outputs": [wire_to_json(o) for o in sc.outputs],
     }
-
-
-def star_circuit_from_json(obj: dict) -> StarCircuit:
-    return StarCircuit(
-        num_inputs=obj["num_inputs"],
-        gates=tuple(
-            StarGate(
-                a=wire_from_json(g["a"]),
-                b=wire_from_json(g["b"]),
-                flag=ct_from_hex(g["flag"], g["flag_noise_bits"]),
-            )
-            for g in obj["gates"]
-        ),
-        outputs=tuple(wire_from_json(o) for o in obj["outputs"]),
-    )
 
 
 def payload_to_json(p: AdaptedPayload) -> dict:

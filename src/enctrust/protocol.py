@@ -7,16 +7,21 @@ own trust for that neighbor into the encrypted accumulator with a ripple
 adder, and forwards.  A node that sees the destination among its own
 neighbors forwards the request unchanged (its trust is not accumulated and it
 does not appear on the path).  The destination answers with a route reply
-carrying the accumulated ciphertexts back to the source, which alone can
-decrypt the path's total trust.
+carrying the accumulated ciphertexts back to the source, which decrypts the
+path's total trust.  (In this scheme ``pk`` decrypts as well as ``sk`` does,
+so any node on the path can read the running total; see README
+"Limitations".)
 
 Intermediate evaluation runs in one of two modes: plain homomorphic XOR/AND
 gates reading the accumulator ciphertexts directly, or the universal-gate
 pipeline in which the node fires an identity gate on each accumulator
 ciphertext with the two fresh ``Enc(0)``s the previous hop's adapter sent,
-then evaluates a flag-compiled circuit, never learning which gates compute
-what.  Each accumulator ciphertext travels once, in ``acc_trust``; every
-hop's adder inputs are the accumulator block, then its local block.
+then evaluates its adder compiled to flag-configured universal gates.  The
+hop compiles its own, public adder and encrypts the flags itself, so star
+mode reproduces the paper's pipeline but hides no gate kind from the hop
+that evaluates it.  Each accumulator ciphertext travels once, in
+``acc_trust``; every hop's adder inputs are the accumulator block, then its
+local block.
 """
 
 from __future__ import annotations
@@ -291,7 +296,6 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "pk": bignum.to_hex(rr.pk),
         "lambda": rr.params.lam,
         "eta": rr.params.eta,
-        "width": len(rr.acc_trust),
         "source": rr.source,
         "destination": rr.destination,
         "next_hop": rr.next_hop,
@@ -303,12 +307,22 @@ def rr_to_json(rr: RouteRequest) -> dict:
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
-    """Decode a request; ``ValueError`` on a missing or ill-typed field or a bad key."""
+    """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
+    key, or a ciphertext wider than a fresh one (``params.fresh_ct_bits``).
+
+    An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
+    under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
+    """
     lam, eta = json_field(obj, "lambda", int), json_field(obj, "eta", int)
     params = SecurityParams.from_lambda(lam, eta=eta)
     pk = bignum.from_hex(json_field(obj, "pk", str))
     if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
         raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
+    acc_trust = cts_from_json(obj, "acc_trust")
+    payload = payload_from_json(json_field(obj, "payload", dict))
+    for ct in (*acc_trust, *(z for pair in payload.pairs for z in pair)):
+        if ct.value.bit_length() > params.fresh_ct_bits:
+            raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
     return RouteRequest(
         pk=pk,
         params=params,
@@ -316,8 +330,8 @@ def rr_from_json(obj: dict) -> RouteRequest:
         destination=json_field(obj, "destination", int),
         next_hop=json_field(obj, "next_hop", int),
         path=tuple(json_list(obj, "path", int)),
-        acc_trust=cts_from_json(obj, "acc_trust"),
-        payload=payload_from_json(json_field(obj, "payload", dict)),
+        acc_trust=acc_trust,
+        payload=payload,
         stats_so_far=EvalStats.from_json(json_field(obj, "stats", dict)),
     )
 

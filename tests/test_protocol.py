@@ -167,7 +167,7 @@ def test_update_accumulates_and_appends_path():
     assert rr2.path == (0, 1)
     assert rr2.next_hop == 2
     assert decrypt_value(keys.sk, rr2.acc_trust) == 7 + 5
-    assert (decision.node_stats.n_he_add, decision.node_stats.n_he_mul) == (10, 7)
+    assert (decision.node_stats.n_he_add, decision.node_stats.n_he_mul) == (9, 5)
     assert rr2.stats_so_far == decision.node_stats
 
 
@@ -177,8 +177,8 @@ def test_update_star_mode_matches_plain():
     decision = process_rr(nodes[1], rr, rng, star_mode=True)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 12
-    # 4 recovery gates + 17 adder gates, each universal gate is 2 muls 3 adds
-    assert (decision.node_stats.n_he_mul, decision.node_stats.n_he_add) == (42, 63)
+    # 4 recovery gates + 14 adder gates, each universal gate is 2 muls 3 adds
+    assert (decision.node_stats.n_he_mul, decision.node_stats.n_he_add) == (36, 54)
 
 
 def test_no_candidates_drops():
@@ -274,7 +274,7 @@ def test_rr_json_roundtrip_and_determinism():
     obj = rr_to_json(rr)
     assert obj["pk"] == format(keys.pk, "x")
     assert obj["lambda"] == 3
-    assert obj["width"] == 4
+    assert "width" not in obj  # the width is len(acc_trust)
     assert obj["path"] == [0]
     assert rr_from_json(obj) == rr
 
@@ -352,6 +352,21 @@ def test_rr_from_json_rejects_non_hex_ciphertext(text):
         rr_from_json(obj)
 
 
+@pytest.mark.parametrize("field", ["acc_trust", "zeros"])
+def test_rr_from_json_rejects_oversized_ciphertext(field):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    obj = rr_to_json(rr)
+    cts = obj["acc_trust"] if field == "acc_trust" else obj["payload"]["zeros"]
+    # A fresh ciphertext is under 2**(pk_bits + q_bits + 1) and an evaluated
+    # one is below pk, so fresh_ct_bits leaves room for every honest value.
+    cts[0] = format((1 << params.fresh_ct_bits) - 1, "x")
+    rr_from_json(obj)
+    cts[0] = format(1 << params.fresh_ct_bits, "x")
+    with pytest.raises(ValueError, match="wider than"):
+        rr_from_json(obj)
+
+
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_wire_cannot_switch_reduction_off(star_mode):
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
@@ -415,6 +430,77 @@ def test_wire_decoders_reject_missing_and_ill_typed_fields(message, field_path, 
         field[last] = value
     with pytest.raises(ValueError):
         decode(obj)
+
+
+def _field_paths(obj, prefix=()):
+    """The key/index path of every field and list element in a JSON message."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+# Values of another JSON type for a field.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.dictionaries(st.sampled_from(["acc", "local", "x"]), st.integers(-1, 9), max_size=2),
+)
+
+
+def _same_type(old):
+    """Values of the JSON type a field already has."""
+    if isinstance(old, int):
+        return st.integers(-1, 12) | st.integers(-(2**70), 2**70)
+    if isinstance(old, str):
+        # Hex ciphertexts: 312 bits is within fresh_ct_bits (314 at lam 3,
+        # eta 300), 320 bits is not.
+        return st.sampled_from(["0", "1", "f" * 78, "f" * 80]) | st.text(
+            alphabet="0123456789abcdef", min_size=1, max_size=80
+        )
+    if isinstance(old, list):
+        return st.permutations(old) | st.integers(0, len(old)).map(lambda k: old[:k])
+    return JSON_VALUES
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_mutated_request_ends_in_decision_or_value_error(data, star_mode):
+    # One or two fields of a real request are dropped, retyped or replaced;
+    # the receiving hop must decode it and decide, or raise ValueError.
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    obj = rr_to_json(rr)
+    paths = list(_field_paths(obj))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        field = obj
+        try:
+            for key in parents:
+                field = field[key]
+            old = field[last]
+        except (KeyError, IndexError, TypeError):
+            continue  # the first mutation removed or retyped this path
+        kind = data.draw(st.sampled_from(["drop", "retype", "replace"]))
+        if kind == "drop":
+            del field[last]
+        else:
+            field[last] = data.draw(JSON_VALUES if kind == "retype" else _same_type(old))
+    try:
+        wire = rr_from_json(obj)
+    except ValueError:
+        return
+    decision = process_rr(nodes[1], wire, rng, star_mode)
+    assert isinstance(decision, (Reply, ForwardUnchanged, ForwardUpdated, Drop))
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])

@@ -273,8 +273,8 @@ def test_run_discovery_chain_auto_eta():
     assert report.eta == required_eta(4, 2, 3)
     assert [n for n, _ in report.per_node_stats] == [1, 2]
     for _, stats in report.per_node_stats:
-        assert (stats.n_he_add, stats.n_he_mul) == (10, 7)
-    assert (report.stats.n_he_add, report.stats.n_he_mul) == (20, 14)
+        assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
+    assert (report.stats.n_he_add, report.stats.n_he_mul) == (18, 10)
     assert set(report.wall) == {"keygen", "discovery", "finalize"}
 
 
@@ -286,7 +286,19 @@ def test_run_discovery_star_mode_matches_oracle():
     assert report.trusted
     assert report.decrypted_trust == oracle.trust
     assert report.eta == required_eta(4, 2, 3, star_mode=True)
-    assert (report.stats.n_he_add, report.stats.n_he_mul) == (126, 84)
+    assert (report.stats.n_he_add, report.stats.n_he_mul) == (108, 72)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_certified_run_reports_noise_within_eta(star_mode):
+    # A certified run's every ciphertext is within eta - 1 bits; a gate whose
+    # output nothing reads would push the reported maximum past that.
+    for seed in range(6):
+        t = chain_topology(8, seed=seed)
+        report = run_discovery(t, 0, 7, RunConfig(lam=3, seed=seed, star_mode=star_mode))
+        assert report.trusted
+        assert report.decrypted_trust == report.oracle_trust
+        assert report.stats.max_noise_bits <= report.eta - 1, seed
 
 
 def test_run_discovery_undersized_eta_is_untrusted():
@@ -435,8 +447,8 @@ def test_benchmark_counts_and_shape():
     assert len(rows) == 1
     row = rows[0]
     assert row.lam == 3
-    assert (row.he_adds, row.he_muls) == (170, 119)
-    assert (row.star_he_adds, row.star_he_muls) == (17 * 63, 17 * 42)
+    assert (row.he_adds, row.he_muls) == (153, 85)
+    assert (row.star_he_adds, row.star_he_muls) == (17 * 54, 17 * 36)
     assert row.updates == 17
     assert row.path_len == 19
     assert row.seconds > 0
@@ -444,7 +456,7 @@ def test_benchmark_counts_and_shape():
     table = format_benchmark_table(rows)
     assert "lambda" in table and "star_muls" in table
     obj = benchmark_to_json(rows, seed=0)
-    assert obj["rows"][0]["he_adds"] == 170
+    assert obj["rows"][0]["he_adds"] == 153
     assert obj["mul_243bit_per_sec"] > 0
 
 

@@ -277,7 +277,11 @@ def destination_reply(rr: RouteRequest) -> RouteReply:
 def source_finalize(
     keys: KeyPair, rp: RouteReply, params: SecurityParams
 ) -> DiscoveryOutcome:
-    """Decrypt the accumulated trust; trusted only if every noise bound held."""
+    """Decrypt the accumulated trust; trusted only if every noise bound held.
+
+    ``she.noise_ok`` also fails a reply ciphertext wider than a fresh one under
+    the source's own ``params``, so an oversized reply is reported untrusted.
+    """
     trust = she.decrypt_value(keys.sk, rp.acc_trust)
     trusted = all(she.noise_ok(ct, params) for ct in rp.acc_trust)
     return DiscoveryOutcome(path=rp.path, trust=trust, trusted=trusted)

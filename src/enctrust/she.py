@@ -11,7 +11,11 @@ Keys and ciphertext values are plain ``int``s.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
-without changing the decryption or the noise residue.
+without changing the decryption or the noise residue.  :func:`he_mul` also
+reduces each operand before it multiplies.  The result is the same, but a
+fresh operand ``m + 2r + pk * Q`` shrinks to its residue ``m + 2r``, so no
+product starts from an operand wider than ``pk``.  That residue being the
+noise itself is also why ``pk`` decrypts (README "Limitations").
 
 Parameters follow a single security knob ``lam``: the public key is
 ``lam**3`` bits, fresh noise ``r`` is ``lam`` bits, and the multiplier ``Q``
@@ -106,8 +110,13 @@ def mul_noise_bits(n1: int, n2: int) -> int:
 
 
 def noise_ok(ct: Ciphertext, params: SecurityParams) -> bool:
-    """True when the tracked noise still guarantees correct decryption."""
-    return ct.noise_bits <= params.eta - 1
+    """True when the tracked noise still guarantees correct decryption.
+
+    The bound holds only for values the scheme produces, and none of those is
+    wider than a fresh ciphertext (``params.fresh_ct_bits``); a wider value
+    carries no guarantee whatever bound travels with it.
+    """
+    return ct.noise_bits <= params.eta - 1 and ct.value.bit_length() <= params.fresh_ct_bits
 
 
 def keygen(params: SecurityParams, rng: random.Random) -> KeyPair:
@@ -165,8 +174,16 @@ def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
 
 def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
-    """Homomorphic AND of the underlying bits."""
-    value = bignum.mod(bignum.mul(c1.value, c2.value), pk)
+    """Homomorphic AND of the underlying bits: ``(c1 * c2) mod pk``.
+
+    Each operand is reduced mod ``pk`` before the product, which gives the
+    same value, since ``(c1 * c2) mod pk = ((c1 mod pk) * (c2 mod pk)) mod pk``.
+    A fresh operand ``m + 2r + pk*Q`` is ``pk_bits + q_bits`` wide, but its
+    residue is ``m + 2r``, at most ``lam + 2`` bits.  A product with a fresh
+    factor (every star-mode flag) is then barely wider than ``pk``, and its
+    division is short.
+    """
+    value = bignum.mod(bignum.mul(bignum.mod(c1.value, pk), bignum.mod(c2.value, pk)), pk)
     ct = Ciphertext(value=value, noise_bits=mul_noise_bits(c1.noise_bits, c2.noise_bits))
     _notify_audit(ct)
     return ct

@@ -268,6 +268,23 @@ def test_finalize_reports_untrusted_on_noise_overflow():
     assert not outcome.trusted
 
 
+def test_finalize_reports_untrusted_on_oversized_ciphertext():
+    # A reply ciphertext wider than a fresh one is not a value the scheme
+    # produces, so its honest-looking noise bound guarantees nothing.
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    rp = destination_reply(rr)
+    assert source_finalize(keys, rp, params).trusted
+    import dataclasses
+
+    for bits in (params.fresh_ct_bits + 1, 400_000):
+        head = rp.acc_trust[0]
+        value = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+        wide = she.Ciphertext(value=value, noise_bits=head.noise_bits)
+        rp_bad = dataclasses.replace(rp, acc_trust=(wide, *rp.acc_trust[1:]))
+        assert not source_finalize(keys, rp_bad, params).trusted
+
+
 def test_rr_json_roundtrip_and_determinism():
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)

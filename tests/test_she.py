@@ -126,6 +126,9 @@ def test_noise_ok_boundary():
     params = SecurityParams.from_lambda(3, eta=10)
     assert noise_ok(Ciphertext(1, 9), params)
     assert not noise_ok(Ciphertext(1, 10), params)
+    widest = (1 << params.fresh_ct_bits) - 1
+    assert noise_ok(Ciphertext(widest, 9), params)
+    assert not noise_ok(Ciphertext(widest + 1, 9), params)
 
 
 def test_reduction_mod_pk_is_decryption_neutral():
@@ -177,10 +180,28 @@ def test_ciphertext_arithmetic_goes_through_bignum(monkeypatch):
     c2, _ = counted(encrypt_bit, keys.pk, 0, params, rng)
     _, n = counted(he_add, c1, c2, keys.pk, params)
     assert n == {"mul": 0, "mod": 1}
+    # he_mul reduces both operands, then the product.
     _, n = counted(he_mul, c1, c2, keys.pk, params)
-    assert n == {"mul": 1, "mod": 1}
+    assert n == {"mul": 1, "mod": 3}
     _, n = counted(decrypt_bit, keys.sk, c1)
     assert n == {"mul": 0, "mod": 1}
+
+
+@pytest.mark.parametrize("lam", [3, 10])
+def test_he_mul_is_the_product_mod_pk(lam):
+    params, keys, rng = make(lam=lam, seed=13)
+    pk = keys.pk
+    fresh = [encrypt_bit(pk, m, params, rng) for m in (0, 1, 1, 0)]
+    evaluated = [he_add(fresh[0], fresh[1], pk, params), he_mul(fresh[1], fresh[2], pk, params)]
+    assert all(ct.value > pk for ct in fresh) and all(ct.value < pk for ct in evaluated)
+    pairs = {
+        "fresh x fresh": (fresh[2], fresh[3]),
+        "fresh x evaluated": (fresh[3], evaluated[0]),
+        "evaluated x fresh": (evaluated[1], fresh[0]),
+        "evaluated x evaluated": (evaluated[0], evaluated[1]),
+    }
+    for name, (c1, c2) in pairs.items():
+        assert he_mul(c1, c2, pk, params).value == (c1.value * c2.value) % pk, name
 
 
 def test_true_noise_never_exceeds_tracked_bound():

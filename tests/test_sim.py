@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from enctrust import sim
+from enctrust import bignum, sim
 from enctrust.circuits import adder_interface, build_ripple_adder
+from enctrust.she import SecurityParams
 from enctrust.sim import (
     DELIVERED,
     DROPPED,
@@ -384,20 +385,51 @@ def test_run_discovery_audit_collects_sound_ciphertexts():
         assert (ct.value % sk).bit_length() <= ct.noise_bits
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_certified_star_run_seven_updates(seed):
-    t = chain_topology(10, seed=seed)
+def certified_star_chain(updates, lam, seed):
+    """One star discovery on a chain with ``updates`` updating hops at planned eta:
+    trusted, equal to the oracle, and every audited residue within its bound."""
+    n = updates + 3
+    t = chain_topology(n, seed=seed)
     audit = NoiseAudit()
-    report = run_discovery(t, 0, 9, RunConfig(lam=3, seed=seed, star_mode=True), audit=audit)
-    oracle = plaintext_oracle(t, 0, 9)
-    assert len(report.per_node_stats) == 7
-    assert report.eta == required_eta(4, 7, 3, star_mode=True)
+    report = run_discovery(t, 0, n - 1, RunConfig(lam=lam, seed=seed, star_mode=True), audit=audit)
+    oracle = plaintext_oracle(t, 0, n - 1)
+    assert len(report.per_node_stats) == updates
+    assert report.eta == required_eta(4, updates, lam, star_mode=True)
     assert report.trusted
     assert report.path == oracle.path
     assert report.decrypted_trust == oracle.trust
     sk = audit.keys.sk
     for ct in audit.ciphertexts:
         assert (ct.value % sk).bit_length() <= ct.noise_bits
+    return report
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certified_star_run_seven_updates(seed):
+    certified_star_chain(7, lam=3, seed=seed)
+
+
+def test_certified_star_run_seventeen_updates():
+    # The planner's eta for 17 star updates at lam 3 (README "Performance notes").
+    report = certified_star_chain(17, lam=3, seed=4)
+    assert report.eta == 515_923
+
+
+def test_star_run_multiplies_nothing_wider_than_pk(monkeypatch):
+    # he_mul reduces its operands mod pk first, so no flag product starts
+    # from a fresh ciphertext's pk_bits + q_bits width.
+    widths = []
+    mul = bignum.mul
+
+    def recording_mul(a, b):
+        widths.append(max(a.bit_length(), b.bit_length()))
+        return mul(a, b)
+
+    monkeypatch.setattr(bignum, "mul", recording_mul)
+    report = certified_star_chain(5, lam=10, seed=4)
+    pk_bits = SecurityParams.from_lambda(10, eta=report.eta).pk_bits
+    assert len(widths) > 100
+    assert max(widths) <= pk_bits
 
 
 def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeypatch):

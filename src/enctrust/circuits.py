@@ -497,43 +497,46 @@ def wire_to_json(w: WireRef) -> dict:
     return {"kind": w.kind, "index": w.index}
 
 
-def ct_to_hex(ct: Ciphertext) -> str:
-    return bignum.to_hex(ct.value)
-
-
-def ct_from_hex(hex_value: str, noise_bits: int) -> Ciphertext:
-    return Ciphertext(value=bignum.from_hex(hex_value), noise_bits=noise_bits)
-
-
 def json_field(obj: object, key: str, kind: type | tuple[type, ...]):
     """``obj[key]`` if present and of JSON type ``kind`` (never a boolean), else ``ValueError``."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"missing field {key!r}")
-    return _json_check(obj[key], kind, key)
-
-
-def json_list(obj: object, key: str, kind: type) -> list:
-    """The list ``obj[key]``, each element of JSON type ``kind``, else ``ValueError``."""
-    return [_json_check(item, kind, key) for item in json_field(obj, key, list)]
-
-
-def _json_check(value: object, kind: type | tuple[type, ...], key: str):
+    value = obj[key]
     # Python takes JSON ``true`` for the integer 1; no wire field is a boolean.
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
     return value
 
 
+def json_list(obj: object, key: str, kind: type) -> list:
+    """The list ``obj[key]``, each element of exactly type ``kind``, else ``ValueError``.
+
+    One pass over the element types in C; the exact-type test keeps JSON
+    booleans (Python ``bool``, a subclass of ``int``) out of int lists.
+    """
+    values = json_field(obj, key, list)
+    if not set(map(type, values)) <= {kind}:
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValueError(f"field {key!r} has the wrong JSON type: {type(bad).__name__}")
+    return values
+
+
 def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
     """Ciphertexts as hex under ``key``, their noise bounds under ``key + "_noise_bits"``."""
-    return {key: [ct_to_hex(c) for c in cts], f"{key}_noise_bits": [c.noise_bits for c in cts]}
+    return {
+        key: [bignum.to_hex(c.value) for c in cts],
+        f"{key}_noise_bits": [c.noise_bits for c in cts],
+    }
 
 
 def cts_from_json(obj: dict, key: str) -> tuple[Ciphertext, ...]:
-    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed field."""
+    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed
+    field, or on a count mismatch between the ciphertexts and their bounds."""
     hexes = json_list(obj, key, str)
     bounds = json_list(obj, f"{key}_noise_bits", int)
-    return tuple(ct_from_hex(hx, nb) for hx, nb in zip(hexes, bounds, strict=True))
+    if len(hexes) != len(bounds):
+        raise ValueError(f"{len(hexes)} ciphertexts under {key!r} but {len(bounds)} noise bounds")
+    return tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
 
 
 def star_circuit_to_json(sc: StarCircuit) -> dict:
@@ -543,7 +546,7 @@ def star_circuit_to_json(sc: StarCircuit) -> dict:
             {
                 "a": wire_to_json(g.a),
                 "b": wire_to_json(g.b),
-                "flag": ct_to_hex(g.flag),
+                "flag": bignum.to_hex(g.flag.value),
                 "flag_noise_bits": g.flag.noise_bits,
             }
             for g in sc.gates

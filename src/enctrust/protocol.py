@@ -316,14 +316,24 @@ def rr_from_json(obj: dict) -> RouteRequest:
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
+    A hex string with more digits than its bound allows is rejected before it
+    is parsed, so an oversized value costs its length check and nothing more.
     """
     lam, eta = json_field(obj, "lambda", int), json_field(obj, "eta", int)
     params = SecurityParams.from_lambda(lam, eta=eta)
-    pk = bignum.from_hex(json_field(obj, "pk", str))
+    pk_hex = json_field(obj, "pk", str)
+    if len(pk_hex) > _hex_digits(params.pk_bits):
+        raise ValueError(f"public key wider than {params.pk_bits} bits")
+    pk = bignum.from_hex(pk_hex)
     if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
         raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
+    payload_obj = json_field(obj, "payload", dict)
+    digits = _hex_digits(params.fresh_ct_bits)
+    for holder, key in ((obj, "acc_trust"), (payload_obj, "zeros")):
+        if max(map(len, json_list(holder, key, str)), default=0) > digits:
+            raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
     acc_trust = cts_from_json(obj, "acc_trust")
-    payload = payload_from_json(json_field(obj, "payload", dict))
+    payload = payload_from_json(payload_obj)
     for ct in (*acc_trust, *(z for pair in payload.pairs for z in pair)):
         if ct.value.bit_length() > params.fresh_ct_bits:
             raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
@@ -338,6 +348,11 @@ def rr_from_json(obj: dict) -> RouteRequest:
         payload=payload,
         stats_so_far=EvalStats.from_json(json_field(obj, "stats", dict)),
     )
+
+
+def _hex_digits(bits: int) -> int:
+    """The most hex digits a value of at most ``bits`` bits is written with."""
+    return (bits + 3) // 4
 
 
 def rp_to_json(rp: RouteReply) -> dict:

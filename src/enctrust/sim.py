@@ -158,45 +158,35 @@ def load_topology(path: str) -> Topology:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _connected(n: int, adjacency: dict[int, set[int]]) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for nb in adjacency[node]:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return len(seen) == n
-
-
 def generate_topology(n: int, avg_degree: float, seed: int) -> Topology:
-    """A connected random graph with edge density avg_degree / (n - 1)."""
+    """A connected random graph on n nodes with average degree about avg_degree.
+
+    Connected by construction, so it never retries: a seeded random spanning
+    tree (each node of a shuffled order joins a uniformly drawn earlier one),
+    then uniform extra edges up to ``round(n * avg_degree / 2)`` edges in all,
+    or the tree's ``n - 1`` if that is more.  Deterministic per seed.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not 0 < avg_degree <= n - 1:
         raise ValueError(f"average degree {avg_degree} impossible for {n} nodes")
     rng = random.Random(seed)
-    p = avg_degree / (n - 1)
-    for _ in range(10_000):
-        edges = []
-        adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rng.random() < p:
-                    edges.append((a, b))
-                    adjacency[a].add(b)
-                    adjacency[b].add(a)
-        if not _connected(n, adjacency):
-            continue
-        trust = {}
-        for a, b in edges:
-            trust[(a, b)] = rng.randint(1, 10)
-            trust[(b, a)] = rng.randint(1, 10)
-        return Topology(nodes=tuple(range(n)), edges=tuple(edges), trust=trust)
-    raise RuntimeError(
-        f"no connected topology with n={n} avg_degree={avg_degree} after 10000 attempts"
-    )
+    order = list(range(n))
+    rng.shuffle(order)
+    edges: set[tuple[int, int]] = set()
+    for i in range(1, n):
+        a, b = order[i], order[rng.randrange(i)]
+        edges.add((min(a, b), max(a, b)))
+    target = max(n - 1, round(n * avg_degree / 2))
+    while len(edges) < target:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    ordered = tuple(sorted(edges))
+    trust = {}
+    for a, b in ordered:
+        trust[(a, b)] = rng.randint(1, 10)
+        trust[(b, a)] = rng.randint(1, 10)
+    return Topology(nodes=tuple(range(n)), edges=ordered, trust=trust)
 
 
 def chain_topology(n: int, seed: int) -> Topology:

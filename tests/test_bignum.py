@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,64 @@ def test_hex_roundtrip(a):
     assert s == s.lower()
     assert s == "0" or not s.startswith("0")
     assert from_hex(s) == a
+
+
+# The codec's earlier rules, kept as the reference it must match.
+_REF_HEX = re.compile(r"[0-9a-fA-F]+")
+
+
+def ref_from_hex(s):
+    if not isinstance(s, str) or not _REF_HEX.fullmatch(s):
+        raise ValueError(f"invalid hex string: {s!r}")
+    return int(s, 16)
+
+
+def _outcome(parse, s):
+    try:
+        return parse(s)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def byte_edge_values(draw):
+    """A value whose top byte holds 8, 1, 4 or 5 bits: even and odd digit
+    counts, with and without a leading zero nibble in the byte encoding."""
+    bits = 8 * draw(st.integers(0, 80)) + draw(st.sampled_from([8, 1, 4, 5]))
+    return 1 << (bits - 1) | draw(st.integers(0, (1 << (bits - 1)) - 1))
+
+HEX_DIGITS = "0123456789abcdefABCDEF"
+hex_strings = st.text(alphabet=HEX_DIGITS, min_size=1, max_size=40)
+# Signs, prefixes, separators, whitespace and non-ASCII digits (Arabic-Indic,
+# fullwidth, Devanagari), all of which int(s, 16) accepts in some position.
+_INSERTS = ["", "+", "-", "0x", "0X", "_", " ", "\t", "\n", "\u0661", "\uff11", "\u0966"]
+
+
+@st.composite
+def mutated_hex(draw):
+    """A hex string with one insertion, and maybe its last character cut
+    (odd length, or empty when nothing else is left)."""
+    s = draw(hex_strings)
+    at = draw(st.integers(0, len(s)))
+    s = s[:at] + draw(st.sampled_from(_INSERTS)) + s[at:]
+    return s[:-1] if draw(st.booleans()) else s
+
+
+@settings(max_examples=300)
+@given(byte_edge_values() | st.sampled_from([0, 1]))
+def test_to_hex_matches_reference(n):
+    assert to_hex(n) == format(n, "x")
+
+
+@settings(max_examples=300)
+@given(hex_strings | mutated_hex() | st.just(""))
+def test_from_hex_accepts_and_rejects_like_reference(s):
+    assert _outcome(from_hex, s) == _outcome(ref_from_hex, s)
+
+
+def test_to_hex_rejects_negative():
+    with pytest.raises(ValueError):
+        to_hex(-1)
 
 
 def test_random_bits_exact_width():

@@ -1,10 +1,13 @@
 """Fixed-seed outputs of one plain and one star discovery.
 
 Every route request of a discovery over a 10-node chain is serialized with
-``rr_to_json`` and hashed (sorted keys, compact separators):
+``rr_to_json``, and its reply with ``rp_to_json``, then hashed (sorted keys,
+compact separators):
 
 - ``GOLDEN`` pins the whole request: every ciphertext, noise bound and op
   count, so a backend or wire change that alters any of them fails here.
+- ``REPLY`` pins the destination's reply, which the source decodes from
+  that JSON before it decrypts.
 - ``SAME_CIPHERTEXTS`` pins the request without ``stats`` (op counts and
   the noise maximum).  Its digests date from the adder that still computed
   its discarded final carry, when requests also carried an unread ``width``
@@ -26,6 +29,8 @@ from enctrust.protocol import (
     ForwardUpdated,
     Reply,
     process_rr,
+    rp_from_json,
+    rp_to_json,
     rr_from_json,
     rr_to_json,
     source_finalize,
@@ -46,7 +51,8 @@ def _sha256(obj) -> str:
 def _discover(n: int, star_mode: bool):
     """Hop-by-hop discovery from 0 to n-1 on a chain, every request through the codec.
 
-    Returns the JSON of each request sent, the oracle, and the source's outcome.
+    Returns the JSON of each request sent, the JSON of the reply, the oracle,
+    and the source's outcome.
     """
     t = chain_topology(n, seed=SEED)
     oracle = plaintext_oracle(t, 0, n - 1)
@@ -66,7 +72,9 @@ def _discover(n: int, star_mode: bool):
         wire = rr_from_json(json.loads(json.dumps(requests[-1])))
         decision = process_rr(nodes[current], wire, rng, star_mode, iface)
         if isinstance(decision, Reply):
-            return requests, oracle, source_finalize(keys, decision.reply, params)
+            reply = rp_to_json(decision.reply)
+            rp = rp_from_json(json.loads(json.dumps(reply)))
+            return requests, reply, oracle, source_finalize(keys, rp, params)
         if isinstance(decision, ForwardUnchanged):
             current = decision.next_hop
             continue
@@ -114,11 +122,15 @@ SAME_CIPHERTEXTS = {
     ],
     True: ["d7f78ae58e72a5649a670b85272893848bbad3704088301c92d46f749a13b44e"],
 }
+REPLY = {
+    False: "dea0ea02d5ec1072b6e80728c5569f08cbaa73bf51ed3716453a424a590bfd34",
+    True: "1ac370945b13875f274c9671602430ec59ff09311ea18f8b4447ad006cce436b",
+}
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_rr_to_json_pinned_across_backends(star_mode):
-    requests, oracle, outcome = _discover(CHAIN_NODES, star_mode)
+    requests, reply, oracle, outcome = _discover(CHAIN_NODES, star_mode)
     assert outcome.trusted
     assert outcome.path == oracle.path
     assert outcome.trust == oracle.trust == TRUST
@@ -126,3 +138,4 @@ def test_rr_to_json_pinned_across_backends(star_mode):
     without_stats = [{k: v for k, v in obj.items() if k != "stats"} for obj in requests]
     pinned = SAME_CIPHERTEXTS[star_mode]
     assert [_sha256(obj) for obj in without_stats[: len(pinned)]] == pinned
+    assert _sha256(reply) == REPLY[star_mode]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enctrust import protocol, she
+from enctrust import bignum, protocol, she
 from enctrust.circuits import EvalStats, build_ripple_adder, star_eval
 from enctrust.protocol import (
     Drop,
@@ -384,6 +384,25 @@ def test_rr_from_json_rejects_oversized_ciphertext(field):
         rr_from_json(obj)
 
 
+@pytest.mark.parametrize("field", ["pk", "acc_trust", "zeros"])
+def test_rr_from_json_rejects_overlong_hex_unparsed(field, monkeypatch):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    obj = rr_to_json(rr)
+    bits = params.pk_bits if field == "pk" else params.fresh_ct_bits
+    overlong = "1" + "0" * ((bits + 3) // 4)  # one digit more than a value of `bits` bits
+    if field == "pk":
+        obj["pk"] = overlong
+    else:
+        (obj["acc_trust"] if field == "acc_trust" else obj["payload"]["zeros"])[0] = overlong
+    parsed = []
+    parse = bignum.from_hex
+    monkeypatch.setattr(bignum, "from_hex", lambda s: parsed.append(s) or parse(s))
+    with pytest.raises(ValueError, match="wider than"):
+        rr_from_json(obj)
+    assert overlong not in parsed
+
+
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_wire_cannot_switch_reduction_off(star_mode):
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
@@ -414,12 +433,19 @@ REQUEST_MUTATIONS = {
     "next-hop-string": (["next_hop"], "1"),
     "next-hop-bool": (["next_hop"], True),
     "stats-list": (["stats"], [0, 0, 0]),
+    "path-bool": (["path", 0], True),
+    "noise-bool": (["acc_trust_noise_bits", 0], True),
+    "acc-int": (["acc_trust", 0], 5),
+    "zero-int": (["payload", "zeros", 0], 5),
 }
 REPLY_MUTATIONS = {
     "no-stats": (["stats"], DELETE),
     "no-acc": (["acc_trust"], DELETE),
     "noise-string": (["acc_trust_noise_bits", 0], "5"),
     "path-int": (["path"], 5),
+    "path-bool": (["path", 0], True),
+    "noise-bool": (["acc_trust_noise_bits", 0], True),
+    "acc-int": (["acc_trust", 0], 5),
 }
 
 

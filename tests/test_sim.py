@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -113,21 +114,34 @@ def test_load_topology_diagnostics(tmp_path):
         load_topology(str(badedge))
 
 
+def reachable_from_0(t):
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nb in t.neighbors(stack.pop()):
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
 def test_generate_topology_connected_and_deterministic():
     for seed in range(10):
         t = generate_topology(10, 3, seed=seed)
         assert len(t.nodes) == 10
-        adjacency = {i: set(t.neighbors(i)) for i in t.nodes}
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        assert seen == set(t.nodes)
+        assert reachable_from_0(t) == set(t.nodes)
     assert generate_topology(10, 3, seed=4) == generate_topology(10, 3, seed=4)
     assert generate_topology(10, 3, seed=4) != generate_topology(10, 3, seed=5)
+
+
+def test_generate_topology_large_sparse_is_connected_quickly():
+    # Sampling each edge independently connected 0 of 20 graphs at this size
+    # and retried up to 10,000 times; a spanning tree connects the first one.
+    start = time.process_time()
+    t = generate_topology(2000, 4, seed=0)
+    assert time.process_time() - start < 5
+    assert len(t.edges) == 4000
+    assert reachable_from_0(t) == set(range(2000))
 
 
 def test_generate_topology_validation():

@@ -1,12 +1,16 @@
 """Boolean circuits over encrypted bits.
 
-Circuits are DAGs of two-input XOR/AND gates over input wires, earlier gate
-outputs, and constants.  They can be evaluated three ways: on plaintext bits
-(the reference semantics), on ciphertexts with plain homomorphic gates, or on
-ciphertexts after compilation to flag-configured universal gates, where every
-gate computes ``(a xor b) xor flag*((a and b) xor (a xor b))`` and the
-encrypted flag selects AND (1) or XOR (0).  A compiled circuit reveals the
-topology but not which gates are which.
+Circuits are DAGs of two-input XOR/AND gates over input wires and earlier gate
+outputs; there are no constant wires.  One walker, :func:`_walk`, evaluates
+every circuit, and :func:`universal` is the one flag-configured universal gate,
+``(a xor b) xor flag*((a and b) xor (a xor b))``, where the flag selects AND (1)
+or XOR (0).  Both run in any domain given as a pair of XOR/AND operations:
+plaintext bits (the reference semantics), noise-bit bounds (the planner's
+``she.add_noise_bits``/``she.mul_noise_bits``), or ciphertexts under one key,
+each operation tallied into :class:`EvalStats`.  So the planner that sizes a
+key runs the very gate code the hops run.  A circuit compiled to universal
+gates carries encrypted flags: it reveals the topology but not which gates are
+which.
 
 Multi-hop chaining runs through an adapter: per accumulator bit it draws two
 fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
@@ -17,10 +21,10 @@ inputs.  Every evaluator's inputs are the ACC block, then the LOCAL block.
 from __future__ import annotations
 
 import functools
+import operator
 import random
-import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bignum, she
 from .she import Ciphertext, SecurityParams
@@ -30,24 +34,20 @@ AND = "AND"
 
 INPUT = "INPUT"
 GATE = "GATE"
-CONST = "CONST"
 
 
 @dataclass(frozen=True, slots=True)
 class WireRef:
-    """A gate operand: an input index, an earlier gate's output, or a constant bit."""
+    """A gate operand: an input index or an earlier gate's output."""
 
     kind: str
     index: int = 0
-    bit: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (INPUT, GATE, CONST):
+        if self.kind not in (INPUT, GATE):
             raise ValueError(f"unknown wire kind: {self.kind!r}")
         if self.index < 0:
             raise ValueError(f"wire index cannot be negative: {self.index}")
-        if self.bit not in (0, 1):
-            raise ValueError(f"constant bit must be 0 or 1, got {self.bit}")
 
 
 def input_wire(index: int) -> WireRef:
@@ -56,10 +56,6 @@ def input_wire(index: int) -> WireRef:
 
 def gate_wire(index: int) -> WireRef:
     return WireRef(kind=GATE, index=index)
-
-
-def const_wire(bit: int) -> WireRef:
-    return WireRef(kind=CONST, bit=bit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,42 +127,27 @@ class StarCircuit:
 
 @dataclass
 class EvalStats:
-    """Exact tallies of homomorphic operations plus observed noise and wall time."""
+    """Exact tallies of homomorphic operations plus the largest noise bound seen."""
 
     n_he_add: int = 0
     n_he_mul: int = 0
     max_noise_bits: int = 0
-    wall_time: float = 0.0
-
-    def record_add(self, ct: Ciphertext) -> None:
-        self.n_he_add += 1
-        self.observe(ct)
-
-    def record_mul(self, ct: Ciphertext) -> None:
-        self.n_he_mul += 1
-        self.observe(ct)
-
-    def observe(self, ct: Ciphertext) -> None:
-        if ct.noise_bits > self.max_noise_bits:
-            self.max_noise_bits = ct.noise_bits
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         return EvalStats(
             n_he_add=self.n_he_add + other.n_he_add,
             n_he_mul=self.n_he_mul + other.n_he_mul,
             max_noise_bits=max(self.max_noise_bits, other.max_noise_bits),
-            wall_time=self.wall_time + other.wall_time,
         )
 
     def copy(self) -> "EvalStats":
-        return EvalStats(self.n_he_add, self.n_he_mul, self.max_noise_bits, self.wall_time)
+        return EvalStats(self.n_he_add, self.n_he_mul, self.max_noise_bits)
 
     def to_json(self) -> dict:
         return {
             "adds": self.n_he_add,
             "muls": self.n_he_mul,
             "max_noise_bits": self.max_noise_bits,
-            "wall_time": self.wall_time,
         }
 
     @classmethod
@@ -175,8 +156,64 @@ class EvalStats:
             n_he_add=json_field(obj, "adds", int),
             n_he_mul=json_field(obj, "muls", int),
             max_noise_bits=json_field(obj, "max_noise_bits", int),
-            wall_time=json_field(obj, "wall_time", (int, float)) if "wall_time" in obj else 0.0,
         )
+
+
+def _walk(circuit: Circuit | StarCircuit, inputs: Sequence, gate: Callable) -> tuple:
+    """The one evaluation loop: each gate's output is ``gate(g, a, b)`` on its operand values.
+
+    The domain is whatever ``inputs`` and ``gate`` work in: bits, noise
+    bounds or ciphertexts.  Gates come in topological order, so every
+    operand is an input or an earlier gate's output.
+    """
+    if len(inputs) != circuit.num_inputs:
+        raise ValueError(f"expected {circuit.num_inputs} inputs, got {len(inputs)}")
+    produced: list = []
+    wires = {INPUT: inputs, GATE: produced}
+    for g in circuit.gates:
+        produced.append(gate(g, wires[g.a.kind][g.a.index], wires[g.b.kind][g.b.index]))
+    return tuple(wires[o.kind][o.index] for o in circuit.outputs)
+
+
+def _by_kind(xor: Callable, and_: Callable) -> Callable:
+    """A walker gate that applies each plain gate's own operation."""
+    return lambda g, a, b: xor(a, b) if g.kind == XOR else and_(a, b)
+
+
+def universal(xor: Callable, and_: Callable, a, b, flag):
+    """One universal gate in the domain of ``xor`` and ``and_``:
+    ``(a xor b) xor flag * ((a and b) xor (a xor b))``.
+
+    Two ANDs and three XORs, always in the order ``and(a, b)``, ``xor(a, b)``,
+    ``xor``, ``and(flag, .)``, ``xor``.
+    """
+    both = and_(a, b)
+    either = xor(a, b)
+    return xor(either, and_(flag, xor(both, either)))
+
+
+def _ciphertext_ops(
+    pk: int, params: SecurityParams, stats: EvalStats
+) -> tuple[Callable, Callable]:
+    """XOR and AND on ciphertexts under ``pk``, each tallied into ``stats``."""
+
+    # ``she.he_add``/``she.he_mul`` are looked up at every call, so a wrapper
+    # installed on the ``she`` module sees each operation.
+    def xor(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        ct = she.he_add(a, b, pk, params)
+        stats.n_he_add += 1
+        if ct.noise_bits > stats.max_noise_bits:
+            stats.max_noise_bits = ct.noise_bits
+        return ct
+
+    def and_(a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        ct = she.he_mul(a, b, pk, params)
+        stats.n_he_mul += 1
+        if ct.noise_bits > stats.max_noise_bits:
+            stats.max_noise_bits = ct.noise_bits
+        return ct
+
+    return xor, and_
 
 
 def star_eval(
@@ -187,31 +224,14 @@ def star_eval(
     params: SecurityParams,
     stats: EvalStats | None = None,
 ) -> Ciphertext:
-    """One universal gate: (a xor b) xor flag * ((a and b) xor (a xor b)).
-
-    Costs exactly 2 homomorphic multiplications and 3 additions.
-    """
-    t1 = she.he_mul(a, b, pk, params)
-    t2 = she.he_add(a, b, pk, params)
-    t3 = she.he_add(t1, t2, pk, params)
-    t4 = she.he_mul(flag, t3, pk, params)
-    out = she.he_add(t2, t4, pk, params)
-    if stats is not None:
-        stats.record_mul(t1)
-        stats.record_add(t2)
-        stats.record_add(t3)
-        stats.record_mul(t4)
-        stats.record_add(out)
-    return out
+    """One universal gate on ciphertexts: 2 homomorphic multiplications and 3 additions."""
+    ops = _ciphertext_ops(pk, params, stats if stats is not None else EvalStats())
+    return universal(*ops, a, b, flag)
 
 
 def star_noise_bits(na: int, nb: int, nf: int) -> int:
-    """Noise bound of star_eval's output, mirroring its operation sequence."""
-    t1 = she.mul_noise_bits(na, nb)
-    t2 = she.add_noise_bits(na, nb)
-    t3 = she.add_noise_bits(t1, t2)
-    t4 = she.mul_noise_bits(nf, t3)
-    return she.add_noise_bits(t2, t4)
+    """Noise bound of star_eval's output: the same gate on noise bounds."""
+    return universal(she.add_noise_bits, she.mul_noise_bits, na, nb, nf)
 
 
 def symbolic_output_noise(
@@ -219,31 +239,15 @@ def symbolic_output_noise(
 ) -> tuple[int, ...]:
     """Propagate noise bounds through the circuit without touching ciphertexts.
 
-    ``fresh`` is the noise bound assumed for constants and, in star mode, for
-    the encrypted gate flags.  Gate outputs dominate the noise of everything
-    feeding them, so the returned per-output bounds cover every intermediate
-    wire that influences an output.
+    ``fresh`` is the noise bound assumed, in star mode, for the encrypted gate
+    flags.  Gate outputs dominate the noise of everything feeding them, so the
+    returned per-output bounds cover every intermediate wire that influences
+    an output.
     """
-    if len(input_noise) != circuit.num_inputs:
-        raise ValueError(f"expected {circuit.num_inputs} noise bounds, got {len(input_noise)}")
-    produced: list[int] = []
-
-    def resolve(w: WireRef) -> int:
-        if w.kind == INPUT:
-            return input_noise[w.index]
-        if w.kind == GATE:
-            return produced[w.index]
-        return fresh
-
-    for g in circuit.gates:
-        na, nb = resolve(g.a), resolve(g.b)
-        if star_mode:
-            produced.append(star_noise_bits(na, nb, fresh))
-        elif g.kind == XOR:
-            produced.append(she.add_noise_bits(na, nb))
-        else:
-            produced.append(she.mul_noise_bits(na, nb))
-    return tuple(resolve(o) for o in circuit.outputs)
+    add, mul = she.add_noise_bits, she.mul_noise_bits
+    if star_mode:
+        return _walk(circuit, input_noise, lambda g, a, b: universal(add, mul, a, b, fresh))
+    return _walk(circuit, input_noise, _by_kind(add, mul))
 
 
 def compile_to_star(
@@ -259,98 +263,27 @@ def compile_to_star(
 
 def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     """Reference plaintext semantics."""
-    if len(bits) != circuit.num_inputs:
-        raise ValueError(f"expected {circuit.num_inputs} input bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("input bits must be 0 or 1")
-    produced: list[int] = []
-
-    def resolve(w: WireRef) -> int:
-        if w.kind == INPUT:
-            return bits[w.index]
-        if w.kind == GATE:
-            return produced[w.index]
-        return w.bit
-
-    for g in circuit.gates:
-        a, b = resolve(g.a), resolve(g.b)
-        produced.append(a ^ b if g.kind == XOR else a & b)
-    return tuple(resolve(o) for o in circuit.outputs)
-
-
-def _const_ct(
-    bit: int, pk: int, params: SecurityParams, rng: random.Random | None, stats: EvalStats
-) -> Ciphertext:
-    # Without an rng the constant is embedded as the trivial ciphertext of
-    # itself, which is valid but reveals the bit; pass an rng to rerandomize.
-    if rng is not None:
-        ct = she.encrypt_bit(pk, bit, params, rng)
-    else:
-        ct = Ciphertext(value=bit, noise_bits=1)
-    stats.observe(ct)
-    return ct
+    return _walk(circuit, bits, _by_kind(operator.xor, operator.and_))
 
 
 def eval_plain(
-    circuit: Circuit,
-    inputs: Sequence[Ciphertext],
-    pk: int,
-    params: SecurityParams,
-    rng: random.Random | None = None,
+    circuit: Circuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
     """Evaluate with plain homomorphic gates (XOR as add, AND as mul)."""
-    if len(inputs) != circuit.num_inputs:
-        raise ValueError(f"expected {circuit.num_inputs} inputs, got {len(inputs)}")
     stats = EvalStats()
-    t0 = time.perf_counter()
-    produced: list[Ciphertext] = []
-
-    def resolve(w: WireRef) -> Ciphertext:
-        if w.kind == INPUT:
-            return inputs[w.index]
-        if w.kind == GATE:
-            return produced[w.index]
-        return _const_ct(w.bit, pk, params, rng, stats)
-
-    for g in circuit.gates:
-        a, b = resolve(g.a), resolve(g.b)
-        if g.kind == XOR:
-            out = she.he_add(a, b, pk, params)
-            stats.record_add(out)
-        else:
-            out = she.he_mul(a, b, pk, params)
-            stats.record_mul(out)
-        produced.append(out)
-    outputs = tuple(resolve(o) for o in circuit.outputs)
-    stats.wall_time = time.perf_counter() - t0
+    outputs = _walk(circuit, inputs, _by_kind(*_ciphertext_ops(pk, params, stats)))
     return outputs, stats
 
 
 def eval_star(
-    circuit: StarCircuit,
-    inputs: Sequence[Ciphertext],
-    pk: int,
-    params: SecurityParams,
-    rng: random.Random | None = None,
+    circuit: StarCircuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
     """Evaluate a compiled circuit; every gate fires as a universal gate."""
-    if len(inputs) != circuit.num_inputs:
-        raise ValueError(f"expected {circuit.num_inputs} inputs, got {len(inputs)}")
     stats = EvalStats()
-    t0 = time.perf_counter()
-    produced: list[Ciphertext] = []
-
-    def resolve(w: WireRef) -> Ciphertext:
-        if w.kind == INPUT:
-            return inputs[w.index]
-        if w.kind == GATE:
-            return produced[w.index]
-        return _const_ct(w.bit, pk, params, rng, stats)
-
-    for g in circuit.gates:
-        produced.append(star_eval(resolve(g.a), resolve(g.b), g.flag, pk, params, stats))
-    outputs = tuple(resolve(o) for o in circuit.outputs)
-    stats.wall_time = time.perf_counter() - t0
+    xor, and_ = _ciphertext_ops(pk, params, stats)
+    outputs = _walk(circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, g.flag))
     return outputs, stats
 
 
@@ -477,12 +410,10 @@ def bind_and_continue(
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
     """Fire each accumulator bit's identity gate with its own payload pair, bind, evaluate."""
     stats = EvalStats()
-    t0 = time.perf_counter()
+    xor, and_ = _ciphertext_ops(pk, params, stats)
     recovered = [
-        star_eval(a, b, flag, pk, params, stats)
-        for a, (b, flag) in zip(acc, payload.pairs, strict=True)
+        universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, payload.pairs, strict=True)
     ]
-    stats.wall_time = time.perf_counter() - t0
     inputs = arrange_inputs(payload.interface, recovered, local_bits)
     outputs, eval_stats = eval_star(star_circuit, inputs, pk, params)
     return outputs, stats.merge(eval_stats)
@@ -492,8 +423,6 @@ def bind_and_continue(
 # bound carried in a parallel field.
 
 def wire_to_json(w: WireRef) -> dict:
-    if w.kind == CONST:
-        return {"kind": CONST, "bit": w.bit}
     return {"kind": w.kind, "index": w.index}
 
 

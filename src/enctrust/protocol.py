@@ -249,7 +249,7 @@ def process_rr(
             )
         else:
             inputs = arrange_inputs(rr.payload.interface, rr.acc_trust, local)
-            outputs, node_stats = eval_plain(node.circuit, inputs, pk, params, rng=rng)
+            outputs, node_stats = eval_plain(node.circuit, inputs, pk, params)
         next_iface = iface_lookup(next_hop) if iface_lookup else adder_interface(node.width)
         new_payload = adapt(next_iface, pk, params, rng)
     except ValueError as exc:
@@ -287,14 +287,6 @@ def source_finalize(
     return DiscoveryOutcome(path=rp.path, trust=trust, trusted=trusted)
 
 
-def _stats_to_json(stats: EvalStats) -> dict:
-    # Wall time stays with the hop that measured it: on the wire it would
-    # make same-seed requests differ and tell each hop its predecessors' timings.
-    obj = stats.to_json()
-    del obj["wall_time"]
-    return obj
-
-
 def rr_to_json(rr: RouteRequest) -> dict:
     return {
         "pk": bignum.to_hex(rr.pk),
@@ -306,7 +298,7 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "path": list(rr.path),
         **cts_to_json("acc_trust", rr.acc_trust),
         "payload": payload_to_json(rr.payload),
-        "stats": _stats_to_json(rr.stats_so_far),
+        "stats": rr.stats_so_far.to_json(),
     }
 
 
@@ -359,7 +351,7 @@ def rp_to_json(rp: RouteReply) -> dict:
     return {
         "path": list(rp.path),
         **cts_to_json("acc_trust", rp.acc_trust),
-        "stats": _stats_to_json(rp.stats),
+        "stats": rp.stats.to_json(),
     }
 
 

@@ -37,6 +37,12 @@ def test_certbench_traced_run(workload):
     assert result["failed"] == 0
     assert result["attempted"] > 0
     metrics = result["metrics"]
+    # Each adder update is 9 XOR and 5 AND he-ops; star mode fires 4 identity
+    # and 14 universal gates of 5 he-ops each.  A walker that skips or
+    # double-counts an op, or hides one from the tracer, moves this.
+    expected_ops = 90 if workload == "star-chain" else 14
+    assert metrics["circuits.he_ops_per_update"]["value"] == expected_ops
+    assert metrics["circuits.max_noise_over_eta"]["value"] < 1
     if workload == "sim-route":
         assert metrics["sim.build_nodes.calls"]["value"] == 1.0
     else:

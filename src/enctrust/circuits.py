@@ -15,7 +15,10 @@ which.
 Multi-hop chaining runs through an adapter: per accumulator bit it draws two
 fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
 ``(acc_i, Enc(0), Enc(0))`` to rerandomize the bit, then binds its own local
-inputs.  Every evaluator's inputs are the ACC block, then the LOCAL block.
+inputs.  The zero pairs are the whole adapter output: they are fresh by
+construction, so a receiver knows their noise bound, and every evaluator's
+inputs are the accumulator block, then its local block, so no interface
+travels with them.
 """
 
 from __future__ import annotations
@@ -140,23 +143,12 @@ class EvalStats:
             max_noise_bits=max(self.max_noise_bits, other.max_noise_bits),
         )
 
-    def copy(self) -> "EvalStats":
-        return EvalStats(self.n_he_add, self.n_he_mul, self.max_noise_bits)
-
     def to_json(self) -> dict:
         return {
             "adds": self.n_he_add,
             "muls": self.n_he_mul,
             "max_noise_bits": self.max_noise_bits,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalStats":
-        return cls(
-            n_he_add=json_field(obj, "adds", int),
-            n_he_mul=json_field(obj, "muls", int),
-            max_noise_bits=json_field(obj, "max_noise_bits", int),
-        )
 
 
 def _walk(circuit: Circuit | StarCircuit, inputs: Sequence, gate: Callable) -> tuple:
@@ -328,173 +320,54 @@ def build_ripple_adder(width: int) -> Circuit:
     return Circuit(num_inputs=2 * width, gates=tuple(gates), outputs=tuple(outputs))
 
 
-@dataclass(frozen=True, slots=True)
-class CircuitInterface:
-    """An evaluator's input contract.
-
-    The circuit reads ``num_acc_inputs`` accumulator bits arriving from the
-    previous hop, then ``num_local_inputs`` locally supplied bits.
-    """
-
-    num_acc_inputs: int
-    num_local_inputs: int
-
-    def to_json(self) -> dict:
-        return {"acc": self.num_acc_inputs, "local": self.num_local_inputs}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CircuitInterface":
-        return cls(json_field(obj, "acc", int), json_field(obj, "local", int))
+ZeroPairs = tuple[tuple[Ciphertext, Ciphertext], ...]
 
 
-@functools.cache
-def adder_interface(width: int) -> CircuitInterface:
-    """The ripple adder's contract: ``width`` accumulator and ``width`` local bits."""
-    return CircuitInterface(num_acc_inputs=width, num_local_inputs=width)
-
-
-@dataclass(frozen=True, slots=True)
-class AdaptedPayload:
-    """Per accumulator bit, the operand and flag ``Enc(0)`` of its identity universal gate.
-
-    The accumulator bit itself travels once, in the route request.
-    """
-
-    pairs: tuple[tuple[Ciphertext, Ciphertext], ...]
-    interface: CircuitInterface
-
-    def __post_init__(self) -> None:
-        if len(self.pairs) != self.interface.num_acc_inputs:
-            raise ValueError(
-                f"payload has {len(self.pairs)} pairs, interface expects "
-                f"{self.interface.num_acc_inputs} accumulator inputs"
-            )
-
-
-def adapt(
-    next_iface: CircuitInterface,
-    pk: int,
-    params: SecurityParams,
-    rng: random.Random,
-) -> AdaptedPayload:
+def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) -> ZeroPairs:
     """Draw the ``(Enc(0), Enc(0))`` pair of each accumulator bit's identity gate.
 
     Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
     the bit is preserved and the wire rerandomized by the fresh encryptions.
+    The accumulator bit itself travels once, in the route request.
     """
-    pairs = tuple(
+    return tuple(
         (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))
-        for _ in range(next_iface.num_acc_inputs)
+        for _ in range(acc_bits)
     )
-    return AdaptedPayload(pairs=pairs, interface=next_iface)
-
-
-def arrange_inputs(
-    iface: CircuitInterface, acc: Sequence[Ciphertext], local: Sequence[Ciphertext]
-) -> tuple[Ciphertext, ...]:
-    """Circuit inputs in the one order every evaluator uses: the ACC block, then LOCAL."""
-    if len(acc) != iface.num_acc_inputs:
-        raise ValueError(f"expected {iface.num_acc_inputs} accumulator bits, got {len(acc)}")
-    if len(local) != iface.num_local_inputs:
-        raise ValueError(f"expected {iface.num_local_inputs} local bits, got {len(local)}")
-    return (*acc, *local)
 
 
 def bind_and_continue(
-    payload: AdaptedPayload,
+    zeros: ZeroPairs,
     acc: Sequence[Ciphertext],
     local_bits: Sequence[Ciphertext],
     star_circuit: StarCircuit,
     pk: int,
     params: SecurityParams,
 ) -> tuple[tuple[Ciphertext, ...], EvalStats]:
-    """Fire each accumulator bit's identity gate with its own payload pair, bind, evaluate."""
+    """Fire each accumulator bit's identity gate with its own zero pair, bind, evaluate.
+
+    ``ValueError`` if the accumulator and the pairs differ in length, or the
+    circuit takes another number of inputs.
+    """
     stats = EvalStats()
     xor, and_ = _ciphertext_ops(pk, params, stats)
-    recovered = [
-        universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, payload.pairs, strict=True)
-    ]
-    inputs = arrange_inputs(payload.interface, recovered, local_bits)
-    outputs, eval_stats = eval_star(star_circuit, inputs, pk, params)
+    recovered = [universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, zeros, strict=True)]
+    outputs, eval_stats = eval_star(star_circuit, (*recovered, *local_bits), pk, params)
     return outputs, stats.merge(eval_stats)
 
 
-# JSON wire formats.  Ciphertexts serialize as canonical hex with the noise
-# bound carried in a parallel field.
+# The serialized star circuit: wire indices and encrypted flags, no gate kinds.
 
 def wire_to_json(w: WireRef) -> dict:
     return {"kind": w.kind, "index": w.index}
-
-
-def json_field(obj: object, key: str, kind: type | tuple[type, ...]):
-    """``obj[key]`` if present and of JSON type ``kind`` (never a boolean), else ``ValueError``."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing field {key!r}")
-    value = obj[key]
-    # Python takes JSON ``true`` for the integer 1; no wire field is a boolean.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
-    return value
-
-
-def json_list(obj: object, key: str, kind: type) -> list:
-    """The list ``obj[key]``, each element of exactly type ``kind``, else ``ValueError``.
-
-    One pass over the element types in C; the exact-type test keeps JSON
-    booleans (Python ``bool``, a subclass of ``int``) out of int lists.
-    """
-    values = json_field(obj, key, list)
-    if not set(map(type, values)) <= {kind}:
-        bad = next(v for v in values if type(v) is not kind)
-        raise ValueError(f"field {key!r} has the wrong JSON type: {type(bad).__name__}")
-    return values
-
-
-def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
-    """Ciphertexts as hex under ``key``, their noise bounds under ``key + "_noise_bits"``."""
-    return {
-        key: [bignum.to_hex(c.value) for c in cts],
-        f"{key}_noise_bits": [c.noise_bits for c in cts],
-    }
-
-
-def cts_from_json(obj: dict, key: str) -> tuple[Ciphertext, ...]:
-    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed
-    field, or on a count mismatch between the ciphertexts and their bounds."""
-    hexes = json_list(obj, key, str)
-    bounds = json_list(obj, f"{key}_noise_bits", int)
-    if len(hexes) != len(bounds):
-        raise ValueError(f"{len(hexes)} ciphertexts under {key!r} but {len(bounds)} noise bounds")
-    return tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
 
 
 def star_circuit_to_json(sc: StarCircuit) -> dict:
     return {
         "num_inputs": sc.num_inputs,
         "gates": [
-            {
-                "a": wire_to_json(g.a),
-                "b": wire_to_json(g.b),
-                "flag": bignum.to_hex(g.flag.value),
-                "flag_noise_bits": g.flag.noise_bits,
-            }
+            {"a": wire_to_json(g.a), "b": wire_to_json(g.b), "flag": bignum.to_hex(g.flag.value)}
             for g in sc.gates
         ],
         "outputs": [wire_to_json(o) for o in sc.outputs],
     }
-
-
-def payload_to_json(p: AdaptedPayload) -> dict:
-    # Flat on the wire: accumulator bit i's pair is zeros[2i], zeros[2i+1].
-    return {
-        **cts_to_json("zeros", [ct for pair in p.pairs for ct in pair]),
-        "iface": p.interface.to_json(),
-    }
-
-
-def payload_from_json(obj: dict) -> AdaptedPayload:
-    zeros = cts_from_json(obj, "zeros")
-    return AdaptedPayload(
-        pairs=tuple(zip(zeros[0::2], zeros[1::2], strict=True)),
-        interface=CircuitInterface.from_json(json_field(obj, "iface", dict)),
-    )

@@ -22,33 +22,37 @@ mode reproduces the paper's pipeline but hides no gate kind from the hop
 that evaluates it.  Each accumulator ciphertext travels once, in
 ``acc_trust``; every hop's adder inputs are the accumulator block, then its
 local block.
+
+The source itself never shortcuts: it hands the request to its most trusted
+neighbor even when the destination is another of its neighbors, and only a
+later hop forwards unchanged to a neighboring destination.  The oracle
+follows the same rule.
+
+A request carries only what the next hop cannot work out for itself: the
+key and parameters, the endpoints, the path, the accumulator with its noise
+bounds, and the adapter's zero pairs as one flat ``zeros`` list.  The zeros
+are fresh encryptions by construction, so the receiver assigns them the
+fresh noise bound; their count must be twice the accumulator's.  No message
+carries op counts or an adder interface: a simulation's ``RunReport.stats``
+sums the per-hop stats it saw.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import bignum, she
 from .circuits import (
-    AdaptedPayload,
     Circuit,
-    CircuitInterface,
     EvalStats,
+    ZeroPairs,
     adapt,
-    adder_interface,
-    arrange_inputs,
     bind_and_continue,
     build_ripple_adder,
     compile_to_star,
-    cts_from_json,
-    cts_to_json,
     eval_plain,
-    json_field,
-    json_list,
-    payload_from_json,
-    payload_to_json,
 )
 from .she import Ciphertext, KeyPair, SecurityParams
 
@@ -86,8 +90,9 @@ class NodeState:
             )
 
     @property
-    def interface(self) -> CircuitInterface:
-        return adder_interface(self.width)
+    def interface(self) -> int:
+        """The accumulator width this node's adder reads."""
+        return self.width
 
 
 def make_node(
@@ -111,8 +116,7 @@ class RouteRequest:
     next_hop: NodeId
     path: tuple[NodeId, ...]
     acc_trust: tuple[Ciphertext, ...]
-    payload: AdaptedPayload
-    stats_so_far: EvalStats
+    zeros: ZeroPairs
 
     def __post_init__(self) -> None:
         if not self.path or self.path[0] != self.source:
@@ -127,7 +131,6 @@ class RouteRequest:
 class RouteReply:
     path: tuple[NodeId, ...]
     acc_trust: tuple[Ciphertext, ...]
-    stats: EvalStats
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,8 @@ def select_next_hop(node: NodeState, exclude: set[NodeId]) -> NodeId | None:
     return best
 
 
-IfaceLookup = Callable[[NodeId], CircuitInterface]
+# A hop's accumulator width by node id.
+IfaceLookup = Callable[[NodeId], int]
 
 
 def source_initiate(
@@ -196,8 +200,7 @@ def source_initiate(
         raise ValueError(f"source {node.id} has no trusted neighbor to forward to")
     keys = _keys if _keys is not None else she.keygen(params, rng)
     acc = she.encrypt_value(keys.pk, node.trust_db[next_hop], node.width, params, rng)
-    iface = iface_lookup(next_hop) if iface_lookup else adder_interface(node.width)
-    payload = adapt(iface, keys.pk, params, rng)
+    zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, keys.pk, params, rng)
     rr = RouteRequest(
         pk=keys.pk,
         params=params,
@@ -206,8 +209,7 @@ def source_initiate(
         next_hop=next_hop,
         path=(node.id,),
         acc_trust=acc,
-        payload=payload,
-        stats_so_far=EvalStats(),
+        zeros=zeros,
     )
     return keys, rr
 
@@ -245,13 +247,11 @@ def process_rr(
         if star_mode:
             star_circuit = compile_to_star(node.circuit, pk, params, rng)
             outputs, node_stats = bind_and_continue(
-                rr.payload, rr.acc_trust, local, star_circuit, pk, params
+                rr.zeros, rr.acc_trust, local, star_circuit, pk, params
             )
         else:
-            inputs = arrange_inputs(rr.payload.interface, rr.acc_trust, local)
-            outputs, node_stats = eval_plain(node.circuit, inputs, pk, params)
-        next_iface = iface_lookup(next_hop) if iface_lookup else adder_interface(node.width)
-        new_payload = adapt(next_iface, pk, params, rng)
+            outputs, node_stats = eval_plain(node.circuit, (*rr.acc_trust, *local), pk, params)
+        zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
     updated = replace(
@@ -259,19 +259,14 @@ def process_rr(
         next_hop=next_hop,
         path=rr.path + (node.id,),
         acc_trust=outputs,
-        payload=new_payload,
-        stats_so_far=rr.stats_so_far.merge(node_stats),
+        zeros=zeros,
     )
     return ForwardUpdated(rr=updated, node_stats=node_stats)
 
 
 def destination_reply(rr: RouteRequest) -> RouteReply:
     """The destination's answer: final path and the accumulated ciphertexts."""
-    return RouteReply(
-        path=rr.path + (rr.destination,),
-        acc_trust=rr.acc_trust,
-        stats=rr.stats_so_far.copy(),
-    )
+    return RouteReply(path=rr.path + (rr.destination,), acc_trust=rr.acc_trust)
 
 
 def source_finalize(
@@ -287,6 +282,51 @@ def source_finalize(
     return DiscoveryOutcome(path=rp.path, trust=trust, trusted=trusted)
 
 
+# JSON wire formats.  Ciphertexts serialize as canonical hex; the accumulator's
+# noise bounds travel in a parallel field.
+
+def json_field(obj: object, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]`` if present and of JSON type ``kind`` (never a boolean), else ``ValueError``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    value = obj[key]
+    # Python takes JSON ``true`` for the integer 1; no wire field is a boolean.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
+    return value
+
+
+def json_list(obj: object, key: str, kind: type) -> list:
+    """The list ``obj[key]``, each element of exactly type ``kind``, else ``ValueError``.
+
+    One pass over the element types in C; the exact-type test keeps JSON
+    booleans (Python ``bool``, a subclass of ``int``) out of int lists.
+    """
+    values = json_field(obj, key, list)
+    if not set(map(type, values)) <= {kind}:
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValueError(f"field {key!r} has the wrong JSON type: {type(bad).__name__}")
+    return values
+
+
+def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
+    """Ciphertexts as hex under ``key``, their noise bounds under ``key + "_noise_bits"``."""
+    return {
+        key: [bignum.to_hex(c.value) for c in cts],
+        f"{key}_noise_bits": [c.noise_bits for c in cts],
+    }
+
+
+def cts_from_json(obj: dict, key: str) -> tuple[Ciphertext, ...]:
+    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed
+    field, or on a count mismatch between the ciphertexts and their bounds."""
+    hexes = json_list(obj, key, str)
+    bounds = json_list(obj, f"{key}_noise_bits", int)
+    if len(hexes) != len(bounds):
+        raise ValueError(f"{len(hexes)} ciphertexts under {key!r} but {len(bounds)} noise bounds")
+    return tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
+
+
 def rr_to_json(rr: RouteRequest) -> dict:
     return {
         "pk": bignum.to_hex(rr.pk),
@@ -297,19 +337,22 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "next_hop": rr.next_hop,
         "path": list(rr.path),
         **cts_to_json("acc_trust", rr.acc_trust),
-        "payload": payload_to_json(rr.payload),
-        "stats": rr.stats_so_far.to_json(),
+        # Flat: accumulator bit i's pair is zeros[2i], zeros[2i+1].
+        "zeros": [bignum.to_hex(z.value) for pair in rr.zeros for z in pair],
     }
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
-    key, or a ciphertext wider than a fresh one (``params.fresh_ct_bits``).
+    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
+    zero count other than twice the accumulator's.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
     A hex string with more digits than its bound allows is rejected before it
     is parsed, so an oversized value costs its length check and nothing more.
+    Each zero gets the fresh noise bound, since the adapter encrypted it
+    fresh; any other field, such as an older request's ``stats``, is ignored.
     """
     lam, eta = json_field(obj, "lambda", int), json_field(obj, "eta", int)
     params = SecurityParams.from_lambda(lam, eta=eta)
@@ -319,14 +362,18 @@ def rr_from_json(obj: dict) -> RouteRequest:
     pk = bignum.from_hex(pk_hex)
     if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
         raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
-    payload_obj = json_field(obj, "payload", dict)
+    zero_hexes = json_list(obj, "zeros", str)
     digits = _hex_digits(params.fresh_ct_bits)
-    for holder, key in ((obj, "acc_trust"), (payload_obj, "zeros")):
-        if max(map(len, json_list(holder, key, str)), default=0) > digits:
-            raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
+    if max(map(len, (*json_list(obj, "acc_trust", str), *zero_hexes)), default=0) > digits:
+        raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
     acc_trust = cts_from_json(obj, "acc_trust")
-    payload = payload_from_json(payload_obj)
-    for ct in (*acc_trust, *(z for pair in payload.pairs for z in pair)):
+    if len(zero_hexes) != 2 * len(acc_trust):
+        raise ValueError(
+            f"{len(zero_hexes)} zeros for {len(acc_trust)} accumulator bits, expected two per bit"
+        )
+    fresh = she.fresh_noise_bits(params)
+    zeros = [Ciphertext(bignum.from_hex(h), fresh) for h in zero_hexes]
+    for ct in (*acc_trust, *zeros):
         if ct.value.bit_length() > params.fresh_ct_bits:
             raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
     return RouteRequest(
@@ -337,8 +384,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
         next_hop=json_field(obj, "next_hop", int),
         path=tuple(json_list(obj, "path", int)),
         acc_trust=acc_trust,
-        payload=payload,
-        stats_so_far=EvalStats.from_json(json_field(obj, "stats", dict)),
+        zeros=tuple(zip(zeros[0::2], zeros[1::2])),
     )
 
 
@@ -348,17 +394,11 @@ def _hex_digits(bits: int) -> int:
 
 
 def rp_to_json(rp: RouteReply) -> dict:
-    return {
-        "path": list(rp.path),
-        **cts_to_json("acc_trust", rp.acc_trust),
-        "stats": rp.stats.to_json(),
-    }
+    return {"path": list(rp.path), **cts_to_json("acc_trust", rp.acc_trust)}
 
 
 def rp_from_json(obj: dict) -> RouteReply:
     """Decode a reply; ``ValueError`` on a missing or ill-typed field."""
     return RouteReply(
-        path=tuple(json_list(obj, "path", int)),
-        acc_trust=cts_from_json(obj, "acc_trust"),
-        stats=EvalStats.from_json(json_field(obj, "stats", dict)),
+        path=tuple(json_list(obj, "path", int)), acc_trust=cts_from_json(obj, "acc_trust")
     )

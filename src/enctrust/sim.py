@@ -401,10 +401,6 @@ def run_discovery(
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
-
-    def iface_lookup(node_id: NodeId):
-        return nodes[node_id].interface
-
     with contextlib.ExitStack() as stack:
         if audit is not None:
             stack.enter_context(she.audit_ciphertexts(audit.ciphertexts.append))
@@ -413,15 +409,13 @@ def run_discovery(
         t1 = time.perf_counter()
         if audit is not None:
             audit.keys = keys
-        keys, rr = source_initiate(
-            nodes[source], destination, params, rng, iface_lookup, _keys=keys
-        )
+        keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
         per_node: list[tuple[NodeId, EvalStats]] = []
         rp: RouteReply | None = None
         drop: Drop | None = None
         current = rr.next_hop
         for _ in range(2 * len(nodes) + 2):
-            decision = process_rr(nodes[current], rr, rng, cfg.star_mode, iface_lookup)
+            decision = process_rr(nodes[current], rr, rng, cfg.star_mode)
             if isinstance(decision, Reply):
                 rp = decision.reply
                 break
@@ -449,6 +443,7 @@ def run_discovery(
         star_mode=cfg.star_mode,
         seed=cfg.seed,
         per_node_stats=tuple(per_node),
+        stats=functools.reduce(EvalStats.merge, (s for _, s in per_node), EvalStats()),
     )
     if drop is not None:
         return RunReport(
@@ -456,7 +451,6 @@ def run_discovery(
             path=rr.path,
             decrypted_trust=None,
             trusted=False,
-            stats=rr.stats_so_far.copy(),
             wall=wall,
             drop_reason=drop.reason,
             dropped_at=current,
@@ -474,7 +468,6 @@ def run_discovery(
         path=outcome.path,
         decrypted_trust=outcome.trust,
         trusted=outcome.trusted,
-        stats=rp.stats.copy(),
         wall=wall,
         **common,
     )

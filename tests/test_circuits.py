@@ -7,14 +7,10 @@ from enctrust import circuits, she
 from enctrust.circuits import (
     AND,
     XOR,
-    AdaptedPayload,
     Circuit,
-    CircuitInterface,
     EvalStats,
     Gate,
     adapt,
-    adder_interface,
-    arrange_inputs,
     bind_and_continue,
     build_ripple_adder,
     compile_to_star,
@@ -23,8 +19,6 @@ from enctrust.circuits import (
     eval_star,
     gate_wire,
     input_wire,
-    payload_from_json,
-    payload_to_json,
     star_circuit_to_json,
     star_eval,
     star_noise_bits,
@@ -254,35 +248,18 @@ def test_stats_merge_and_json_roundtrip():
     b = EvalStats(n_he_add=1, n_he_mul=4, max_noise_bits=7)
     m = a.merge(b)
     assert (m.n_he_add, m.n_he_mul, m.max_noise_bits) == (4, 6, 10)
-    assert EvalStats.from_json(m.to_json()) == m
-    assert a.copy() == a
-
-
-def test_interface_validation_and_layout():
-    iface = adder_interface(4)
-    assert (iface.num_acc_inputs, iface.num_local_inputs) == (4, 4)
-    assert CircuitInterface.from_json(iface.to_json()) == iface
-    for bad in ({"acc": 4}, {"acc": "4", "local": 4}, {"acc": True, "local": 4}, [4, 4]):
-        with pytest.raises(ValueError):
-            CircuitInterface.from_json(bad)
-    # The one input order: the ACC block, then the LOCAL block.
-    acc, local = ["a0", "a1", "a2", "a3"], ["l0", "l1", "l2", "l3"]
-    assert arrange_inputs(iface, acc, local) == tuple(acc + local)
-    with pytest.raises(ValueError):
-        arrange_inputs(iface, acc[:3], local)
-    with pytest.raises(ValueError):
-        arrange_inputs(iface, acc, [])
+    assert m.to_json() == {"adds": 4, "muls": 6, "max_noise_bits": 10}
 
 
 def test_adapt_identity_recovery():
     params, keys, rng = make(seed=5)
     for v in (0, 9, 15):
         cts = encrypt_value(keys.pk, v, 4, params, rng)
-        payload = adapt(adder_interface(4), keys.pk, params, rng)
-        assert len(payload.pairs) == 4
-        recovered = [star_eval(a, b, f, keys.pk, params) for a, (b, f) in zip(cts, payload.pairs)]
+        zeros = adapt(4, keys.pk, params, rng)
+        assert len(zeros) == 4
+        recovered = [star_eval(a, b, f, keys.pk, params) for a, (b, f) in zip(cts, zeros)]
         assert decrypt_value(keys.sk, recovered) == v
-        for pair in payload.pairs:
+        for pair in zeros:
             # Each pair is fresh: two encryptions of 0, neither an accumulator bit.
             assert [decrypt_bit(keys.sk, z) for z in pair] == [0, 0]
             assert not set(pair) & set(cts)
@@ -291,23 +268,24 @@ def test_adapt_identity_recovery():
 def test_adapt_arity_mismatch():
     params, keys, rng = make(seed=6)
     cts = encrypt_value(keys.pk, 3, 2, params, rng)
-    payload = adapt(adder_interface(4), keys.pk, params, rng)
+    zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 1, 4, params, rng)
     sc = compile_to_star(build_ripple_adder(4), keys.pk, params, rng)
     with pytest.raises(ValueError):
-        bind_and_continue(payload, cts, local, sc, keys.pk, params)
+        bind_and_continue(zeros, cts, local, sc, keys.pk, params)
+    # As many pairs as accumulator bits, but too few inputs for the adder.
     with pytest.raises(ValueError):
-        AdaptedPayload(pairs=((cts[0], cts[1]),), interface=adder_interface(4))
+        bind_and_continue(zeros[:2], cts, local, sc, keys.pk, params)
 
 
 def test_bind_and_continue_single_hop():
     params, keys, rng = make(seed=7)
     c = build_ripple_adder(4)
     acc = encrypt_value(keys.pk, 9, 4, params, rng)
-    payload = adapt(adder_interface(4), keys.pk, params, rng)
+    zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 4, 4, params, rng)
     sc = compile_to_star(c, keys.pk, params, rng)
-    outs, stats = bind_and_continue(payload, acc, local, sc, keys.pk, params)
+    outs, stats = bind_and_continue(zeros, acc, local, sc, keys.pk, params)
     assert decrypt_value(keys.sk, outs) == 13
     # 4 recovery gates + 14 circuit gates, each 2 muls and 3 adds
     assert (stats.n_he_mul, stats.n_he_add) == (36, 54)
@@ -319,18 +297,17 @@ def test_bind_and_continue_two_hop_chain():
     lam = 3
     width = 4
     c = build_ripple_adder(width)
-    iface = adder_interface(width)
     eta = required_eta(width, 2, lam, star_mode=True)
     assert eta == 823
     params, keys, rng = make(lam=lam, eta=eta, seed=8)
     acc = encrypt_value(keys.pk, 9, width, params, rng)
-    payload = adapt(iface, keys.pk, params, rng)
+    zeros = adapt(width, keys.pk, params, rng)
     total = EvalStats()
     for local_value in (4, 2):
         local = encrypt_value(keys.pk, local_value, width, params, rng)
         sc = compile_to_star(c, keys.pk, params, rng)
-        acc, stats = bind_and_continue(payload, acc, local, sc, keys.pk, params)
-        payload = adapt(iface, keys.pk, params, rng)
+        acc, stats = bind_and_continue(zeros, acc, local, sc, keys.pk, params)
+        zeros = adapt(width, keys.pk, params, rng)
         total = total.merge(stats)
     final = acc
     assert decrypt_value(keys.sk, final) == (9 + 4 + 2) % 16
@@ -347,22 +324,11 @@ def test_star_circuit_json_roundtrip_hides_gate_kinds():
 
     text = json.dumps(obj)
     assert "XOR" not in text and "AND" not in text
-    # What the encoding does carry: each gate's operands and encrypted flag.
+    # What the encoding does carry: each gate's operands and encrypted flag,
+    # but no noise bound, which a receiver knows for a fresh flag.
     assert obj["num_inputs"] == 8
+    assert all(set(g) == {"a", "b", "flag"} for g in obj["gates"])
     assert obj["gates"][0]["a"] == {"kind": "INPUT", "index": 0}
     assert obj["gates"][0]["b"] == {"kind": "INPUT", "index": 4}
     assert [int(g["flag"], 16) for g in obj["gates"]] == [g.flag.value for g in sc.gates]
     assert obj["outputs"] == [{"kind": "GATE", "index": i} for i in (0, 3, 8, 13)]
-
-
-def test_payload_json_roundtrip():
-    params, keys, rng = make(seed=10)
-    payload = adapt(adder_interface(4), keys.pk, params, rng)
-    obj = payload_to_json(payload)
-    assert payload_from_json(obj) == payload
-    # Two zeros per accumulator bit; an odd count cannot be paired.
-    assert len(obj["zeros"]) == len(obj["zeros_noise_bits"]) == 8
-    obj["zeros"].pop()
-    obj["zeros_noise_bits"].pop()
-    with pytest.raises(ValueError):
-        payload_from_json(obj)

@@ -4,17 +4,18 @@ Every route request of a discovery over a 10-node chain is serialized with
 ``rr_to_json``, and its reply with ``rp_to_json``, then hashed (sorted keys,
 compact separators):
 
-- ``GOLDEN`` pins the whole request: every ciphertext, noise bound and op
-  count, so a backend or wire change that alters any of them fails here.
+- ``GOLDEN`` pins the whole request: every ciphertext, noise bound and
+  field, so a backend or wire change that alters any of them fails here.
+- ``SAME_CIPHERTEXTS`` pins each request projected to ``PROJECTION``: the
+  key, parameters, endpoints, path, accumulator with its bounds, and the
+  adapter's zeros as one flat list.  These digests were computed at the
+  commit before requests lost their ``stats`` and ``payload`` fields,
+  reading the zeros from ``payload["zeros"]``, so they show that every
+  ciphertext survived that format change.  The request is now exactly
+  that projection, so ``GOLDEN`` equals it until a field is added.
 - ``REPLY`` pins the destination's reply, which the source decodes from
-  that JSON before it decrypts.
-- ``SAME_CIPHERTEXTS`` pins the request without ``stats`` (op counts and
-  the noise maximum).  Its digests date from the adder that still computed
-  its discarded final carry, when requests also carried an unread ``width``
-  field (left out before hashing).  Pruning those gates drew no randomness
-  away from plain mode, so every plain request keeps its digest.  A star hop
-  encrypts one flag per gate, 3 fewer than before, so every draw after the
-  first hop moves and only the source's request keeps its digest.
+  that JSON before it decrypts.  It was computed at the same earlier
+  commit with the reply's ``stats`` left out.
 """
 
 import hashlib
@@ -89,42 +90,55 @@ CHAIN_NODES = 10  # 7 accumulator updates
 TRUST = 13
 GOLDEN = {
     False: [
-        "8fd313dd2a3308c631addf614f4576922f3f443cbd802a0231ee28e21369fb55",
-        "111902ee6433e2767277f0b4e8be3c085d622c607b4b18dad7d1816fe54548a2",
-        "2fc947daceae582706853288262841d6466a11fb9a70bfaa7c9806fa3e554bb4",
-        "9ab7217318642adc0da9a5d348694947cf40e5b015da2a7544a4b3e48a57cbec",
-        "7bd2c90b67fb1ee12d8b32837fdcffd324b5902a831877f2a35a3f2414cafa9d",
-        "c49928f07519daa2e1239232d5d7ec17c3f47cbc3d57721df88dc5105a5cda7c",
-        "f26961f1922aa101a753348442c72a26d9baa13633b7554b1ba7249f49879c5e",
-        "e6cb83d1714d5aacda6c90b112412a89e3abe79b20d787714ac3c5ecdce14af0",
+        "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
+        "6fd994cdc711de2806542968924cc75d45f3b935650cf940d7bdab92500e477a",
+        "92c2f0252aceb555973bc0e37f41792af6661c15adbbeb1a3ac4f46cd6dd18d7",
+        "b6af4c16e4aa0b5ddee02ab2b8cbe2d42159142c3aa6b1943c91e55ffa9374b9",
+        "082ceb453728deb185889e798ded207003dfaae77fc4c3e997ba9406452d74a0",
+        "90a66aae843d9be5c619b94795c9198d083b3a45271121927a2c2e53cd52f768",
+        "2e2f5e0bcf4fa3be3aa8c07c299f170a2f4944649d810f2e1fc600ab0a045fa6",
+        "d562741261e2c4cd74f949aeb5e8fa3c3a8a6936ab59054ce76a307d5280a39b",
     ],
     True: [
-        "03e913c2aea961bde054ae19c10db5ffc95a64350804b32a05fe6f2e52e6faf6",
-        "b180f5b2dfdc938eadd71e4273ef52f0b6e7df7b566789ea5dee55463c58886a",
-        "5b6db7e77b249132799698905d40603281c779cf024cb86d7cdc15a84ca65e8d",
-        "e8ce9addabe11e2984fc837d8b7e440929042298db840486af35949bd252285c",
-        "3b44233b93384fdd3ef84b485aafa9791953dc44504db80dc1b5977fe7d1663a",
-        "c8321ee127de4058d8e9cadf4318de5796670fa200913733a6a61bbcc3445408",
-        "495310840132065d8f12e27a6a355c70d16bd7f749b46d0e54efa323ac2c7ad9",
-        "678b737fa3d39cc10cabc2d21c075aec97e424b71d5a529789e3999f15156954",
+        "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
+        "3e95f0fc1edb5febc6f1d592190f1ae0a88c9e9322e12400b21a3851f8f7ee36",
+        "e2a4349beada1a965fec3d08b87fed6f2b2bdff321a385131015e89b3f7aceff",
+        "c62067c6fda773faf7d9083fee86db11cf9d62c18c0755e05579ed2d7f251a25",
+        "e04bb4086856d4aa4ee7021deddeaf38bf87557edbabd8402158e1ce760862ff",
+        "bc9bf7854257f7a61a7ce758fc5c76129917e835126c578aa39a0d8a5688655d",
+        "e9ce02602e66797735c334ce88e77b657cbeb264331d162e51732ea8a0175a8f",
+        "af1e629e6f5da7e8dbbca62c3825fbf9d13da43996ec3200c877323902a39600",
     ],
 }
+PROJECTION = (
+    "pk", "lambda", "eta", "source", "destination", "next_hop", "path",
+    "acc_trust", "acc_trust_noise_bits", "zeros",
+)
 SAME_CIPHERTEXTS = {
     False: [
-        "ead922d4936c2dde9cb94f5dbe30a6a17b16d628cbf644bcdca54b86a6722c0e",
-        "1512ac51670715de5d12c84dbaba21a6b8ea6b0a89eb57428a2d7fa14e3ee15f",
-        "a087e349206f01b4521119625d148a770d40e83d88e504ec66d8e54c1e276ba5",
-        "a6398e7276838ccb19b56fa331a897c69bcf4f292ebcffbf6b0a830eabd9dc22",
-        "abee5b7e09e4176baaed60b66ef5d4165b8390a08d35aa1cc7492beb9d2449a1",
-        "c29f44c5405ce28dbf9d0de390eb484cbc1d88955e1681ad082aa76aa051475a",
-        "b780f7d102f92ece0e04c4a0e5dc151f268a03dd8d0242421e30c8c7fc411d63",
-        "62140bf4d6452365a26f9271516e444897ccce7c6a7fb56a9f1bf70a7277741d",
+        "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
+        "6fd994cdc711de2806542968924cc75d45f3b935650cf940d7bdab92500e477a",
+        "92c2f0252aceb555973bc0e37f41792af6661c15adbbeb1a3ac4f46cd6dd18d7",
+        "b6af4c16e4aa0b5ddee02ab2b8cbe2d42159142c3aa6b1943c91e55ffa9374b9",
+        "082ceb453728deb185889e798ded207003dfaae77fc4c3e997ba9406452d74a0",
+        "90a66aae843d9be5c619b94795c9198d083b3a45271121927a2c2e53cd52f768",
+        "2e2f5e0bcf4fa3be3aa8c07c299f170a2f4944649d810f2e1fc600ab0a045fa6",
+        "d562741261e2c4cd74f949aeb5e8fa3c3a8a6936ab59054ce76a307d5280a39b",
     ],
-    True: ["d7f78ae58e72a5649a670b85272893848bbad3704088301c92d46f749a13b44e"],
+    True: [
+        "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
+        "3e95f0fc1edb5febc6f1d592190f1ae0a88c9e9322e12400b21a3851f8f7ee36",
+        "e2a4349beada1a965fec3d08b87fed6f2b2bdff321a385131015e89b3f7aceff",
+        "c62067c6fda773faf7d9083fee86db11cf9d62c18c0755e05579ed2d7f251a25",
+        "e04bb4086856d4aa4ee7021deddeaf38bf87557edbabd8402158e1ce760862ff",
+        "bc9bf7854257f7a61a7ce758fc5c76129917e835126c578aa39a0d8a5688655d",
+        "e9ce02602e66797735c334ce88e77b657cbeb264331d162e51732ea8a0175a8f",
+        "af1e629e6f5da7e8dbbca62c3825fbf9d13da43996ec3200c877323902a39600",
+    ],
 }
 REPLY = {
-    False: "dea0ea02d5ec1072b6e80728c5569f08cbaa73bf51ed3716453a424a590bfd34",
-    True: "1ac370945b13875f274c9671602430ec59ff09311ea18f8b4447ad006cce436b",
+    False: "b0b9e837eaf275496994409160ccbad9609440c52054cfa6ed9da133474e2ff0",
+    True: "036b104386e3b8d91ab3407f1c7431731df1d9bc2519cafae44dea4dce2749fe",
 }
 
 
@@ -135,7 +149,6 @@ def test_rr_to_json_pinned_across_backends(star_mode):
     assert outcome.path == oracle.path
     assert outcome.trust == oracle.trust == TRUST
     assert [_sha256(obj) for obj in requests] == GOLDEN[star_mode]
-    without_stats = [{k: v for k, v in obj.items() if k != "stats"} for obj in requests]
-    pinned = SAME_CIPHERTEXTS[star_mode]
-    assert [_sha256(obj) for obj in without_stats[: len(pinned)]] == pinned
+    projected = [{k: obj[k] for k in PROJECTION} for obj in requests]
+    assert [_sha256(obj) for obj in projected] == SAME_CIPHERTEXTS[star_mode]
     assert _sha256(reply) == REPLY[star_mode]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enctrust import bignum, protocol, she
-from enctrust.circuits import EvalStats, build_ripple_adder, star_eval
+from enctrust.circuits import build_ripple_adder, star_eval
 from enctrust.protocol import (
     Drop,
     ForwardUnchanged,
@@ -80,10 +80,9 @@ def test_source_initiate_builds_first_rr():
     assert rr.next_hop == 7
     assert rr.path == (5,)
     assert decrypt_value(keys.sk, rr.acc_trust) == 9
-    assert rr.stats_so_far == EvalStats()
     recovered = [
         star_eval(a, b, f, keys.pk, params)
-        for a, (b, f) in zip(rr.acc_trust, rr.payload.pairs, strict=True)
+        for a, (b, f) in zip(rr.acc_trust, rr.zeros, strict=True)
     ]
     assert decrypt_value(keys.sk, recovered) == 9
 
@@ -168,7 +167,6 @@ def test_update_accumulates_and_appends_path():
     assert rr2.next_hop == 2
     assert decrypt_value(keys.sk, rr2.acc_trust) == 7 + 5
     assert (decision.node_stats.n_he_add, decision.node_stats.n_he_mul) == (9, 5)
-    assert rr2.stats_so_far == decision.node_stats
 
 
 def test_update_star_mode_matches_plain():
@@ -344,7 +342,14 @@ def test_same_seed_discoveries_serialize_byte_identical():
     # the source's request, one per update, the unchanged forward, the reply
     assert len(first) == 5
     assert first == wire_texts()
-    assert all("wall_time" not in json.loads(text)["stats"] for text in first)
+    # Every field is one the receiver cannot work out: no op counts, no
+    # interface, no noise bound of a fresh zero, and no clock reading.
+    request_keys = {
+        "pk", "lambda", "eta", "source", "destination", "next_hop", "path",
+        "acc_trust", "acc_trust_noise_bits", "zeros",
+    }
+    assert all(set(json.loads(text)) == request_keys for text in first[:-1])
+    assert set(json.loads(first[-1])) == {"path", "acc_trust", "acc_trust_noise_bits"}
 
 
 def test_rr_from_json_rejects_malformed_public_key():
@@ -374,7 +379,7 @@ def test_rr_from_json_rejects_oversized_ciphertext(field):
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
     obj = rr_to_json(rr)
-    cts = obj["acc_trust"] if field == "acc_trust" else obj["payload"]["zeros"]
+    cts = obj[field]
     # A fresh ciphertext is under 2**(pk_bits + q_bits + 1) and an evaluated
     # one is below pk, so fresh_ct_bits leaves room for every honest value.
     cts[0] = format((1 << params.fresh_ct_bits) - 1, "x")
@@ -394,13 +399,42 @@ def test_rr_from_json_rejects_overlong_hex_unparsed(field, monkeypatch):
     if field == "pk":
         obj["pk"] = overlong
     else:
-        (obj["acc_trust"] if field == "acc_trust" else obj["payload"]["zeros"])[0] = overlong
+        obj[field][0] = overlong
     parsed = []
     parse = bignum.from_hex
     monkeypatch.setattr(bignum, "from_hex", lambda s: parsed.append(s) or parse(s))
     with pytest.raises(ValueError, match="wider than"):
         rr_from_json(obj)
     assert overlong not in parsed
+
+
+def test_zero_bounds_come_from_the_receiver():
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    clean = rr_to_json(rr)
+    fresh = she.fresh_noise_bits(params)
+    decoded = rr_from_json(clean)
+    assert len(decoded.zeros) == len(decoded.acc_trust)
+    assert all(z.noise_bits == fresh for pair in decoded.zeros for z in pair)
+    # Older requests carried the zeros' bounds; a forged one changes nothing.
+    old = {**clean, "zeros_noise_bits": [1] * len(clean["zeros"])}
+    outputs = [
+        process_rr(nodes[1], rr_from_json(obj), random.Random(2), star_mode=True).rr.acc_trust
+        for obj in (clean, old)
+    ]
+    assert outputs[0] == outputs[1]  # the same values and the same noise bounds
+
+
+@pytest.mark.parametrize("count", [7, 9, 6, 10, 0])
+def test_rr_from_json_rejects_wrong_zero_count(count):
+    # Two zeros per accumulator bit: 8 for a width-4 accumulator.
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    obj = rr_to_json(rr)
+    assert len(obj["zeros"]) == 8
+    obj["zeros"] = (obj["zeros"] * 2)[:count]
+    with pytest.raises(ValueError, match="zeros"):
+        rr_from_json(obj)
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
@@ -423,23 +457,19 @@ DELETE = object()
 # Each mutation: the path to one field of the message, and its new value.
 REQUEST_MUTATIONS = {
     "no-lambda": (["lambda"], DELETE),
-    "no-stats": (["stats"], DELETE),
-    "no-payload": (["payload"], DELETE),
+    "no-payload": (["zeros"], DELETE),
     "lambda-string": (["lambda"], "3"),
     "noise-string": (["acc_trust_noise_bits", 0], "5"),
-    "zero-noise-string": (["payload", "zeros_noise_bits", 0], "5"),
     "path-int": (["path"], 5),
     "path-strings": (["path"], ["0"]),
     "next-hop-string": (["next_hop"], "1"),
     "next-hop-bool": (["next_hop"], True),
-    "stats-list": (["stats"], [0, 0, 0]),
     "path-bool": (["path", 0], True),
     "noise-bool": (["acc_trust_noise_bits", 0], True),
     "acc-int": (["acc_trust", 0], 5),
-    "zero-int": (["payload", "zeros", 0], 5),
+    "zero-int": (["zeros", 0], 5),
 }
 REPLY_MUTATIONS = {
-    "no-stats": (["stats"], DELETE),
     "no-acc": (["acc_trust"], DELETE),
     "noise-string": (["acc_trust_noise_bits", 0], "5"),
     "path-int": (["path"], 5),
@@ -553,7 +583,7 @@ def test_request_cannot_reorder_adder_inputs(star_mode):
     obj = rr_to_json(rr)
     # An input layout with accumulator bits 2 and 3 swapped: older requests
     # carried one, and a hop obeyed it.
-    obj["payload"]["iface"]["layout"] = [
+    obj["layout"] = [
         "ACC_0", "ACC_1", "ACC_3", "ACC_2", "LOCAL_0", "LOCAL_1", "LOCAL_2", "LOCAL_3",
     ]
     decision = process_rr(nodes[1], rr_from_json(obj), rng, star_mode)

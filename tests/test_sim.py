@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 import time
@@ -6,7 +7,8 @@ import time
 import pytest
 
 from enctrust import bignum, sim
-from enctrust.circuits import adder_interface, build_ripple_adder
+from enctrust.circuits import EvalStats, build_ripple_adder
+from enctrust.protocol import ForwardUpdated, process_rr, rr_from_json, rr_to_json, source_initiate
 from enctrust.she import SecurityParams
 from enctrust.sim import (
     DELIVERED,
@@ -198,7 +200,7 @@ def test_build_nodes_share_one_frozen_circuit():
     nodes = build_nodes(generate_topology(12, 3, seed=1), width=4)
     assert all(node.circuit is build_ripple_adder(4) for node in nodes.values())
     assert build_ripple_adder(4) is build_ripple_adder(4)
-    assert all(node.interface is adder_interface(4) for node in nodes.values())
+    assert all(node.interface == 4 for node in nodes.values())
     with pytest.raises(dataclasses.FrozenInstanceError):
         build_ripple_adder(4).gates = ()
 
@@ -363,6 +365,63 @@ def test_run_discovery_walks_once(monkeypatch, topo, source, destination, status
     assert report.status == oracle.status == status
     assert report.oracle_path == oracle.path
     assert report.oracle_trust == oracle.trust
+
+
+@pytest.mark.parametrize(
+    "topo, source, destination, status",
+    [
+        (chain_topology(6, seed=2), 0, 5, DELIVERED),
+        (triangle_with_pendant(), 0, 3, DROPPED),
+    ],
+    ids=["delivered", "dropped"],
+)
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_run_stats_sum_the_hops(topo, source, destination, status, star_mode):
+    # No message carries op counts: the report's stats are the merge of the
+    # per-hop stats the simulator saw, delivered or dropped.
+    cfg = RunConfig(lam=3, seed=4, star_mode=star_mode)
+    report = run_discovery(topo, source, destination, cfg)
+    assert report.status == status
+    assert report.per_node_stats
+    hops = [s for _, s in report.per_node_stats]
+    assert report.stats == functools.reduce(EvalStats.merge, hops, EvalStats())
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_forged_stats_in_a_request_change_nothing(star_mode):
+    # A request of the older format carried a running op count that each
+    # hop merged forward, so a forged one became the run's reported stats.
+    t = chain_topology(5, seed=2)
+    nodes = build_nodes(t)
+    params = SecurityParams.from_lambda(3, eta=required_eta(4, 2, 3, star_mode))
+    _, rr = source_initiate(nodes[0], 4, params, random.Random(3))
+    clean = rr_to_json(rr)
+    forged = {**clean, "stats": {"adds": -7, "muls": -1, "max_noise_bits": -3}}
+    assert rr_from_json(forged) == rr_from_json(clean)
+    decisions = [
+        process_rr(nodes[1], rr_from_json(obj), random.Random(5), star_mode)
+        for obj in (clean, forged)
+    ]
+    assert isinstance(decisions[0], ForwardUpdated)
+    assert decisions[0] == decisions[1]  # the forwarded request and the hop's node_stats
+    adds, muls = (54, 36) if star_mode else (9, 5)
+    assert (decisions[0].node_stats.n_he_add, decisions[0].node_stats.n_he_mul) == (adds, muls)
+
+
+def test_source_does_not_shortcut_to_a_neighboring_destination():
+    # Edge 0-5 exists, yet the source hands the request to its most trusted
+    # neighbor, 4; only a later hop forwards straight to a neighboring
+    # destination.  The oracle and the encrypted run follow the same rule.
+    t = generate_topology(8, 3, seed=1)
+    assert 5 in t.neighbors(0)
+    oracle = plaintext_oracle(t, 0, 5)
+    assert oracle.path == (0, 4, 5)
+    for star_mode in (False, True):
+        report = run_discovery(t, 0, 5, RunConfig(lam=3, seed=1, star_mode=star_mode))
+        assert report.status == DELIVERED
+        assert report.path == (0, 4, 5)
+        assert report.trusted
+        assert report.decrypted_trust == oracle.trust
 
 
 def test_run_discovery_two_nodes_direct():

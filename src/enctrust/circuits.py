@@ -7,10 +7,10 @@ every circuit, and :func:`universal` is the one flag-configured universal gate,
 or XOR (0).  Both run in any domain given as a pair of XOR/AND operations:
 plaintext bits (the reference semantics), noise-bit bounds (the planner's
 ``she.add_noise_bits``/``she.mul_noise_bits``), or ciphertexts under one key,
-each operation tallied into :class:`EvalStats`.  So the planner that sizes a
-key runs the very gate code the hops run.  A circuit compiled to universal
-gates carries encrypted flags: it reveals the topology but not which gates are
-which.
+where each ``she.he_add``/``she.he_mul`` reports to the sink of ``she.observe``.
+So the planner that sizes a key runs the very gate code the hops run.  A
+circuit compiled to universal gates carries encrypted flags: it reveals the
+topology but not which gates are which.
 
 Multi-hop chaining runs through an adapter: per accumulator bit it draws two
 fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
@@ -128,29 +128,6 @@ class StarCircuit:
         _validate_dag(self.num_inputs, [(g.a, g.b) for g in self.gates], self.outputs)
 
 
-@dataclass
-class EvalStats:
-    """Exact tallies of homomorphic operations plus the largest noise bound seen."""
-
-    n_he_add: int = 0
-    n_he_mul: int = 0
-    max_noise_bits: int = 0
-
-    def merge(self, other: "EvalStats") -> "EvalStats":
-        return EvalStats(
-            n_he_add=self.n_he_add + other.n_he_add,
-            n_he_mul=self.n_he_mul + other.n_he_mul,
-            max_noise_bits=max(self.max_noise_bits, other.max_noise_bits),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "adds": self.n_he_add,
-            "muls": self.n_he_mul,
-            "max_noise_bits": self.max_noise_bits,
-        }
-
-
 def _walk(circuit: Circuit | StarCircuit, inputs: Sequence, gate: Callable) -> tuple:
     """The one evaluation loop: each gate's output is ``gate(g, a, b)`` on its operand values.
 
@@ -184,41 +161,25 @@ def universal(xor: Callable, and_: Callable, a, b, flag):
     return xor(either, and_(flag, xor(both, either)))
 
 
-def _ciphertext_ops(
-    pk: int, params: SecurityParams, stats: EvalStats
-) -> tuple[Callable, Callable]:
-    """XOR and AND on ciphertexts under ``pk``, each tallied into ``stats``."""
+def _ciphertext_ops(pk: int, params: SecurityParams) -> tuple[Callable, Callable]:
+    """XOR and AND on ciphertexts under ``pk``."""
 
     # ``she.he_add``/``she.he_mul`` are looked up at every call, so a wrapper
     # installed on the ``she`` module sees each operation.
     def xor(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        ct = she.he_add(a, b, pk, params)
-        stats.n_he_add += 1
-        if ct.noise_bits > stats.max_noise_bits:
-            stats.max_noise_bits = ct.noise_bits
-        return ct
+        return she.he_add(a, b, pk, params)
 
     def and_(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        ct = she.he_mul(a, b, pk, params)
-        stats.n_he_mul += 1
-        if ct.noise_bits > stats.max_noise_bits:
-            stats.max_noise_bits = ct.noise_bits
-        return ct
+        return she.he_mul(a, b, pk, params)
 
     return xor, and_
 
 
 def star_eval(
-    a: Ciphertext,
-    b: Ciphertext,
-    flag: Ciphertext,
-    pk: int,
-    params: SecurityParams,
-    stats: EvalStats | None = None,
+    a: Ciphertext, b: Ciphertext, flag: Ciphertext, pk: int, params: SecurityParams
 ) -> Ciphertext:
     """One universal gate on ciphertexts: 2 homomorphic multiplications and 3 additions."""
-    ops = _ciphertext_ops(pk, params, stats if stats is not None else EvalStats())
-    return universal(*ops, a, b, flag)
+    return universal(*_ciphertext_ops(pk, params), a, b, flag)
 
 
 def star_noise_bits(na: int, nb: int, nf: int) -> int:
@@ -262,21 +223,17 @@ def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
 
 def eval_plain(
     circuit: Circuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
-) -> tuple[tuple[Ciphertext, ...], EvalStats]:
+) -> tuple[Ciphertext, ...]:
     """Evaluate with plain homomorphic gates (XOR as add, AND as mul)."""
-    stats = EvalStats()
-    outputs = _walk(circuit, inputs, _by_kind(*_ciphertext_ops(pk, params, stats)))
-    return outputs, stats
+    return _walk(circuit, inputs, _by_kind(*_ciphertext_ops(pk, params)))
 
 
 def eval_star(
     circuit: StarCircuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
-) -> tuple[tuple[Ciphertext, ...], EvalStats]:
+) -> tuple[Ciphertext, ...]:
     """Evaluate a compiled circuit; every gate fires as a universal gate."""
-    stats = EvalStats()
-    xor, and_ = _ciphertext_ops(pk, params, stats)
-    outputs = _walk(circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, g.flag))
-    return outputs, stats
+    xor, and_ = _ciphertext_ops(pk, params)
+    return _walk(circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, g.flag))
 
 
 @functools.cache
@@ -343,17 +300,15 @@ def bind_and_continue(
     star_circuit: StarCircuit,
     pk: int,
     params: SecurityParams,
-) -> tuple[tuple[Ciphertext, ...], EvalStats]:
+) -> tuple[Ciphertext, ...]:
     """Fire each accumulator bit's identity gate with its own zero pair, bind, evaluate.
 
     ``ValueError`` if the accumulator and the pairs differ in length, or the
     circuit takes another number of inputs.
     """
-    stats = EvalStats()
-    xor, and_ = _ciphertext_ops(pk, params, stats)
+    xor, and_ = _ciphertext_ops(pk, params)
     recovered = [universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, zeros, strict=True)]
-    outputs, eval_stats = eval_star(star_circuit, (*recovered, *local_bits), pk, params)
-    return outputs, stats.merge(eval_stats)
+    return eval_star(star_circuit, (*recovered, *local_bits), pk, params)
 
 
 # The serialized star circuit: wire indices and encrypted flags, no gate kinds.

@@ -33,8 +33,8 @@ key and parameters, the endpoints, the path, the accumulator with its noise
 bounds, and the adapter's zero pairs as one flat ``zeros`` list.  The zeros
 are fresh encryptions by construction, so the receiver assigns them the
 fresh noise bound; their count must be twice the accumulator's.  No message
-carries op counts or an adder interface: a simulation's ``RunReport.stats``
-sums the per-hop stats it saw.
+carries op counts or an adder interface: a simulation counts each hop's
+operations through ``she.observe``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Callable, Sequence
 from . import bignum, she
 from .circuits import (
     Circuit,
-    EvalStats,
     ZeroPairs,
     adapt,
     bind_and_continue,
@@ -146,7 +145,6 @@ class ForwardUnchanged:
 @dataclass(frozen=True)
 class ForwardUpdated:
     rr: RouteRequest
-    node_stats: EvalStats
 
 
 @dataclass(frozen=True)
@@ -246,11 +244,9 @@ def process_rr(
         local = she.encrypt_value(pk, node.trust_db[next_hop], node.width, params, rng)
         if star_mode:
             star_circuit = compile_to_star(node.circuit, pk, params, rng)
-            outputs, node_stats = bind_and_continue(
-                rr.zeros, rr.acc_trust, local, star_circuit, pk, params
-            )
+            outputs = bind_and_continue(rr.zeros, rr.acc_trust, local, star_circuit, pk, params)
         else:
-            outputs, node_stats = eval_plain(node.circuit, (*rr.acc_trust, *local), pk, params)
+            outputs = eval_plain(node.circuit, (*rr.acc_trust, *local), pk, params)
         zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
@@ -261,7 +257,7 @@ def process_rr(
         acc_trust=outputs,
         zeros=zeros,
     )
-    return ForwardUpdated(rr=updated, node_stats=node_stats)
+    return ForwardUpdated(rr=updated)
 
 
 def destination_reply(rr: RouteRequest) -> RouteReply:

@@ -27,6 +27,7 @@ it when needed.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -137,27 +138,15 @@ def keygen(params: SecurityParams, rng: random.Random) -> KeyPair:
     raise RuntimeError("key generation failed to hit the target public key width")
 
 
-def encrypt_bit(
-    pk: int,
-    m: int,
-    params: SecurityParams,
-    rng: random.Random,
-    *,
-    _forced_r: int | None = None,
-    _forced_q: int | None = None,
-) -> Ciphertext:
-    """Encrypt one bit as m + 2r + pk * Q.
-
-    ``_forced_r`` and ``_forced_q`` pin the random draws; they exist for
-    tests that need exact ciphertext values and must not be used otherwise.
-    """
+def encrypt_bit(pk: int, m: int, params: SecurityParams, rng: random.Random) -> Ciphertext:
+    """Encrypt one bit as m + 2r + pk * Q, drawing r and then Q from ``rng``."""
     if m not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {m!r}")
-    r = _forced_r if _forced_r is not None else bignum.random_bits(params.r_bits, rng)
-    q = _forced_q if _forced_q is not None else bignum.random_bits(params.q_bits, rng)
+    r = bignum.random_bits(params.r_bits, rng)
+    q = bignum.random_bits(params.q_bits, rng)
     value = m + 2 * r + bignum.mul(pk, q)
     ct = Ciphertext(value=value, noise_bits=fresh_noise_bits(params))
-    _notify_audit(ct)
+    _emit("encrypt", ct)
     return ct
 
 
@@ -169,7 +158,7 @@ def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
     """Homomorphic XOR of the underlying bits."""
     value = bignum.mod(c1.value + c2.value, pk)
     ct = Ciphertext(value=value, noise_bits=add_noise_bits(c1.noise_bits, c2.noise_bits))
-    _notify_audit(ct)
+    _emit("add", ct)
     return ct
 
 
@@ -185,7 +174,7 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
     """
     value = bignum.mod(bignum.mul(bignum.mod(c1.value, pk), bignum.mod(c2.value, pk)), pk)
     ct = Ciphertext(value=value, noise_bits=mul_noise_bits(c1.noise_bits, c2.noise_bits))
-    _notify_audit(ct)
+    _emit("mul", ct)
     return ct
 
 
@@ -208,25 +197,31 @@ def decrypt_value(sk: int, cts: Sequence[Ciphertext]) -> int:
     return v
 
 
-# Audit hook: when installed, every ciphertext produced by encrypt_bit,
-# he_add, and he_mul is reported.  Used by tests to check tracked noise
-# bounds against true residues without touching the hot path's structure.
+# Event sink: every ciphertext that encrypt_bit, he_add and he_mul produce is
+# reported as ``sink(op, ct)``, with ``op`` one of "encrypt", "add" and "mul",
+# to the sink that :func:`observe` installed in the current context.  The
+# sink lives in a ``ContextVar``, so each thread or task sees only its own
+# operations, and two concurrent runs never mix their evidence.
 
-_audit_hook: Callable[[Ciphertext], None] | None = None
+Sink = Callable[[str, Ciphertext], None]
+
+_sink: contextvars.ContextVar[Sink | None] = contextvars.ContextVar("she_sink", default=None)
 
 
-def _notify_audit(ct: Ciphertext) -> None:
-    if _audit_hook is not None:
-        _audit_hook(ct)
+def _emit(op: str, ct: Ciphertext) -> None:
+    sink = _sink.get()
+    if sink is not None:
+        sink(op, ct)
 
 
 @contextlib.contextmanager
-def audit_ciphertexts(hook: Callable[[Ciphertext], None]) -> Iterator[None]:
-    """Install ``hook`` for every ciphertext produced inside the block."""
-    global _audit_hook
-    previous = _audit_hook
-    _audit_hook = hook
+def observe(sink: Sink) -> Iterator[None]:
+    """Report every ciphertext produced inside the block, in this context, to ``sink``.
+
+    An inner ``observe`` replaces the outer sink until its block ends.
+    """
+    token = _sink.set(sink)
     try:
         yield
     finally:
-        _audit_hook = previous
+        _sink.reset(token)

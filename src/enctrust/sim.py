@@ -10,7 +10,6 @@ certified correct by construction as long as the tracked bounds hold.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import random
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import bignum, she
-from .circuits import EvalStats, build_ripple_adder, star_noise_bits, symbolic_output_noise
+from .circuits import build_ripple_adder, star_noise_bits, symbolic_output_noise
 from .protocol import (
     Drop,
     ForwardUnchanged,
@@ -222,8 +221,6 @@ class _Walk:
     path: tuple[NodeId, ...]
     arcs: tuple[tuple[NodeId, NodeId], ...]
     updates: int
-    dropped_at: NodeId | None = None
-    reason: str | None = None
 
 
 def _argmax_neighbor(t: Topology, node: NodeId, exclude: set[NodeId]) -> NodeId | None:
@@ -243,7 +240,7 @@ def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
     # forward-unchanged shortcut when the destination is a neighbor.
     first = _argmax_neighbor(t, source, {source})
     if first is None:
-        return _Walk(DROPPED, (source,), (), 0, dropped_at=source, reason="no trusted next hop")
+        return _Walk(DROPPED, (source,), (), 0)
     path = [source]
     arcs = [(source, first)]
     updates = 0
@@ -256,14 +253,7 @@ def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
             return _Walk(DELIVERED, tuple(path) + (destination,), tuple(arcs), updates)
         nxt = _argmax_neighbor(t, current, set(path) | {current})
         if nxt is None:
-            return _Walk(
-                DROPPED,
-                tuple(path),
-                tuple(arcs),
-                updates,
-                dropped_at=current,
-                reason="no trusted next hop",
-            )
+            return _Walk(DROPPED, tuple(path), tuple(arcs), updates)
         arcs.append((current, nxt))
         path.append(current)
         updates += 1
@@ -328,6 +318,40 @@ class RunConfig:
     width: int = 4
     seed: int = 0
     star_mode: bool = False
+
+
+@dataclass
+class EvalStats:
+    """Homomorphic operations counted from ``she.observe`` events, plus the largest noise bound."""
+
+    n_he_add: int = 0
+    n_he_mul: int = 0
+    max_noise_bits: int = 0
+
+    def record(self, op: str, ct: she.Ciphertext) -> None:
+        """Count one event; an encryption is not an operation."""
+        if op == "add":
+            self.n_he_add += 1
+        elif op == "mul":
+            self.n_he_mul += 1
+        else:
+            return
+        if ct.noise_bits > self.max_noise_bits:
+            self.max_noise_bits = ct.noise_bits
+
+    def merge(self, other: "EvalStats") -> "EvalStats":
+        return EvalStats(
+            n_he_add=self.n_he_add + other.n_he_add,
+            n_he_mul=self.n_he_mul + other.n_he_mul,
+            max_noise_bits=max(self.max_noise_bits, other.max_noise_bits),
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "adds": self.n_he_add,
+            "muls": self.n_he_mul,
+            "max_noise_bits": self.max_noise_bits,
+        }
 
 
 @dataclass
@@ -401,9 +425,15 @@ def run_discovery(
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
-    with contextlib.ExitStack() as stack:
+    hop = EvalStats()
+
+    def sink(op: str, ct: she.Ciphertext) -> None:
+        # ``hop`` is rebound before each process_rr call: one tally per hop.
+        hop.record(op, ct)
         if audit is not None:
-            stack.enter_context(she.audit_ciphertexts(audit.ciphertexts.append))
+            audit.ciphertexts.append(ct)
+
+    with she.observe(sink):
         t0 = time.perf_counter()
         keys = she.keygen(params, rng)
         t1 = time.perf_counter()
@@ -415,6 +445,7 @@ def run_discovery(
         drop: Drop | None = None
         current = rr.next_hop
         for _ in range(2 * len(nodes) + 2):
+            hop = EvalStats()
             decision = process_rr(nodes[current], rr, rng, cfg.star_mode)
             if isinstance(decision, Reply):
                 rp = decision.reply
@@ -426,7 +457,7 @@ def run_discovery(
                 current = decision.next_hop
                 continue
             assert isinstance(decision, ForwardUpdated)
-            per_node.append((current, decision.node_stats))
+            per_node.append((current, hop))
             rr = decision.rr
             current = rr.next_hop
         else:

@@ -25,7 +25,6 @@ from enctrust.circuits import (
 )
 from enctrust.she import (
     SecurityParams,
-    audit_ciphertexts,
     decrypt_bit,
     decrypt_value,
     encrypt_bit,
@@ -34,6 +33,7 @@ from enctrust.she import (
 )
 from enctrust.sim import (
     DELIVERED,
+    EvalStats,
     NoiseAudit,
     RunConfig,
     benchmark,
@@ -48,6 +48,23 @@ from enctrust.sim import (
 _noise_evidence: list[tuple[int, list[she.Ciphertext]]] = []
 _decrypt_calls = {"count": 0}
 _c4_decrypt_budget = {"expected": None}
+
+
+def collect(produced: list[she.Ciphertext]):
+    """Observe every ciphertext produced inside the block into ``produced``."""
+    return she.observe(lambda op, ct: produced.append(ct))
+
+
+def collect_counted(produced: list[she.Ciphertext], fn, *args):
+    """``fn(*args)`` observed into ``produced``: its result and an EvalStats of its ops."""
+    stats = EvalStats()
+
+    def sink(op: str, ct: she.Ciphertext) -> None:
+        produced.append(ct)
+        stats.record(op, ct)
+
+    with she.observe(sink):
+        return fn(*args), stats
 
 
 @contextlib.contextmanager
@@ -86,7 +103,7 @@ def test_c02_homomorphic_truth_tables():
         rng = random.Random(2024)
         keys = keygen(params, rng)
         produced: list[she.Ciphertext] = []
-        with audit_ciphertexts(produced.append):
+        with collect(produced):
             for b1 in (0, 1):
                 for b2 in (0, 1):
                     for _ in range(200):
@@ -128,13 +145,13 @@ def test_c03_adder_equivalence_exhaustive():
         params = SecurityParams.from_lambda(lam, eta=eta_plain)
         rng = random.Random(3001)
         keys = keygen(params, rng)
-        with audit_ciphertexts(produced.append):
+        with collect(produced):
             for a in range(16):
                 for b in range(16):
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs, stats = eval_plain(adder, ins, keys.pk, params)
+                    outs, stats = collect_counted(produced, eval_plain, adder, ins, keys.pk, params)
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
                     assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
                     assert all(she.noise_ok(ct, params) for ct in outs)
@@ -144,14 +161,14 @@ def test_c03_adder_equivalence_exhaustive():
         params = SecurityParams.from_lambda(lam, eta=eta_star)
         rng = random.Random(3002)
         keys = keygen(params, rng)
-        with audit_ciphertexts(produced.append):
+        with collect(produced):
             star_adder = compile_to_star(adder, keys.pk, params, rng)
             for a in range(16):
                 for b in range(16):
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs, _ = eval_star(star_adder, ins, keys.pk, params)
+                    outs = eval_star(star_adder, ins, keys.pk, params)
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
                     assert all(she.noise_ok(ct, params) for ct in outs)
         _noise_evidence.append((keys.sk, produced))

@@ -1,3 +1,4 @@
+import collections
 import operator
 import random
 
@@ -8,7 +9,6 @@ from enctrust.circuits import (
     AND,
     XOR,
     Circuit,
-    EvalStats,
     Gate,
     adapt,
     bind_and_continue,
@@ -34,6 +34,14 @@ def make(lam=3, eta=300, seed=0):
     rng = random.Random(seed)
     keys = keygen(params, rng)
     return params, keys, rng
+
+
+def observed(fn, *args):
+    """``fn(*args)`` inside ``she.observe``: its result and the count of each op it emitted."""
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        result = fn(*args)
+    return result, ops
 
 
 def random_circuit(rng, num_inputs, max_gates):
@@ -131,15 +139,11 @@ def test_star_eval_truth_table_and_cost():
                 ca = encrypt_bit(keys.pk, a, params, rng)
                 cb = encrypt_bit(keys.pk, b, params, rng)
                 cf = encrypt_bit(keys.pk, f, params, rng)
-                stats = EvalStats()
-                produced = []
-                with she.audit_ciphertexts(produced.append):
-                    out = star_eval(ca, cb, cf, keys.pk, params, stats)
+                out, ops = observed(star_eval, ca, cb, cf, keys.pk, params)
                 expected = (a & b) if f else (a ^ b)
                 assert universal(operator.xor, operator.and_, a, b, f) == expected
                 assert decrypt_bit(keys.sk, out) == expected
-                assert (stats.n_he_mul, stats.n_he_add) == (2, 3)
-                assert len(produced) == 5
+                assert ops == {"mul": 2, "add": 3}
 
 
 def test_star_noise_bits_matches_real_star_eval():
@@ -158,9 +162,9 @@ def test_plain_eval_counts_and_semantics_width4():
     c = build_ripple_adder(4)
     for a, b in [(0, 0), (9, 4), (15, 15), (7, 8), (13, 6)]:
         ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(keys.pk, b, 4, params, rng)
-        outs, stats = eval_plain(c, ins, keys.pk, params)
+        outs, ops = observed(eval_plain, c, ins, keys.pk, params)
         assert decrypt_value(keys.sk, outs) == (a + b) % 16
-        assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
+        assert ops == {"add": 9, "mul": 5}
 
 
 def test_eval_arity_errors():
@@ -185,12 +189,11 @@ def test_star_compilation_equivalence_on_adders():
             ins = encrypt_value(keys.pk, a, width, params, rng) + encrypt_value(
                 keys.pk, b, width, params, rng
             )
-            plain_out, _ = eval_plain(c, ins, keys.pk, params)
-            star_out, stats = eval_star(sc, ins, keys.pk, params)
+            plain_out = eval_plain(c, ins, keys.pk, params)
+            star_out, ops = observed(eval_star, sc, ins, keys.pk, params)
             assert decrypt_value(keys.sk, plain_out) == (a + b) % (1 << width)
             assert decrypt_value(keys.sk, star_out) == (a + b) % (1 << width)
-            assert stats.n_he_mul == 2 * len(c.gates)
-            assert stats.n_he_add == 3 * len(c.gates)
+            assert ops == {"mul": 2 * len(c.gates), "add": 3 * len(c.gates)}
 
 
 def test_star_compilation_equivalence_on_random_dags():
@@ -204,9 +207,9 @@ def test_star_compilation_equivalence_on_random_dags():
         bits = [crng.randint(0, 1) for _ in range(num_inputs)]
         expected = eval_bits(c, bits)
         ins = tuple(encrypt_bit(keys.pk, m, params, crng) for m in bits)
-        plain_out, _ = eval_plain(c, ins, keys.pk, params)
+        plain_out = eval_plain(c, ins, keys.pk, params)
         sc = compile_to_star(c, keys.pk, params, crng)
-        star_out, _ = eval_star(sc, ins, keys.pk, params)
+        star_out = eval_star(sc, ins, keys.pk, params)
         assert tuple(decrypt_bit(keys.sk, ct) for ct in plain_out) == expected
         assert tuple(decrypt_bit(keys.sk, ct) for ct in star_out) == expected
 
@@ -219,36 +222,29 @@ def test_symbolic_noise_matches_actual_eval():
     circuit_list += [random_circuit(shapes, shapes.randint(2, 6), 30) for _ in range(8)]
     for c in circuit_list:
         ins = tuple(encrypt_bit(keys.pk, rng.randint(0, 1), params, rng) for _ in range(c.num_inputs))
-        plain_out, _ = eval_plain(c, ins, keys.pk, params)
+        plain_out = eval_plain(c, ins, keys.pk, params)
         assert tuple(ct.noise_bits for ct in plain_out) == symbolic_output_noise(
             c, [fresh] * c.num_inputs, fresh
         )
         sc = compile_to_star(c, keys.pk, params, rng)
-        star_out, _ = eval_star(sc, ins, keys.pk, params)
+        star_out = eval_star(sc, ins, keys.pk, params)
         assert tuple(ct.noise_bits for ct in star_out) == symbolic_output_noise(
             c, [fresh] * c.num_inputs, fresh, star_mode=True
         )
 
 
 def test_noise_monotone_along_gate_order():
+    # Every adder gate lies on a path to an output and no gate's bound is
+    # below its operands', so the largest bound among all the ciphertexts the
+    # walk produces is an output's.
     params, keys, rng = make(seed=4)
     c = build_ripple_adder(4)
     ins = encrypt_value(keys.pk, 11, 4, params, rng) + encrypt_value(keys.pk, 7, 4, params, rng)
     seen = []
-    running = 0
-    with she.audit_ciphertexts(seen.append):
-        _, stats = eval_plain(c, ins, keys.pk, params)
-    for ct in seen:
-        running = max(running, ct.noise_bits)
-    assert stats.max_noise_bits == running
-
-
-def test_stats_merge_and_json_roundtrip():
-    a = EvalStats(n_he_add=3, n_he_mul=2, max_noise_bits=10)
-    b = EvalStats(n_he_add=1, n_he_mul=4, max_noise_bits=7)
-    m = a.merge(b)
-    assert (m.n_he_add, m.n_he_mul, m.max_noise_bits) == (4, 6, 10)
-    assert m.to_json() == {"adds": 4, "muls": 6, "max_noise_bits": 10}
+    with she.observe(lambda op, ct: seen.append(ct)):
+        outs = eval_plain(c, ins, keys.pk, params)
+    assert len(seen) == len(c.gates)
+    assert max(ct.noise_bits for ct in seen) == max(ct.noise_bits for ct in outs)
 
 
 def test_adapt_identity_recovery():
@@ -285,10 +281,10 @@ def test_bind_and_continue_single_hop():
     zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 4, 4, params, rng)
     sc = compile_to_star(c, keys.pk, params, rng)
-    outs, stats = bind_and_continue(zeros, acc, local, sc, keys.pk, params)
+    outs, ops = observed(bind_and_continue, zeros, acc, local, sc, keys.pk, params)
     assert decrypt_value(keys.sk, outs) == 13
     # 4 recovery gates + 14 circuit gates, each 2 muls and 3 adds
-    assert (stats.n_he_mul, stats.n_he_add) == (36, 54)
+    assert ops == {"mul": 36, "add": 54}
 
 
 def test_bind_and_continue_two_hop_chain():
@@ -302,17 +298,17 @@ def test_bind_and_continue_two_hop_chain():
     params, keys, rng = make(lam=lam, eta=eta, seed=8)
     acc = encrypt_value(keys.pk, 9, width, params, rng)
     zeros = adapt(width, keys.pk, params, rng)
-    total = EvalStats()
+    total = collections.Counter()
     for local_value in (4, 2):
         local = encrypt_value(keys.pk, local_value, width, params, rng)
         sc = compile_to_star(c, keys.pk, params, rng)
-        acc, stats = bind_and_continue(zeros, acc, local, sc, keys.pk, params)
+        acc, ops = observed(bind_and_continue, zeros, acc, local, sc, keys.pk, params)
         zeros = adapt(width, keys.pk, params, rng)
-        total = total.merge(stats)
+        total += ops
     final = acc
     assert decrypt_value(keys.sk, final) == (9 + 4 + 2) % 16
     assert all(she.noise_ok(ct, params) for ct in final)
-    assert (total.n_he_mul, total.n_he_add) == (72, 108)
+    assert total == {"mul": 72, "add": 108}
 
 
 def test_star_circuit_json_roundtrip_hides_gate_kinds():

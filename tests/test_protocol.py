@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import re
@@ -160,23 +161,29 @@ def test_shortcut_forwards_unchanged():
 def test_update_accumulates_and_appends_path():
     params, rng, nodes = chain_fixture([7, 5, 4, 6])
     keys, rr = source_initiate(nodes[0], 4, params, rng)
-    decision = process_rr(nodes[1], rr, rng)
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        decision = process_rr(nodes[1], rr, rng)
     assert isinstance(decision, ForwardUpdated)
     rr2 = decision.rr
     assert rr2.path == (0, 1)
     assert rr2.next_hop == 2
     assert decrypt_value(keys.sk, rr2.acc_trust) == 7 + 5
-    assert (decision.node_stats.n_he_add, decision.node_stats.n_he_mul) == (9, 5)
+    # the adder's 9 XOR and 5 AND; 4 local bits and 4 zero pairs encrypted
+    assert ops == {"add": 9, "mul": 5, "encrypt": 12}
 
 
 def test_update_star_mode_matches_plain():
     params, rng, nodes = chain_fixture([7, 5, 4, 6], eta=300)
     keys, rr = source_initiate(nodes[0], 4, params, rng)
-    decision = process_rr(nodes[1], rr, rng, star_mode=True)
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        decision = process_rr(nodes[1], rr, rng, star_mode=True)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 12
-    # 4 recovery gates + 14 adder gates, each universal gate is 2 muls 3 adds
-    assert (decision.node_stats.n_he_mul, decision.node_stats.n_he_add) == (36, 54)
+    # 4 recovery gates + 14 adder gates, each universal gate is 2 muls 3 adds;
+    # 4 local bits, 14 flags and 4 zero pairs encrypted
+    assert ops == {"mul": 36, "add": 54, "encrypt": 26}
 
 
 def test_no_candidates_drops():

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from enctrust import bignum
 from enctrust.she import (
     Ciphertext,
     SecurityParams,
-    audit_ciphertexts,
     decrypt_bit,
     decrypt_value,
     encrypt_bit,
@@ -17,6 +17,7 @@ from enctrust.she import (
     he_mul,
     keygen,
     noise_ok,
+    observe,
 )
 
 
@@ -70,11 +71,15 @@ def test_keygen_narrow_q0_terminates():
 
 
 def test_encrypt_bit_exact_form_with_forced_randomness():
+    # Replay the rng from a saved state: encrypt_bit draws r, then Q.
     params, keys, rng = make(lam=3, seed=2)
-    ct = encrypt_bit(keys.pk, 1, params, rng, _forced_r=5, _forced_q=9)
-    assert ct.value == 1 + 2 * 5 + keys.pk * 9
-    ct0 = encrypt_bit(keys.pk, 0, params, rng, _forced_r=5, _forced_q=9)
-    assert ct0.value == 0 + 2 * 5 + keys.pk * 9
+    for m in (0, 1):
+        state = rng.getstate()
+        ct = encrypt_bit(keys.pk, m, params, rng)
+        rng.setstate(state)
+        r = bignum.random_bits(params.r_bits, rng)
+        q = bignum.random_bits(params.q_bits, rng)
+        assert ct.value == m + 2 * r + keys.pk * q
 
 
 def test_encrypt_rejects_non_bits():
@@ -207,7 +212,7 @@ def test_he_mul_is_the_product_mod_pk(lam):
 def test_true_noise_never_exceeds_tracked_bound():
     params, keys, rng = make(lam=3, eta=80, seed=5)
     produced = []
-    with audit_ciphertexts(produced.append):
+    with observe(lambda op, ct: produced.append(ct)):
         pool = [encrypt_bit(keys.pk, rng.randint(0, 1), params, rng) for _ in range(8)]
         for _ in range(60):
             a, b = rng.sample(range(len(pool)), 2)
@@ -221,18 +226,63 @@ def test_true_noise_never_exceeds_tracked_bound():
         assert residue.bit_length() <= ct.noise_bits
 
 
-def test_audit_hook_restores_previous():
+def test_observe_nests_and_restores_previous():
     inner, outer = [], []
-    with audit_ciphertexts(outer.append):
+    with observe(lambda op, ct: outer.append(op)):
         params, keys, rng = make(lam=2)
-        encrypt_bit(keys.pk, 1, params, rng)
-        with audit_ciphertexts(inner.append):
-            encrypt_bit(keys.pk, 0, params, rng)
-        encrypt_bit(keys.pk, 1, params, rng)
-    assert len(inner) == 1
-    assert len(outer) == 2
+        a = encrypt_bit(keys.pk, 1, params, rng)
+        with observe(lambda op, ct: inner.append(op)):
+            b = encrypt_bit(keys.pk, 0, params, rng)
+            he_mul(a, b, keys.pk, params)
+        he_add(a, b, keys.pk, params)
+    assert inner == ["encrypt", "mul"]
+    assert outer == ["encrypt", "add"]
     encrypt_bit(keys.pk, 1, params, rng)
-    assert len(outer) == 2  # hook uninstalled
+    assert outer == ["encrypt", "add"]  # sink uninstalled
+
+
+def test_sink_sees_only_its_own_context():
+    # Thread A holds a sink open while thread B, which installed none,
+    # encrypts and multiplies; none of B's ciphertexts reach A's sink.
+    params, keys, _ = make(lam=3, seed=3)
+    seen_by_a = []
+    made_by_b = []
+    a_inside, b_done = threading.Event(), threading.Event()
+    errors = []
+
+    def thread_a():
+        try:
+            rng = random.Random(1)
+            with observe(lambda op, ct: seen_by_a.append((op, ct))):
+                encrypt_bit(keys.pk, 1, params, rng)
+                a_inside.set()
+                assert b_done.wait(timeout=30)
+                encrypt_bit(keys.pk, 0, params, rng)
+        except BaseException as exc:
+            errors.append(exc)
+            a_inside.set()
+
+    def thread_b():
+        try:
+            assert a_inside.wait(timeout=30)
+            rng = random.Random(2)
+            c1 = encrypt_bit(keys.pk, 1, params, rng)
+            c2 = encrypt_bit(keys.pk, 1, params, rng)
+            made_by_b.extend([c1, c2, he_mul(c1, c2, keys.pk, params)])
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            b_done.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert len(made_by_b) == 3
+    assert [op for op, _ in seen_by_a] == ["encrypt", "encrypt"]
+    assert not {id(ct) for _, ct in seen_by_a} & {id(ct) for ct in made_by_b}
 
 
 def test_encrypt_value_roundtrip_and_bounds():

@@ -1,19 +1,22 @@
+import collections
 import dataclasses
 import functools
+import hashlib
 import json
 import random
 import time
 
 import pytest
 
-from enctrust import bignum, sim
-from enctrust.circuits import EvalStats, build_ripple_adder
+from enctrust import bignum, she, sim
+from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import ForwardUpdated, process_rr, rr_from_json, rr_to_json, source_initiate
 from enctrust.she import SecurityParams
 from enctrust.sim import (
     DELIVERED,
     DROPPED,
     TOO_DEEP,
+    EvalStats,
     NoiseAudit,
     NoiseBudgetError,
     RunConfig,
@@ -398,14 +401,52 @@ def test_forged_stats_in_a_request_change_nothing(star_mode):
     clean = rr_to_json(rr)
     forged = {**clean, "stats": {"adds": -7, "muls": -1, "max_noise_bits": -3}}
     assert rr_from_json(forged) == rr_from_json(clean)
-    decisions = [
-        process_rr(nodes[1], rr_from_json(obj), random.Random(5), star_mode)
-        for obj in (clean, forged)
-    ]
+    decisions, counts = [], []
+    for obj in (clean, forged):
+        ops = collections.Counter()
+        with she.observe(lambda op, ct: ops.update((op,))):
+            decisions.append(process_rr(nodes[1], rr_from_json(obj), random.Random(5), star_mode))
+        counts.append(ops)
     assert isinstance(decisions[0], ForwardUpdated)
-    assert decisions[0] == decisions[1]  # the forwarded request and the hop's node_stats
+    assert decisions[0] == decisions[1]  # the forwarded request
     adds, muls = (54, 36) if star_mode else (9, 5)
-    assert (decisions[0].node_stats.n_he_add, decisions[0].node_stats.n_he_mul) == (adds, muls)
+    assert counts[0] == counts[1]
+    assert (counts[0]["add"], counts[0]["mul"]) == (adds, muls)
+
+
+def test_stats_record_merge_and_json():
+    a = EvalStats(n_he_add=3, n_he_mul=2, max_noise_bits=10)
+    b = EvalStats(n_he_add=1, n_he_mul=4, max_noise_bits=7)
+    m = a.merge(b)
+    assert (m.n_he_add, m.n_he_mul, m.max_noise_bits) == (4, 6, 10)
+    assert m.to_json() == {"adds": 4, "muls": 6, "max_noise_bits": 10}
+    # An encryption is counted neither as an operation nor in the noise maximum.
+    fresh = she.Ciphertext(value=1, noise_bits=40)
+    b.record("encrypt", fresh)
+    b.record("add", she.Ciphertext(value=1, noise_bits=12))
+    b.record("mul", she.Ciphertext(value=1, noise_bits=5))
+    assert (b.n_he_add, b.n_he_mul, b.max_noise_bits) == (2, 5, 12)
+
+
+# ``RunReport.to_json()`` without ``wall`` for a 7-update chain, hashed with
+# sorted keys and compact separators.  Computed at the commit where each hop
+# returned its own EvalStats from the evaluators, so they show that the
+# per-hop tally the simulator now takes from ``she.observe`` is the same.
+REPORT_DIGESTS = {
+    False: "17f7fc81ffbedc972058bffe14d8b0296125047063344ba5cd222647888fe1ed",
+    True: "42b2a8a38eda00a33ec241c55860a7e502f5806c1aa0de174afea94aa2c6cf01",
+}
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_report_digest_pinned(star_mode):
+    cfg = RunConfig(lam=3, seed=7, star_mode=star_mode)
+    report = run_discovery(chain_topology(10, seed=7), 0, 9, cfg)
+    assert len(report.per_node_stats) == 7
+    obj = report.to_json()
+    del obj["wall"]
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[star_mode]
 
 
 def test_source_does_not_shortcut_to_a_neighboring_destination():

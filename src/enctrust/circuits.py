@@ -4,13 +4,17 @@ Circuits are DAGs of two-input XOR/AND gates over input wires and earlier gate
 outputs; there are no constant wires.  One walker, :func:`_walk`, evaluates
 every circuit, and :func:`universal` is the one flag-configured universal gate,
 ``(a xor b) xor flag*((a and b) xor (a xor b))``, where the flag selects AND (1)
-or XOR (0).  Both run in any domain given as a pair of XOR/AND operations:
-plaintext bits (the reference semantics), noise-bit bounds (the planner's
-``she.add_noise_bits``/``she.mul_noise_bits``), or ciphertexts under one key,
-where each ``she.he_add``/``she.he_mul`` reports to the sink of ``she.observe``.
-So the planner that sizes a key runs the very gate code the hops run.  A
+or XOR (0).  Every evaluator takes its domain as a pair of XOR/AND operations:
+plaintext bits (the reference semantics), noise-bit bounds (:data:`BOUND_OPS`,
+the planner's), or ciphertexts under one key (:func:`he_ops`), where each
+``she.he_add``/``she.he_mul`` reports to the sink of ``she.observe``.  A
 circuit compiled to universal gates carries encrypted flags: it reveals the
 topology but not which gates are which.
+
+:func:`update` is a hop's whole accumulator update, written once: the plain
+adder, or in star mode the compile, the identity gates and the compiled adder.
+A hop runs it on ciphertexts and the planner that sizes a key runs it on noise
+bounds, so the planner's bound is the hops' tracked bound by construction.
 
 Multi-hop chaining runs through an adapter: per accumulator bit it draws two
 fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
@@ -111,11 +115,12 @@ class Circuit:
 
 @dataclass(frozen=True, slots=True)
 class StarGate:
-    """A universal gate instance: operands plus an encrypted behavior flag."""
+    """A universal gate instance: operands plus its behavior flag, an encrypted
+    bit on a hop and a noise bound in the planner."""
 
     a: WireRef
     b: WireRef
-    flag: Ciphertext
+    flag: Ciphertext | int
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +166,7 @@ def universal(xor: Callable, and_: Callable, a, b, flag):
     return xor(either, and_(flag, xor(both, either)))
 
 
-def _ciphertext_ops(pk: int, params: SecurityParams) -> tuple[Callable, Callable]:
+def he_ops(pk: int, params: SecurityParams) -> tuple[Callable, Callable]:
     """XOR and AND on ciphertexts under ``pk``."""
 
     # ``she.he_add``/``she.he_mul`` are looked up at every call, so a wrapper
@@ -175,42 +180,14 @@ def _ciphertext_ops(pk: int, params: SecurityParams) -> tuple[Callable, Callable
     return xor, and_
 
 
-def star_eval(
-    a: Ciphertext, b: Ciphertext, flag: Ciphertext, pk: int, params: SecurityParams
-) -> Ciphertext:
-    """One universal gate on ciphertexts: 2 homomorphic multiplications and 3 additions."""
-    return universal(*_ciphertext_ops(pk, params), a, b, flag)
+# XOR and AND on noise-bit bounds: the domain the planner sizes a key in.
+BOUND_OPS = (she.add_noise_bits, she.mul_noise_bits)
 
 
-def star_noise_bits(na: int, nb: int, nf: int) -> int:
-    """Noise bound of star_eval's output: the same gate on noise bounds."""
-    return universal(she.add_noise_bits, she.mul_noise_bits, na, nb, nf)
-
-
-def symbolic_output_noise(
-    circuit: Circuit, input_noise: Sequence[int], fresh: int, star_mode: bool = False
-) -> tuple[int, ...]:
-    """Propagate noise bounds through the circuit without touching ciphertexts.
-
-    ``fresh`` is the noise bound assumed, in star mode, for the encrypted gate
-    flags.  Gate outputs dominate the noise of everything feeding them, so the
-    returned per-output bounds cover every intermediate wire that influences
-    an output.
-    """
-    add, mul = she.add_noise_bits, she.mul_noise_bits
-    if star_mode:
-        return _walk(circuit, input_noise, lambda g, a, b: universal(add, mul, a, b, fresh))
-    return _walk(circuit, input_noise, _by_kind(add, mul))
-
-
-def compile_to_star(
-    circuit: Circuit, pk: int, params: SecurityParams, rng: random.Random
-) -> StarCircuit:
-    """Replace every gate with a universal gate whose encrypted flag selects its kind."""
-    gates = tuple(
-        StarGate(a=g.a, b=g.b, flag=she.encrypt_bit(pk, 1 if g.kind == AND else 0, params, rng))
-        for g in circuit.gates
-    )
+def compile_to_star(circuit: Circuit, encrypt: Callable) -> StarCircuit:
+    """Replace every gate with a universal gate whose flag, ``encrypt(1)`` for AND
+    and ``encrypt(0)`` for XOR, selects its kind."""
+    gates = tuple(StarGate(g.a, g.b, encrypt(1 if g.kind == AND else 0)) for g in circuit.gates)
     return StarCircuit(num_inputs=circuit.num_inputs, gates=gates, outputs=circuit.outputs)
 
 
@@ -221,18 +198,13 @@ def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     return _walk(circuit, bits, _by_kind(operator.xor, operator.and_))
 
 
-def eval_plain(
-    circuit: Circuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
-) -> tuple[Ciphertext, ...]:
-    """Evaluate with plain homomorphic gates (XOR as add, AND as mul)."""
-    return _walk(circuit, inputs, _by_kind(*_ciphertext_ops(pk, params)))
+def eval_plain(circuit: Circuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
+    """Evaluate with plain gates: each XOR gate as ``xor``, each AND gate as ``and_``."""
+    return _walk(circuit, inputs, _by_kind(xor, and_))
 
 
-def eval_star(
-    circuit: StarCircuit, inputs: Sequence[Ciphertext], pk: int, params: SecurityParams
-) -> tuple[Ciphertext, ...]:
+def eval_star(circuit: StarCircuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
     """Evaluate a compiled circuit; every gate fires as a universal gate."""
-    xor, and_ = _ciphertext_ops(pk, params)
     return _walk(circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, g.flag))
 
 
@@ -294,21 +266,41 @@ def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) ->
 
 
 def bind_and_continue(
-    zeros: ZeroPairs,
-    acc: Sequence[Ciphertext],
-    local_bits: Sequence[Ciphertext],
+    zeros: Sequence[tuple],
+    acc: Sequence,
+    local_bits: Sequence,
     star_circuit: StarCircuit,
-    pk: int,
-    params: SecurityParams,
-) -> tuple[Ciphertext, ...]:
+    xor: Callable,
+    and_: Callable,
+) -> tuple:
     """Fire each accumulator bit's identity gate with its own zero pair, bind, evaluate.
 
     ``ValueError`` if the accumulator and the pairs differ in length, or the
     circuit takes another number of inputs.
     """
-    xor, and_ = _ciphertext_ops(pk, params)
     recovered = [universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, zeros, strict=True)]
-    return eval_star(star_circuit, (*recovered, *local_bits), pk, params)
+    return eval_star(star_circuit, (*recovered, *local_bits), xor, and_)
+
+
+def update(
+    circuit: Circuit,
+    acc: Sequence,
+    local: Sequence,
+    zeros: Sequence[tuple],
+    star_mode: bool,
+    encrypt: Callable,
+    xor: Callable,
+    and_: Callable,
+) -> tuple:
+    """One hop's accumulator update: the adder's outputs on ``(*acc, *local)``.
+
+    Star mode compiles the adder with flags from ``encrypt`` and first passes
+    each accumulator bit through its identity gate with its zero pair; plain
+    mode reads neither.  Hops run it on ciphertexts, the planner on bounds.
+    """
+    if not star_mode:
+        return eval_plain(circuit, (*acc, *local), xor, and_)
+    return bind_and_continue(zeros, acc, local, compile_to_star(circuit, encrypt), xor, and_)
 
 
 # The serialized star circuit: wire indices and encrypted flags, no gate kinds.

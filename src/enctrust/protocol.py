@@ -16,7 +16,8 @@ Intermediate evaluation runs in one of two modes: plain homomorphic XOR/AND
 gates reading the accumulator ciphertexts directly, or the universal-gate
 pipeline in which the node fires an identity gate on each accumulator
 ciphertext with the two fresh ``Enc(0)``s the previous hop's adapter sent,
-then evaluates its adder compiled to flag-configured universal gates.  The
+then evaluates its adder compiled to flag-configured universal gates.  Both
+run through ``circuits.update``, which the planner runs on noise bounds.  The
 hop compiles its own, public adder and encrypts the flags itself, so star
 mode reproduces the paper's pipeline but hides no gate kind from the hop
 that evaluates it.  Each accumulator ciphertext travels once, in
@@ -39,20 +40,13 @@ operations through ``she.observe``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import bignum, she
-from .circuits import (
-    Circuit,
-    ZeroPairs,
-    adapt,
-    bind_and_continue,
-    build_ripple_adder,
-    compile_to_star,
-    eval_plain,
-)
+from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
 from .she import Ciphertext, KeyPair, SecurityParams
 
 NodeId = int
@@ -242,11 +236,10 @@ def process_rr(
     pk = rr.pk
     try:
         local = she.encrypt_value(pk, node.trust_db[next_hop], node.width, params, rng)
-        if star_mode:
-            star_circuit = compile_to_star(node.circuit, pk, params, rng)
-            outputs = bind_and_continue(rr.zeros, rr.acc_trust, local, star_circuit, pk, params)
-        else:
-            outputs = eval_plain(node.circuit, (*rr.acc_trust, *local), pk, params)
+        encrypt = functools.partial(she.encrypt_bit, pk, params=params, rng=rng)
+        outputs = update(
+            node.circuit, rr.acc_trust, local, rr.zeros, star_mode, encrypt, *he_ops(pk, params)
+        )
         zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")

@@ -37,38 +37,35 @@ from . import bignum
 
 @dataclass(frozen=True, slots=True)
 class SecurityParams:
-    """Size schedule for one instance of the scheme."""
+    """Size schedule for one instance of the scheme, fixed by the two values the
+    wire carries: pk ``lam**3`` bits (``eta + lam`` if that is wider), r ``lam``
+    bits, Q ``lam**2`` bits."""
 
     lam: int
     eta: int
-    pk_bits: int
-    r_bits: int
-    q_bits: int
 
     def __post_init__(self) -> None:
         if self.lam < 2:
             raise ValueError(f"lam must be at least 2, got {self.lam}")
         if self.eta < self.lam + 2:
             raise ValueError(f"eta must be at least lam + 2, got eta={self.eta} lam={self.lam}")
-        if self.pk_bits - self.eta < 2:
-            raise ValueError(
-                f"pk_bits must exceed eta by at least 2 bits, got pk_bits={self.pk_bits} eta={self.eta}"
-            )
-        if self.r_bits < 1 or self.q_bits < 1:
-            raise ValueError("r_bits and q_bits must be positive")
 
     @classmethod
     def from_lambda(cls, lam: int, eta: int | None = None) -> "SecurityParams":
-        """Standard schedule: pk lam**3 bits, r lam bits, Q lam**2 bits.
+        """The schedule at ``lam``, with ``eta`` defaulting to ``lam**2``."""
+        return cls(lam=lam, eta=lam * lam if eta is None else eta)
 
-        When ``eta`` is raised beyond the default ``lam**2`` the public key
-        widens to ``eta + lam`` bits if the cubic schedule no longer leaves
-        room above the secret key.
-        """
-        if eta is None:
-            eta = lam * lam
-        pk_bits = max(lam**3, eta + max(lam, 2))
-        return cls(lam=lam, eta=eta, pk_bits=pk_bits, r_bits=lam, q_bits=lam * lam)
+    @property
+    def pk_bits(self) -> int:
+        return max(self.lam**3, self.eta + self.lam)
+
+    @property
+    def r_bits(self) -> int:
+        return self.lam
+
+    @property
+    def q_bits(self) -> int:
+        return self.lam * self.lam
 
     @property
     def fresh_ct_bits(self) -> int:

@@ -3,9 +3,9 @@
 The simulator drives the encrypted protocol over generated network topologies
 and checks it against :func:`plaintext_oracle`, an independent plaintext
 implementation of the same greedy walk.  :func:`required_eta` sizes the
-secret key for a target hop count by propagating the noise-tracking rules
-symbolically through the hop pipeline, so automatically sized runs are
-certified correct by construction as long as the tracked bounds hold.
+secret key for a target hop count by running the hop's own accumulator
+update, :func:`circuits.update`, on noise bounds, so automatically sized runs
+are certified correct by construction as long as the tracked bounds hold.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import bignum, she
-from .circuits import build_ripple_adder, star_noise_bits, symbolic_output_noise
+from .circuits import BOUND_OPS, build_ripple_adder, update
 from .protocol import (
     Drop,
     ForwardUnchanged,
@@ -37,9 +37,10 @@ from .she import KeyPair, SecurityParams
 DELIVERED = "DELIVERED"
 DROPPED = "DROPPED"
 
-# Planner result when the requested depth cannot be certified under the
-# noise-bit ceiling.
+# Planner result when the requested depth cannot be certified: some noise
+# bound would exceed NOISE_CEILING bits.
 TOO_DEEP = "TOO_DEEP"
+NOISE_CEILING = 1 << 24
 
 
 class NoiseBudgetError(ValueError):
@@ -163,7 +164,9 @@ def generate_topology(n: int, avg_degree: float, seed: int) -> Topology:
     Connected by construction, so it never retries: a seeded random spanning
     tree (each node of a shuffled order joins a uniformly drawn earlier one),
     then uniform extra edges up to ``round(n * avg_degree / 2)`` edges in all,
-    or the tree's ``n - 1`` if that is more.  Deterministic per seed.
+    or the tree's ``n - 1`` if that is more.  Extra edges are drawn by
+    rejection, or, when the target exceeds half of all pairs, as one sample of
+    the pairs the tree left free.  Deterministic per seed.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
@@ -177,6 +180,11 @@ def generate_topology(n: int, avg_degree: float, seed: int) -> Topology:
         a, b = order[i], order[rng.randrange(i)]
         edges.add((min(a, b), max(a, b)))
     target = max(n - 1, round(n * avg_degree / 2))
+    if 4 * target > n * (n - 1):
+        # Over half of all pairs: rejection would crawl through the last free
+        # pairs, so draw the extra edges from the tree's complement instead.
+        free = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+        edges.update(rng.sample(free, target - len(edges)))
     while len(edges) < target:
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
@@ -282,31 +290,27 @@ def _check_endpoints(t: Topology, source: NodeId, destination: NodeId) -> None:
         raise ValueError(f"source and destination coincide: {source}")
 
 
-def required_eta(
-    width: int, hops: int, lam: int, star_mode: bool = False, ceiling: int = 1 << 24
-) -> int | str:
+def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> int | str:
     """Secret-key bits needed to certify ``hops`` accumulator updates.
 
-    Propagates the noise-tracking rules symbolically through the hop
-    pipeline: in star mode each hop first recovers its accumulator inputs
-    through the adapter's identity universal gates, then evaluates the flag-compiled
-    adder; in plain mode the adder reads the accumulator directly.  Returns
-    :data:`TOO_DEEP` once any bound exceeds ``ceiling``.
+    Runs each hop's :func:`circuits.update` on noise bounds: every local bit,
+    zero and gate flag is fresh, and the accumulator starts fresh from the
+    source.  Every adder gate feeds an output and no gate's bound is below
+    its operands', so the outputs' largest bound covers every wire.  Returns
+    :data:`TOO_DEEP` once any bound exceeds :data:`NOISE_CEILING`.
     """
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
     if hops < 0:
         raise ValueError(f"hops cannot be negative, got {hops}")
-    if lam < 2:
-        raise ValueError(f"lam must be at least 2, got {lam}")
-    fresh = lam + 2
+    fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
     circuit = build_ripple_adder(width)
-    acc = [fresh] * width
+    local = (fresh,) * width
+    zeros = ((fresh, fresh),) * width
+    acc = local
     for _ in range(hops):
-        if star_mode:
-            acc = [star_noise_bits(n, fresh, fresh) for n in acc]
-        acc = list(symbolic_output_noise(circuit, acc + [fresh] * width, fresh, star_mode))
-        if max(acc) > ceiling:
+        acc = update(circuit, acc, local, zeros, star_mode, lambda bit: fresh, *BOUND_OPS)
+        if max(acc) > NOISE_CEILING:
             return TOO_DEEP
     return max(acc) + 2
 

@@ -14,14 +14,14 @@ import time
 from enctrust import she
 from enctrust.bignum import karatsuba_mul, random_bits
 from enctrust.circuits import (
+    BOUND_OPS,
     build_ripple_adder,
     compile_to_star,
     eval_plain,
     eval_star,
+    he_ops,
     star_circuit_to_json,
-    star_eval,
-    star_noise_bits,
-    symbolic_output_noise,
+    universal,
 )
 from enctrust.she import (
     SecurityParams,
@@ -98,10 +98,11 @@ def test_c02_homomorphic_truth_tables():
         t0 = time.perf_counter()
         lam = 3
         fresh = lam + 2
-        eta = star_noise_bits(fresh, fresh, fresh) + 2  # covers add, mul, star
+        eta = universal(*BOUND_OPS, fresh, fresh, fresh) + 2  # covers add, mul, star
         params = SecurityParams.from_lambda(lam, eta=eta)
         rng = random.Random(2024)
         keys = keygen(params, rng)
+        ops = he_ops(keys.pk, params)
         produced: list[she.Ciphertext] = []
         with collect(produced):
             for b1 in (0, 1):
@@ -121,7 +122,7 @@ def test_c02_homomorphic_truth_tables():
                             ca = encrypt_bit(keys.pk, b1, params, rng)
                             cb = encrypt_bit(keys.pk, b2, params, rng)
                             cf = encrypt_bit(keys.pk, f, params, rng)
-                            out = star_eval(ca, cb, cf, keys.pk, params)
+                            out = universal(*ops, ca, cb, cf)
                             expected = (b1 & b2) if f else (b1 ^ b2)
                             assert decrypt_bit(keys.sk, out) == expected
                             assert she.noise_ok(out, params)
@@ -138,8 +139,9 @@ def test_c03_adder_equivalence_exhaustive():
         assert (adder.xor_count, adder.and_count) == (9, 5)
         assert adder.xor_count <= 20 and adder.and_count <= 8
 
-        eta_plain = max(symbolic_output_noise(adder, [fresh] * 8, fresh)) + 2
-        eta_star = max(symbolic_output_noise(adder, [fresh] * 8, fresh, star_mode=True)) + 2
+        eta_plain = max(eval_plain(adder, [fresh] * 8, *BOUND_OPS)) + 2
+        bound_adder = compile_to_star(adder, lambda bit: fresh)
+        eta_star = max(eval_star(bound_adder, [fresh] * 8, *BOUND_OPS)) + 2
         produced: list[she.Ciphertext] = []
 
         params = SecurityParams.from_lambda(lam, eta=eta_plain)
@@ -151,7 +153,9 @@ def test_c03_adder_equivalence_exhaustive():
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs, stats = collect_counted(produced, eval_plain, adder, ins, keys.pk, params)
+                    outs, stats = collect_counted(
+                        produced, eval_plain, adder, ins, *he_ops(keys.pk, params)
+                    )
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
                     assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
                     assert all(she.noise_ok(ct, params) for ct in outs)
@@ -162,13 +166,13 @@ def test_c03_adder_equivalence_exhaustive():
         rng = random.Random(3002)
         keys = keygen(params, rng)
         with collect(produced):
-            star_adder = compile_to_star(adder, keys.pk, params, rng)
+            star_adder = compile_to_star(adder, lambda bit: encrypt_bit(keys.pk, bit, params, rng))
             for a in range(16):
                 for b in range(16):
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs = eval_star(star_adder, ins, keys.pk, params)
+                    outs = eval_star(star_adder, ins, *he_ops(keys.pk, params))
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
                     assert all(she.noise_ok(ct, params) for ct in outs)
         _noise_evidence.append((keys.sk, produced))
@@ -311,6 +315,7 @@ def test_c10_privacy_structure():
         params = SecurityParams.from_lambda(3, eta=250)
         rng = random.Random(10_000)
         keys = keygen(params, rng)
-        star_adder = compile_to_star(build_ripple_adder(4), keys.pk, params, rng)
+        adder = build_ripple_adder(4)
+        star_adder = compile_to_star(adder, lambda bit: encrypt_bit(keys.pk, bit, params, rng))
         text = json.dumps(star_circuit_to_json(star_adder))
         assert "XOR" not in text and "AND" not in text

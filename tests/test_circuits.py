@@ -7,6 +7,7 @@ import pytest
 from enctrust import circuits, she
 from enctrust.circuits import (
     AND,
+    BOUND_OPS,
     XOR,
     Circuit,
     Gate,
@@ -18,12 +19,11 @@ from enctrust.circuits import (
     eval_plain,
     eval_star,
     gate_wire,
+    he_ops,
     input_wire,
     star_circuit_to_json,
-    star_eval,
-    star_noise_bits,
-    symbolic_output_noise,
     universal,
+    update,
 )
 from enctrust.she import SecurityParams, decrypt_bit, decrypt_value, encrypt_bit, encrypt_value, keygen
 from enctrust.sim import required_eta
@@ -34,6 +34,11 @@ def make(lam=3, eta=300, seed=0):
     rng = random.Random(seed)
     keys = keygen(params, rng)
     return params, keys, rng
+
+
+def encryptor(keys, params, rng):
+    """The flag encryption a hop hands to ``compile_to_star``."""
+    return lambda bit: encrypt_bit(keys.pk, bit, params, rng)
 
 
 def observed(fn, *args):
@@ -139,22 +144,14 @@ def test_star_eval_truth_table_and_cost():
                 ca = encrypt_bit(keys.pk, a, params, rng)
                 cb = encrypt_bit(keys.pk, b, params, rng)
                 cf = encrypt_bit(keys.pk, f, params, rng)
-                out, ops = observed(star_eval, ca, cb, cf, keys.pk, params)
+                out, ops = observed(universal, *he_ops(keys.pk, params), ca, cb, cf)
                 expected = (a & b) if f else (a ^ b)
                 assert universal(operator.xor, operator.and_, a, b, f) == expected
                 assert decrypt_bit(keys.sk, out) == expected
                 assert ops == {"mul": 2, "add": 3}
-
-
-def test_star_noise_bits_matches_real_star_eval():
-    params, keys, rng = make()
-    ca = encrypt_bit(keys.pk, 1, params, rng)
-    cb = encrypt_bit(keys.pk, 0, params, rng)
-    cf = encrypt_bit(keys.pk, 1, params, rng)
-    out = star_eval(ca, cb, cf, keys.pk, params)
-    assert out.noise_bits == star_noise_bits(ca.noise_bits, cb.noise_bits, cf.noise_bits)
-    fresh = she.fresh_noise_bits(params)
-    assert star_noise_bits(fresh, fresh, fresh) == fresh + 12
+                # The same gate on noise bounds gives the tracked bound.
+                fresh = she.fresh_noise_bits(params)
+                assert out.noise_bits == universal(*BOUND_OPS, fresh, fresh, fresh) == fresh + 12
 
 
 def test_plain_eval_counts_and_semantics_width4():
@@ -162,7 +159,7 @@ def test_plain_eval_counts_and_semantics_width4():
     c = build_ripple_adder(4)
     for a, b in [(0, 0), (9, 4), (15, 15), (7, 8), (13, 6)]:
         ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(keys.pk, b, 4, params, rng)
-        outs, ops = observed(eval_plain, c, ins, keys.pk, params)
+        outs, ops = observed(eval_plain, c, ins, *he_ops(keys.pk, params))
         assert decrypt_value(keys.sk, outs) == (a + b) % 16
         assert ops == {"add": 9, "mul": 5}
 
@@ -172,25 +169,26 @@ def test_eval_arity_errors():
     c = build_ripple_adder(2)
     ins = encrypt_value(keys.pk, 1, 2, params, rng)
     with pytest.raises(ValueError):
-        eval_plain(c, ins, keys.pk, params)
-    sc = compile_to_star(c, keys.pk, params, rng)
+        eval_plain(c, ins, *he_ops(keys.pk, params))
+    sc = compile_to_star(c, encryptor(keys, params, rng))
     with pytest.raises(ValueError):
-        eval_star(sc, ins, keys.pk, params)
+        eval_star(sc, ins, *he_ops(keys.pk, params))
 
 
 def test_star_compilation_equivalence_on_adders():
     params, keys, rng = make(seed=1)
     for width in (1, 2, 3, 5, 8):
         c = build_ripple_adder(width)
-        sc = compile_to_star(c, keys.pk, params, rng)
+        sc = compile_to_star(c, encryptor(keys, params, rng))
+        ops_ct = he_ops(keys.pk, params)
         for _ in range(6):
             a = rng.randrange(1 << width)
             b = rng.randrange(1 << width)
             ins = encrypt_value(keys.pk, a, width, params, rng) + encrypt_value(
                 keys.pk, b, width, params, rng
             )
-            plain_out = eval_plain(c, ins, keys.pk, params)
-            star_out, ops = observed(eval_star, sc, ins, keys.pk, params)
+            plain_out = eval_plain(c, ins, *ops_ct)
+            star_out, ops = observed(eval_star, sc, ins, *ops_ct)
             assert decrypt_value(keys.sk, plain_out) == (a + b) % (1 << width)
             assert decrypt_value(keys.sk, star_out) == (a + b) % (1 << width)
             assert ops == {"mul": 2 * len(c.gates), "add": 3 * len(c.gates)}
@@ -202,35 +200,65 @@ def test_star_compilation_equivalence_on_random_dags():
         num_inputs = rng.randint(2, 6)
         c = random_circuit(rng, num_inputs, 40)
         fresh = 5  # lam = 3
-        need = max(symbolic_output_noise(c, [fresh] * num_inputs, fresh, star_mode=True)) + 2
+        bound_sc = compile_to_star(c, lambda bit: fresh)
+        need = max(eval_star(bound_sc, [fresh] * num_inputs, *BOUND_OPS)) + 2
         params, keys, crng = make(eta=max(need, 20), seed=trial)
         bits = [crng.randint(0, 1) for _ in range(num_inputs)]
         expected = eval_bits(c, bits)
         ins = tuple(encrypt_bit(keys.pk, m, params, crng) for m in bits)
-        plain_out = eval_plain(c, ins, keys.pk, params)
-        sc = compile_to_star(c, keys.pk, params, crng)
-        star_out = eval_star(sc, ins, keys.pk, params)
+        plain_out = eval_plain(c, ins, *he_ops(keys.pk, params))
+        sc = compile_to_star(c, encryptor(keys, params, crng))
+        star_out = eval_star(sc, ins, *he_ops(keys.pk, params))
         assert tuple(decrypt_bit(keys.sk, ct) for ct in plain_out) == expected
         assert tuple(decrypt_bit(keys.sk, ct) for ct in star_out) == expected
 
 
 def test_symbolic_noise_matches_actual_eval():
+    # Each evaluator run on noise bounds gives exactly the bounds the same
+    # evaluator tracks on ciphertexts, on the adder and on random circuits.
     params, keys, rng = make(seed=3)
     fresh = she.fresh_noise_bits(params)
+    ops = he_ops(keys.pk, params)
     shapes = random.Random(33)
     circuit_list = [build_ripple_adder(4)]
     circuit_list += [random_circuit(shapes, shapes.randint(2, 6), 30) for _ in range(8)]
     for c in circuit_list:
         ins = tuple(encrypt_bit(keys.pk, rng.randint(0, 1), params, rng) for _ in range(c.num_inputs))
-        plain_out = eval_plain(c, ins, keys.pk, params)
-        assert tuple(ct.noise_bits for ct in plain_out) == symbolic_output_noise(
-            c, [fresh] * c.num_inputs, fresh
+        bounds = [fresh] * c.num_inputs
+        plain_out = eval_plain(c, ins, *ops)
+        assert tuple(ct.noise_bits for ct in plain_out) == eval_plain(c, bounds, *BOUND_OPS)
+        star_out = eval_star(compile_to_star(c, encryptor(keys, params, rng)), ins, *ops)
+        bound_sc = compile_to_star(c, lambda bit: fresh)
+        assert tuple(ct.noise_bits for ct in star_out) == eval_star(bound_sc, bounds, *BOUND_OPS)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
+    # update on BOUND_OPS, as required_eta runs it, gives after each of three
+    # chained updates exactly the bounds update tracks on ciphertexts, star
+    # identity gates included, and required_eta's answer is their maximum + 2.
+    lam, width = 3, 4
+    circuit = build_ripple_adder(width)
+    eta = required_eta(width, 3, lam, star_mode)
+    params, keys, rng = make(lam=lam, eta=eta, seed=10)
+    fresh = she.fresh_noise_bits(params)
+    acc = encrypt_value(keys.pk, 9, width, params, rng)
+    bounds = (fresh,) * width
+    total = 9
+    for hops, value in enumerate((4, 2, 7), start=1):
+        local = encrypt_value(keys.pk, value, width, params, rng)
+        zeros = adapt(width, keys.pk, params, rng)
+        encrypt = encryptor(keys, params, rng)
+        acc = update(circuit, acc, local, zeros, star_mode, encrypt, *he_ops(keys.pk, params))
+        fresh_zeros = ((fresh, fresh),) * width
+        bounds = update(
+            circuit, bounds, (fresh,) * width, fresh_zeros, star_mode, lambda bit: fresh, *BOUND_OPS
         )
-        sc = compile_to_star(c, keys.pk, params, rng)
-        star_out = eval_star(sc, ins, keys.pk, params)
-        assert tuple(ct.noise_bits for ct in star_out) == symbolic_output_noise(
-            c, [fresh] * c.num_inputs, fresh, star_mode=True
-        )
+        total = (total + value) % 16
+        assert tuple(ct.noise_bits for ct in acc) == bounds
+        assert max(bounds) + 2 == required_eta(width, hops, lam, star_mode)
+        assert decrypt_value(keys.sk, acc) == total
+    assert all(she.noise_ok(ct, params) for ct in acc)
 
 
 def test_noise_monotone_along_gate_order():
@@ -242,7 +270,7 @@ def test_noise_monotone_along_gate_order():
     ins = encrypt_value(keys.pk, 11, 4, params, rng) + encrypt_value(keys.pk, 7, 4, params, rng)
     seen = []
     with she.observe(lambda op, ct: seen.append(ct)):
-        outs = eval_plain(c, ins, keys.pk, params)
+        outs = eval_plain(c, ins, *he_ops(keys.pk, params))
     assert len(seen) == len(c.gates)
     assert max(ct.noise_bits for ct in seen) == max(ct.noise_bits for ct in outs)
 
@@ -253,7 +281,8 @@ def test_adapt_identity_recovery():
         cts = encrypt_value(keys.pk, v, 4, params, rng)
         zeros = adapt(4, keys.pk, params, rng)
         assert len(zeros) == 4
-        recovered = [star_eval(a, b, f, keys.pk, params) for a, (b, f) in zip(cts, zeros)]
+        ops = he_ops(keys.pk, params)
+        recovered = [universal(*ops, a, b, f) for a, (b, f) in zip(cts, zeros)]
         assert decrypt_value(keys.sk, recovered) == v
         for pair in zeros:
             # Each pair is fresh: two encryptions of 0, neither an accumulator bit.
@@ -266,12 +295,13 @@ def test_adapt_arity_mismatch():
     cts = encrypt_value(keys.pk, 3, 2, params, rng)
     zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 1, 4, params, rng)
-    sc = compile_to_star(build_ripple_adder(4), keys.pk, params, rng)
+    sc = compile_to_star(build_ripple_adder(4), encryptor(keys, params, rng))
+    ops = he_ops(keys.pk, params)
     with pytest.raises(ValueError):
-        bind_and_continue(zeros, cts, local, sc, keys.pk, params)
+        bind_and_continue(zeros, cts, local, sc, *ops)
     # As many pairs as accumulator bits, but too few inputs for the adder.
     with pytest.raises(ValueError):
-        bind_and_continue(zeros[:2], cts, local, sc, keys.pk, params)
+        bind_and_continue(zeros[:2], cts, local, sc, *ops)
 
 
 def test_bind_and_continue_single_hop():
@@ -280,8 +310,8 @@ def test_bind_and_continue_single_hop():
     acc = encrypt_value(keys.pk, 9, 4, params, rng)
     zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 4, 4, params, rng)
-    sc = compile_to_star(c, keys.pk, params, rng)
-    outs, ops = observed(bind_and_continue, zeros, acc, local, sc, keys.pk, params)
+    sc = compile_to_star(c, encryptor(keys, params, rng))
+    outs, ops = observed(bind_and_continue, zeros, acc, local, sc, *he_ops(keys.pk, params))
     assert decrypt_value(keys.sk, outs) == 13
     # 4 recovery gates + 14 circuit gates, each 2 muls and 3 adds
     assert ops == {"mul": 36, "add": 54}
@@ -301,8 +331,8 @@ def test_bind_and_continue_two_hop_chain():
     total = collections.Counter()
     for local_value in (4, 2):
         local = encrypt_value(keys.pk, local_value, width, params, rng)
-        sc = compile_to_star(c, keys.pk, params, rng)
-        acc, ops = observed(bind_and_continue, zeros, acc, local, sc, keys.pk, params)
+        sc = compile_to_star(c, encryptor(keys, params, rng))
+        acc, ops = observed(bind_and_continue, zeros, acc, local, sc, *he_ops(keys.pk, params))
         zeros = adapt(width, keys.pk, params, rng)
         total += ops
     final = acc
@@ -314,7 +344,7 @@ def test_bind_and_continue_two_hop_chain():
 def test_star_circuit_json_roundtrip_hides_gate_kinds():
     params, keys, rng = make(seed=9)
     c = build_ripple_adder(4)
-    sc = compile_to_star(c, keys.pk, params, rng)
+    sc = compile_to_star(c, encryptor(keys, params, rng))
     obj = star_circuit_to_json(sc)
     import json
 

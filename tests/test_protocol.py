@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enctrust import bignum, protocol, she
-from enctrust.circuits import build_ripple_adder, star_eval
+from enctrust.circuits import build_ripple_adder, he_ops, universal
 from enctrust.protocol import (
     Drop,
     ForwardUnchanged,
@@ -82,7 +82,7 @@ def test_source_initiate_builds_first_rr():
     assert rr.path == (5,)
     assert decrypt_value(keys.sk, rr.acc_trust) == 9
     recovered = [
-        star_eval(a, b, f, keys.pk, params)
+        universal(*he_ops(keys.pk, params), a, b, f)
         for a, (b, f) in zip(rr.acc_trust, rr.zeros, strict=True)
     ]
     assert decrypt_value(keys.sk, recovered) == 9

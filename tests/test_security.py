@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from enctrust import protocol
+from enctrust import circuits
 from enctrust.circuits import AND, build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
@@ -18,7 +18,7 @@ from enctrust.protocol import (
     process_rr,
     source_initiate,
 )
-from enctrust.she import SecurityParams, decrypt_bit, decrypt_value
+from enctrust.she import Ciphertext, SecurityParams, decrypt_bit, decrypt_value
 from enctrust.sim import (
     NoiseAudit,
     RunConfig,
@@ -71,14 +71,17 @@ def test_public_key_decrypts_every_running_total(star_mode):
 
 def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch):
     compiled = []
-    real_compile = protocol.compile_to_star
+    real_compile = circuits.compile_to_star
 
-    def recording_compile(circuit, pk, params, rng):
-        star = real_compile(circuit, pk, params, rng)
-        compiled.append((circuit, star))
+    def recording_compile(circuit, encrypt):
+        star = real_compile(circuit, encrypt)
+        # The planner compiles the same adder with noise bounds for flags;
+        # only the hops' compiles carry ciphertexts.
+        if all(isinstance(gate.flag, Ciphertext) for gate in star.gates):
+            compiled.append((circuit, star))
         return star
 
-    monkeypatch.setattr(protocol, "compile_to_star", recording_compile)
+    monkeypatch.setattr(circuits, "compile_to_star", recording_compile)
     audit = NoiseAudit()
     report = run_discovery(
         chain_topology(8, seed=0), 0, 7, RunConfig(lam=3, seed=0, star_mode=True), audit=audit

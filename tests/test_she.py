@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import threading
 
@@ -47,8 +48,13 @@ def test_params_validation():
         SecurityParams.from_lambda(1)
     with pytest.raises(ValueError):
         SecurityParams.from_lambda(3, eta=4)  # below lam + 2
-    with pytest.raises(ValueError):
-        SecurityParams(lam=3, eta=27, pk_bits=27, r_bits=3, q_bits=9)
+
+
+def test_params_are_lam_and_eta_alone():
+    # The wire carries only lambda and eta, so no other width may be set
+    # apart from them: every hop rebuilds the same params from those two.
+    assert [f.name for f in dataclasses.fields(SecurityParams)] == ["lam", "eta"]
+    assert SecurityParams(lam=3, eta=40) == SecurityParams.from_lambda(3, eta=40)
 
 
 def test_keygen_invariants():
@@ -63,9 +69,11 @@ def test_keygen_invariants():
 
 
 def test_keygen_narrow_q0_terminates():
-    # pk only two bits above eta leaves a single odd q0 candidate (3); the
-    # secret key must be resampled until the product lands on pk_bits.
-    params = SecurityParams(lam=3, eta=40, pk_bits=42, r_bits=3, q_bits=9)
+    # At lam 2, pk is only two bits above eta, which leaves a single odd q0
+    # candidate (3); the secret key must be resampled until the product lands
+    # on pk_bits.
+    params = SecurityParams.from_lambda(2, eta=40)
+    assert params.pk_bits == 42
     keys = keygen(params, random.Random(9))
     assert keys.pk.bit_length() == 42
 

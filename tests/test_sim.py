@@ -149,6 +149,22 @@ def test_generate_topology_large_sparse_is_connected_quickly():
     assert reachable_from_0(t) == set(range(2000))
 
 
+def test_generate_topology_dense_is_complete_and_quick():
+    # Drawing every extra edge by rejection took 2.5-3.2 s of CPU for the
+    # complete graph on 300 nodes (CPython 3.11, 2-core host): the last free
+    # pairs are a coupon-collector walk.  Over half of all pairs, the extra
+    # edges are one sample of the pairs the spanning tree left free.
+    start = time.process_time()
+    t = generate_topology(300, 299, seed=0)
+    assert time.process_time() - start < 1
+    assert t.edges == tuple((a, b) for a in range(300) for b in range(a + 1, 300))
+    dense = generate_topology(40, 30, seed=3)
+    assert len(dense.edges) == 600
+    assert reachable_from_0(dense) == set(range(40))
+    assert dense == generate_topology(40, 30, seed=3)
+    assert dense != generate_topology(40, 30, seed=4)
+
+
 def test_generate_topology_validation():
     with pytest.raises(ValueError, match="at least 2"):
         generate_topology(1, 1, seed=0)

@@ -83,18 +83,6 @@ def _check_wire(wire: WireRef, num_inputs: int, position: int, where: str) -> No
         raise ValueError(f"{where}: gate wire {wire.index} does not precede position {position}")
 
 
-def _validate_dag(
-    num_inputs: int, operand_pairs: Sequence[tuple[WireRef, WireRef]], outputs: Sequence[WireRef]
-) -> None:
-    if num_inputs < 0:
-        raise ValueError(f"num_inputs cannot be negative: {num_inputs}")
-    for i, (a, b) in enumerate(operand_pairs):
-        _check_wire(a, num_inputs, i, f"gate {i}")
-        _check_wire(b, num_inputs, i, f"gate {i}")
-    for j, out in enumerate(outputs):
-        _check_wire(out, num_inputs, len(operand_pairs), f"output {j}")
-
-
 @dataclass(frozen=True, slots=True)
 class Circuit:
     num_inputs: int
@@ -102,7 +90,13 @@ class Circuit:
     outputs: tuple[WireRef, ...]
 
     def __post_init__(self) -> None:
-        _validate_dag(self.num_inputs, [(g.a, g.b) for g in self.gates], self.outputs)
+        if self.num_inputs < 0:
+            raise ValueError(f"num_inputs cannot be negative: {self.num_inputs}")
+        for i, g in enumerate(self.gates):
+            _check_wire(g.a, self.num_inputs, i, f"gate {i}")
+            _check_wire(g.b, self.num_inputs, i, f"gate {i}")
+        for j, out in enumerate(self.outputs):
+            _check_wire(out, self.num_inputs, len(self.gates), f"output {j}")
 
     @property
     def xor_count(self) -> int:
@@ -114,26 +108,19 @@ class Circuit:
 
 
 @dataclass(frozen=True, slots=True)
-class StarGate:
-    """A universal gate instance: operands plus its behavior flag, an encrypted
-    bit on a hop and a noise bound in the planner."""
-
-    a: WireRef
-    b: WireRef
-    flag: Ciphertext | int
-
-
-@dataclass(frozen=True, slots=True)
 class StarCircuit:
-    num_inputs: int
-    gates: tuple[StarGate, ...]
-    outputs: tuple[WireRef, ...]
+    """A circuit compiled to universal gates: the circuit plus one flag per gate, in
+    gate order.  A flag is an encrypted bit on a hop and a noise bound in the planner."""
+
+    circuit: Circuit
+    flags: tuple
 
     def __post_init__(self) -> None:
-        _validate_dag(self.num_inputs, [(g.a, g.b) for g in self.gates], self.outputs)
+        if len(self.flags) != len(self.circuit.gates):
+            raise ValueError(f"{len(self.flags)} flags for {len(self.circuit.gates)} gates")
 
 
-def _walk(circuit: Circuit | StarCircuit, inputs: Sequence, gate: Callable) -> tuple:
+def _walk(circuit: Circuit, inputs: Sequence, gate: Callable) -> tuple:
     """The one evaluation loop: each gate's output is ``gate(g, a, b)`` on its operand values.
 
     The domain is whatever ``inputs`` and ``gate`` work in: bits, noise
@@ -187,8 +174,7 @@ BOUND_OPS = (she.add_noise_bits, she.mul_noise_bits)
 def compile_to_star(circuit: Circuit, encrypt: Callable) -> StarCircuit:
     """Replace every gate with a universal gate whose flag, ``encrypt(1)`` for AND
     and ``encrypt(0)`` for XOR, selects its kind."""
-    gates = tuple(StarGate(g.a, g.b, encrypt(1 if g.kind == AND else 0)) for g in circuit.gates)
-    return StarCircuit(num_inputs=circuit.num_inputs, gates=gates, outputs=circuit.outputs)
+    return StarCircuit(circuit, tuple(encrypt(1 if g.kind == AND else 0) for g in circuit.gates))
 
 
 def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
@@ -203,9 +189,10 @@ def eval_plain(circuit: Circuit, inputs: Sequence, xor: Callable, and_: Callable
     return _walk(circuit, inputs, _by_kind(xor, and_))
 
 
-def eval_star(circuit: StarCircuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
-    """Evaluate a compiled circuit; every gate fires as a universal gate."""
-    return _walk(circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, g.flag))
+def eval_star(sc: StarCircuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
+    """Evaluate a compiled circuit; every gate fires as a universal gate with its flag."""
+    flags = iter(sc.flags)
+    return _walk(sc.circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, next(flags)))
 
 
 @functools.cache
@@ -311,10 +298,10 @@ def wire_to_json(w: WireRef) -> dict:
 
 def star_circuit_to_json(sc: StarCircuit) -> dict:
     return {
-        "num_inputs": sc.num_inputs,
+        "num_inputs": sc.circuit.num_inputs,
         "gates": [
-            {"a": wire_to_json(g.a), "b": wire_to_json(g.b), "flag": bignum.to_hex(g.flag.value)}
-            for g in sc.gates
+            {"a": wire_to_json(g.a), "b": wire_to_json(g.b), "flag": bignum.to_hex(flag.value)}
+            for g, flag in zip(sc.circuit.gates, sc.flags)
         ],
-        "outputs": [wire_to_json(o) for o in sc.outputs],
+        "outputs": [wire_to_json(o) for o in sc.circuit.outputs],
     }

@@ -196,9 +196,10 @@ def decrypt_value(sk: int, cts: Sequence[Ciphertext]) -> int:
 
 # Event sink: every ciphertext that encrypt_bit, he_add and he_mul produce is
 # reported as ``sink(op, ct)``, with ``op`` one of "encrypt", "add" and "mul",
-# to the sink that :func:`observe` installed in the current context.  The
-# sink lives in a ``ContextVar``, so each thread or task sees only its own
-# operations, and two concurrent runs never mix their evidence.
+# to the sinks that :func:`observe` installed in the current context,
+# innermost first.  The sink lives in a ``ContextVar``, so each thread or task
+# sees only its own operations, and two concurrent runs never mix their
+# evidence.
 
 Sink = Callable[[str, Ciphertext], None]
 
@@ -215,9 +216,21 @@ def _emit(op: str, ct: Ciphertext) -> None:
 def observe(sink: Sink) -> Iterator[None]:
     """Report every ciphertext produced inside the block, in this context, to ``sink``.
 
-    An inner ``observe`` replaces the outer sink until its block ends.
+    Blocks nest: inside an outer ``observe``, each event goes to ``sink`` and
+    then to the outer sink, which alone receives events again once the block
+    ends.  A caller that observes around a run therefore sees every event of
+    it, whatever the run observes itself.
     """
-    token = _sink.set(sink)
+    outer = _sink.get()
+    if outer is None:
+        chained = sink
+    else:
+
+        def chained(op: str, ct: Ciphertext) -> None:
+            sink(op, ct)
+            outer(op, ct)
+
+    token = _sink.set(chained)
     try:
         yield
     finally:

@@ -14,7 +14,7 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import bignum, she
@@ -32,7 +32,7 @@ from .protocol import (
     source_finalize,
     source_initiate,
 )
-from .she import KeyPair, SecurityParams
+from .she import SecurityParams
 
 DELIVERED = "DELIVERED"
 DROPPED = "DROPPED"
@@ -358,14 +358,6 @@ class EvalStats:
         }
 
 
-@dataclass
-class NoiseAudit:
-    """Collects the keypair and every ciphertext produced during a run."""
-
-    keys: KeyPair | None = None
-    ciphertexts: list[she.Ciphertext] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class RunReport:
     status: str
@@ -406,14 +398,13 @@ class RunReport:
         }
 
 
-def run_discovery(
-    t: Topology,
-    source: NodeId,
-    destination: NodeId,
-    cfg: RunConfig,
-    audit: NoiseAudit | None = None,
-) -> RunReport:
-    """Drive one encrypted discovery and compare it against the oracle."""
+def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConfig) -> RunReport:
+    """Drive one encrypted discovery and compare it against the oracle.
+
+    Each ``process_rr`` call runs inside ``she.observe``, which tallies that
+    hop's operations; a caller that observes around this call also receives
+    every ciphertext of the run.
+    """
     _check_endpoints(t, source, destination)
     walk = _greedy_walk(t, source, destination)
     oracle = _oracle_result(t, walk, cfg.width)
@@ -429,44 +420,33 @@ def run_discovery(
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
-    hop = EvalStats()
-
-    def sink(op: str, ct: she.Ciphertext) -> None:
-        # ``hop`` is rebound before each process_rr call: one tally per hop.
-        hop.record(op, ct)
-        if audit is not None:
-            audit.ciphertexts.append(ct)
-
-    with she.observe(sink):
-        t0 = time.perf_counter()
-        keys = she.keygen(params, rng)
-        t1 = time.perf_counter()
-        if audit is not None:
-            audit.keys = keys
-        keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
-        per_node: list[tuple[NodeId, EvalStats]] = []
-        rp: RouteReply | None = None
-        drop: Drop | None = None
-        current = rr.next_hop
-        for _ in range(2 * len(nodes) + 2):
-            hop = EvalStats()
+    t0 = time.perf_counter()
+    keys = she.keygen(params, rng)
+    t1 = time.perf_counter()
+    keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
+    per_node: list[tuple[NodeId, EvalStats]] = []
+    rp: RouteReply | None = None
+    drop: Drop | None = None
+    current = rr.next_hop
+    for _ in range(2 * len(nodes) + 2):
+        hop = EvalStats()
+        with she.observe(hop.record):
             decision = process_rr(nodes[current], rr, rng, cfg.star_mode)
-            if isinstance(decision, Reply):
-                rp = decision.reply
-                break
-            if isinstance(decision, Drop):
-                drop = decision
-                break
-            if isinstance(decision, ForwardUnchanged):
-                current = decision.next_hop
-                continue
-            assert isinstance(decision, ForwardUpdated)
+        if isinstance(decision, Reply):
+            rp = decision.reply
+            break
+        if isinstance(decision, Drop):
+            drop = decision
+            break
+        if isinstance(decision, ForwardUnchanged):
+            current = decision.next_hop
+        elif isinstance(decision, ForwardUpdated):
             per_node.append((current, hop))
             rr = decision.rr
             current = rr.next_hop
-        else:
-            raise RuntimeError("discovery did not terminate; decision loop detected")
-        t2 = time.perf_counter()
+    else:
+        raise RuntimeError("discovery did not terminate; decision loop detected")
+    t2 = time.perf_counter()
 
     wall = {"keygen": t1 - t0, "discovery": t2 - t1, "finalize": 0.0}
     common = dict(

@@ -34,7 +34,6 @@ from enctrust.she import (
 from enctrust.sim import (
     DELIVERED,
     EvalStats,
-    NoiseAudit,
     RunConfig,
     benchmark,
     chain_topology,
@@ -55,15 +54,10 @@ def collect(produced: list[she.Ciphertext]):
     return she.observe(lambda op, ct: produced.append(ct))
 
 
-def collect_counted(produced: list[she.Ciphertext], fn, *args):
-    """``fn(*args)`` observed into ``produced``: its result and an EvalStats of its ops."""
+def counted(fn, *args):
+    """``fn(*args)`` and an EvalStats of its ops; an enclosing ``collect`` still sees them."""
     stats = EvalStats()
-
-    def sink(op: str, ct: she.Ciphertext) -> None:
-        produced.append(ct)
-        stats.record(op, ct)
-
-    with she.observe(sink):
+    with she.observe(stats.record):
         return fn(*args), stats
 
 
@@ -153,9 +147,7 @@ def test_c03_adder_equivalence_exhaustive():
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs, stats = collect_counted(
-                        produced, eval_plain, adder, ins, *he_ops(keys.pk, params)
-                    )
+                    outs, stats = counted(eval_plain, adder, ins, *he_ops(keys.pk, params))
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
                     assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
                     assert all(she.noise_ok(ct, params) for ct in outs)
@@ -179,7 +171,7 @@ def test_c03_adder_equivalence_exhaustive():
         assert time.perf_counter() - t0 < 120
 
 
-def test_c04_end_to_end_protocol_correctness(monkeypatch):
+def test_c04_end_to_end_protocol_correctness(monkeypatch, made_keys):
     with criterion(4, "200 random topologies, auto eta, oracle agreement"):
         t0 = time.perf_counter()
         real_decrypt = she.decrypt_bit
@@ -205,8 +197,9 @@ def test_c04_end_to_end_protocol_correctness(monkeypatch):
             runs.append((t, 0, 9, 5000 + extra))
 
         for t, source, dest, seed in runs:
-            audit = NoiseAudit()
-            report = run_discovery(t, source, dest, RunConfig(lam=3, seed=seed), audit=audit)
+            produced: list[she.Ciphertext] = []
+            with collect(produced):
+                report = run_discovery(t, source, dest, RunConfig(lam=3, seed=seed))
             oracle = plaintext_oracle(t, source, dest)
             assert report.status == oracle.status
             assert report.path == oracle.path
@@ -215,7 +208,7 @@ def test_c04_end_to_end_protocol_correctness(monkeypatch):
                 assert report.trusted, f"noise_ok failure at seed {seed}"
                 assert report.decrypted_trust == oracle.trust
             max_updates = max(max_updates, len(report.per_node_stats))
-            _noise_evidence.append((audit.keys.sk, audit.ciphertexts))
+            _noise_evidence.append((made_keys[-1].sk, produced))
 
         assert delivered > 0
         assert max_updates >= 6, f"deepest certified run had only {max_updates} updates"

@@ -11,6 +11,7 @@ from enctrust.circuits import (
     XOR,
     Circuit,
     Gate,
+    StarCircuit,
     adapt,
     bind_and_continue,
     build_ripple_adder,
@@ -173,6 +174,8 @@ def test_eval_arity_errors():
     sc = compile_to_star(c, encryptor(keys, params, rng))
     with pytest.raises(ValueError):
         eval_star(sc, ins, *he_ops(keys.pk, params))
+    with pytest.raises(ValueError):  # one flag per gate
+        StarCircuit(c, sc.flags[:-1])
 
 
 def test_star_compilation_equivalence_on_adders():
@@ -356,5 +359,5 @@ def test_star_circuit_json_roundtrip_hides_gate_kinds():
     assert all(set(g) == {"a", "b", "flag"} for g in obj["gates"])
     assert obj["gates"][0]["a"] == {"kind": "INPUT", "index": 0}
     assert obj["gates"][0]["b"] == {"kind": "INPUT", "index": 4}
-    assert [int(g["flag"], 16) for g in obj["gates"]] == [g.flag.value for g in sc.gates]
+    assert [int(g["flag"], 16) for g in obj["gates"]] == [flag.value for flag in sc.flags]
     assert obj["outputs"] == [{"kind": "GATE", "index": i} for i in (0, 3, 8, 13)]

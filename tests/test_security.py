@@ -20,7 +20,6 @@ from enctrust.protocol import (
 )
 from enctrust.she import Ciphertext, SecurityParams, decrypt_bit, decrypt_value
 from enctrust.sim import (
-    NoiseAudit,
     RunConfig,
     build_nodes,
     chain_topology,
@@ -69,7 +68,7 @@ def test_public_key_decrypts_every_running_total(star_mode):
             assert decrypt_value(keys.pk, rr.acc_trust) == total
 
 
-def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch):
+def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch, made_keys):
     compiled = []
     real_compile = circuits.compile_to_star
 
@@ -77,20 +76,17 @@ def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch):
         star = real_compile(circuit, encrypt)
         # The planner compiles the same adder with noise bounds for flags;
         # only the hops' compiles carry ciphertexts.
-        if all(isinstance(gate.flag, Ciphertext) for gate in star.gates):
+        if all(isinstance(flag, Ciphertext) for flag in star.flags):
             compiled.append((circuit, star))
         return star
 
     monkeypatch.setattr(circuits, "compile_to_star", recording_compile)
-    audit = NoiseAudit()
-    report = run_discovery(
-        chain_topology(8, seed=0), 0, 7, RunConfig(lam=3, seed=0, star_mode=True), audit=audit
-    )
+    report = run_discovery(chain_topology(8, seed=0), 0, 7, RunConfig(lam=3, seed=0, star_mode=True))
     assert report.trusted
     assert len(compiled) == len(report.per_node_stats) == 5
     for circuit, star in compiled:
         # The hop compiles the adder every node builds from the width alone,
         # so it knows each flag's plaintext before it encrypts it.
         assert circuit is build_ripple_adder(4)
-        flags = [decrypt_bit(audit.keys.sk, gate.flag) for gate in star.gates]
+        flags = [decrypt_bit(made_keys[0].sk, flag) for flag in star.flags]
         assert flags == [int(gate.kind == AND) for gate in circuit.gates]

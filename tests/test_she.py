@@ -235,18 +235,25 @@ def test_true_noise_never_exceeds_tracked_bound():
 
 
 def test_observe_nests_and_restores_previous():
-    inner, outer = [], []
-    with observe(lambda op, ct: outer.append(op)):
+    # Inside an outer block, each event reaches the inner sink, then the outer.
+    log = []
+    with observe(lambda op, ct: log.append(("outer", op))):
         params, keys, rng = make(lam=2)
         a = encrypt_bit(keys.pk, 1, params, rng)
-        with observe(lambda op, ct: inner.append(op)):
+        with observe(lambda op, ct: log.append(("inner", op))):
             b = encrypt_bit(keys.pk, 0, params, rng)
             he_mul(a, b, keys.pk, params)
         he_add(a, b, keys.pk, params)
-    assert inner == ["encrypt", "mul"]
-    assert outer == ["encrypt", "add"]
+    assert log == [
+        ("outer", "encrypt"),
+        ("inner", "encrypt"),
+        ("outer", "encrypt"),
+        ("inner", "mul"),
+        ("outer", "mul"),
+        ("outer", "add"),
+    ]
     encrypt_bit(keys.pk, 1, params, rng)
-    assert outer == ["encrypt", "add"]  # sink uninstalled
+    assert len(log) == 6  # sink uninstalled
 
 
 def test_sink_sees_only_its_own_context():

@@ -17,7 +17,6 @@ from enctrust.sim import (
     DROPPED,
     TOO_DEEP,
     EvalStats,
-    NoiseAudit,
     NoiseBudgetError,
     RunConfig,
     Topology,
@@ -503,49 +502,61 @@ def test_run_discovery_deterministic_apart_from_wall():
     assert strip(a) == strip(b)
 
 
-def test_run_discovery_audit_collects_sound_ciphertexts():
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_caller_observing_run_discovery_sees_every_ciphertext(star_mode, made_keys):
+    # run_discovery observes each hop itself; the caller's sink still
+    # receives every event, so its counts are the report's stats.
     t = chain_topology(5, seed=6)
-    audit = NoiseAudit()
-    report = run_discovery(t, 0, 4, RunConfig(lam=3, seed=8), audit=audit)
-    assert report.status == DELIVERED
-    assert audit.keys is not None
-    assert len(audit.ciphertexts) > 50
-    sk = audit.keys.sk
-    for ct in audit.ciphertexts:
+    ops = collections.Counter()
+    produced = []
+
+    def sink(op, ct):
+        ops[op] += 1
+        produced.append(ct)
+
+    with she.observe(sink):
+        report = run_discovery(t, 0, 4, RunConfig(lam=3, seed=8, star_mode=star_mode))
+    assert report.status == DELIVERED and report.trusted
+    assert len(report.per_node_stats) == 2
+    assert (ops["add"], ops["mul"]) == (report.stats.n_he_add, report.stats.n_he_mul)
+    assert len(produced) > 50
+    sk = made_keys[0].sk
+    for ct in produced:
         assert (ct.value % sk).bit_length() <= ct.noise_bits
 
 
-def certified_star_chain(updates, lam, seed):
+def certified_star_chain(updates, lam, seed, made_keys):
     """One star discovery on a chain with ``updates`` updating hops at planned eta:
-    trusted, equal to the oracle, and every audited residue within its bound."""
+    trusted, equal to the oracle, and every observed residue within its bound."""
     n = updates + 3
     t = chain_topology(n, seed=seed)
-    audit = NoiseAudit()
-    report = run_discovery(t, 0, n - 1, RunConfig(lam=lam, seed=seed, star_mode=True), audit=audit)
+    produced = []
+    with she.observe(lambda op, ct: produced.append(ct)):
+        report = run_discovery(t, 0, n - 1, RunConfig(lam=lam, seed=seed, star_mode=True))
     oracle = plaintext_oracle(t, 0, n - 1)
     assert len(report.per_node_stats) == updates
     assert report.eta == required_eta(4, updates, lam, star_mode=True)
     assert report.trusted
     assert report.path == oracle.path
     assert report.decrypted_trust == oracle.trust
-    sk = audit.keys.sk
-    for ct in audit.ciphertexts:
+    sk = made_keys[0].sk
+    for ct in produced:
         assert (ct.value % sk).bit_length() <= ct.noise_bits
     return report
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_certified_star_run_seven_updates(seed):
-    certified_star_chain(7, lam=3, seed=seed)
+def test_certified_star_run_seven_updates(seed, made_keys):
+    certified_star_chain(7, lam=3, seed=seed, made_keys=made_keys)
 
 
-def test_certified_star_run_seventeen_updates():
+def test_certified_star_run_seventeen_updates(made_keys):
     # The planner's eta for 17 star updates at lam 3 (README "Performance notes").
-    report = certified_star_chain(17, lam=3, seed=4)
+    report = certified_star_chain(17, lam=3, seed=4, made_keys=made_keys)
     assert report.eta == 515_923
 
 
-def test_star_run_multiplies_nothing_wider_than_pk(monkeypatch):
+def test_star_run_multiplies_nothing_wider_than_pk(monkeypatch, made_keys):
     # he_mul reduces its operands mod pk first, so no flag product starts
     # from a fresh ciphertext's pk_bits + q_bits width.
     widths = []
@@ -556,7 +567,7 @@ def test_star_run_multiplies_nothing_wider_than_pk(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(bignum, "mul", recording_mul)
-    report = certified_star_chain(5, lam=10, seed=4)
+    report = certified_star_chain(5, lam=10, seed=4, made_keys=made_keys)
     pk_bits = SecurityParams.from_lambda(10, eta=report.eta).pk_bits
     assert len(widths) > 100
     assert max(widths) <= pk_bits

@@ -22,7 +22,8 @@ fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
 inputs.  The zero pairs are the whole adapter output: they are fresh by
 construction, so a receiver knows their noise bound, and every evaluator's
 inputs are the accumulator block, then its local block, so no interface
-travels with them.
+travels with them.  Plain evaluation reads no pairs, so a plain hop draws
+none; only the source, which is not told the mode, always sends one set.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) ->
 
     Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
     the bit is preserved and the wire rerandomized by the fresh encryptions.
-    The accumulator bit itself travels once, in the route request.
+    The accumulator bit itself travels once, in the route request.  Only
+    a star hop reads the pairs, so only the source and star hops draw them.
     """
     return tuple(
         (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))

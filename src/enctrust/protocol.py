@@ -22,7 +22,9 @@ hop compiles its own, public adder and encrypts the flags itself, so star
 mode reproduces the paper's pipeline but hides no gate kind from the hop
 that evaluates it.  Each accumulator ciphertext travels once, in
 ``acc_trust``; every hop's adder inputs are the accumulator block, then its
-local block.
+local block.  Only a star hop reads zero pairs, so only a star hop draws
+them for its successor; a plain hop forwards none.  The source is not told
+the mode, so its request always carries one set.
 
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
@@ -33,9 +35,9 @@ A request carries only what the next hop cannot work out for itself: the
 key and parameters, the endpoints, the path, the accumulator with its noise
 bounds, and the adapter's zero pairs as one flat ``zeros`` list.  The zeros
 are fresh encryptions by construction, so the receiver assigns them the
-fresh noise bound; their count must be twice the accumulator's.  No message
-carries op counts or an adder interface: a simulation counts each hop's
-operations through ``she.observe``.
+fresh noise bound; their count is twice the accumulator's, or zero after a
+plain hop.  No message carries op counts or an adder interface: a
+simulation counts each hop's operations through ``she.observe``.
 """
 
 from __future__ import annotations
@@ -240,7 +242,12 @@ def process_rr(
         outputs = update(
             node.circuit, rr.acc_trust, local, rr.zeros, star_mode, encrypt, *he_ops(pk, params)
         )
-        zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
+        # Only a star hop reads zero pairs, so a plain hop draws and sends none.
+        zeros = (
+            adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
+            if star_mode
+            else ()
+        )
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
     updated = replace(
@@ -334,7 +341,8 @@ def rr_to_json(rr: RouteRequest) -> dict:
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
     key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
-    zero count other than twice the accumulator's.
+    zero count other than none or twice the accumulator's.  A request with
+    no zeros decodes; a star hop drops it as a malformed payload.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
@@ -352,19 +360,22 @@ def rr_from_json(obj: dict) -> RouteRequest:
     if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
         raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
     zero_hexes = json_list(obj, "zeros", str)
-    digits = _hex_digits(params.fresh_ct_bits)
-    if max(map(len, (*json_list(obj, "acc_trust", str), *zero_hexes)), default=0) > digits:
-        raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
+    max_bits = params.fresh_ct_bits
+    hexes = (*json_list(obj, "acc_trust", str), *zero_hexes)
+    if max(map(len, hexes), default=0) > _hex_digits(max_bits):
+        raise ValueError(f"ciphertext wider than {max_bits} bits")
     acc_trust = cts_from_json(obj, "acc_trust")
-    if len(zero_hexes) != 2 * len(acc_trust):
+    if len(zero_hexes) not in (0, 2 * len(acc_trust)):
         raise ValueError(
-            f"{len(zero_hexes)} zeros for {len(acc_trust)} accumulator bits, expected two per bit"
+            f"{len(zero_hexes)} zeros for {len(acc_trust)} accumulator bits, "
+            "expected none or two per bit"
         )
     fresh = she.fresh_noise_bits(params)
     zeros = [Ciphertext(bignum.from_hex(h), fresh) for h in zero_hexes]
+    # The digit count alone admits up to 3 bits more than the bound.
     for ct in (*acc_trust, *zeros):
-        if ct.value.bit_length() > params.fresh_ct_bits:
-            raise ValueError(f"ciphertext wider than {params.fresh_ct_bits} bits")
+        if ct.value.bit_length() > max_bits:
+            raise ValueError(f"ciphertext wider than {max_bits} bits")
     return RouteRequest(
         pk=pk,
         params=params,

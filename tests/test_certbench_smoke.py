@@ -1,9 +1,10 @@
-"""Smoke test of the certified-discovery benchmark's traced run.
+"""Smoke test of the certified-discovery benchmark, traced and untraced.
 
-Performance changes are judged by ``certbench/run.py --trace 1``; it exits
-non-zero when a span it expects records no call.  This runs each workload
-briefly so that a change to the package that breaks the benchmark's seams
-fails here first.
+Performance changes are judged on the untraced output of ``certbench/run.py``,
+whose metrics are the ``end_to_end`` names of ``BENCHMARK.json``; the traced
+run (``--trace 1``) exits non-zero when a span it expects records no call.
+This runs each workload briefly both ways so that a change to the package
+that breaks the benchmark's seams fails here first.
 """
 
 import json
@@ -16,8 +17,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["plain-mesh", "star-chain", "sim-route"])
-def test_certbench_traced_run(workload):
+WORKLOADS = ["plain-mesh", "star-chain", "sim-route"]
+
+
+def run_certbench(workload: str, trace: int) -> dict:
+    """One half-second run of ``workload``; the result line, after checking
+    that the run exited 0 and every attempted discovery was certified."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -25,7 +30,7 @@ def test_certbench_traced_run(workload):
             "--workload", workload,
             "--seed", "1",
             "--seconds", "0.5",
-            "--trace", "1",
+            "--trace", str(trace),
         ],
         cwd=ROOT,
         capture_output=True,
@@ -36,7 +41,19 @@ def test_certbench_traced_run(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     assert result["attempted"] > 0
-    metrics = result["metrics"]
+    return result
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_certbench_untraced_run_reports_the_end_to_end_metrics(workload):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = run_certbench(workload, trace=0)["metrics"]
+    assert set(metrics) == {m["name"] for m in declared}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_certbench_traced_run(workload):
+    metrics = run_certbench(workload, trace=1)["metrics"]
     # Each adder update is 9 XOR and 5 AND he-ops; star mode fires 4 identity
     # and 14 universal gates of 5 he-ops each.  A walker that skips or
     # double-counts an op, or hides one from the tracer, moves this.
@@ -49,3 +66,7 @@ def test_certbench_traced_run(workload):
         # Each accumulator ciphertext goes on the wire once; what repeats is
         # only a chance collision of small fresh encryptions at low lam.
         assert metrics["protocol.duplicate_ciphertexts_per_request"]["value"] < 1
+    if workload == "plain-mesh":
+        # 4 accumulator ciphertexts per request; only the source's request
+        # adds its 8 zeros, which no plain hop reads or forwards.
+        assert metrics["protocol.ciphertexts_per_request"]["value"] < 5

@@ -16,6 +16,16 @@ compact separators):
 - ``REPLY`` pins the destination's reply, which the source decodes from
   that JSON before it decrypts.  It was computed at the same earlier
   commit with the reply's ``stats`` left out.
+- ``ROUTE`` pins, per request, everything but the ciphertexts: the key,
+  parameters, endpoints, next hop, path and the total the accumulator
+  decrypts to.
+
+When plain hops stopped drawing and sending zero pairs, a plain hop's rng
+drew only its local bits, so every plain ciphertext after the source's
+request changed: the plain ``GOLDEN`` and ``SAME_CIPHERTEXTS`` digests from
+request 1 on, and the plain ``REPLY``, were re-pinned then.  ``ROUTE`` was
+computed at the commit before that change and holds across it; so do the
+plain request 0 and every star digest.
 """
 
 import hashlib
@@ -25,6 +35,7 @@ import random
 import pytest
 
 from enctrust import she
+from enctrust.she import decrypt_value
 from enctrust.protocol import (
     ForwardUnchanged,
     ForwardUpdated,
@@ -53,7 +64,7 @@ def _discover(n: int, star_mode: bool):
     """Hop-by-hop discovery from 0 to n-1 on a chain, every request through the codec.
 
     Returns the JSON of each request sent, the JSON of the reply, the oracle,
-    and the source's outcome.
+    the source's outcome and its keys.
     """
     t = chain_topology(n, seed=SEED)
     oracle = plaintext_oracle(t, 0, n - 1)
@@ -75,7 +86,7 @@ def _discover(n: int, star_mode: bool):
         if isinstance(decision, Reply):
             reply = rp_to_json(decision.reply)
             rp = rp_from_json(json.loads(json.dumps(reply)))
-            return requests, reply, oracle, source_finalize(keys, rp, params)
+            return requests, reply, oracle, source_finalize(keys, rp, params), keys
         if isinstance(decision, ForwardUnchanged):
             current = decision.next_hop
             continue
@@ -91,13 +102,13 @@ TRUST = 13
 GOLDEN = {
     False: [
         "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
-        "6fd994cdc711de2806542968924cc75d45f3b935650cf940d7bdab92500e477a",
-        "92c2f0252aceb555973bc0e37f41792af6661c15adbbeb1a3ac4f46cd6dd18d7",
-        "b6af4c16e4aa0b5ddee02ab2b8cbe2d42159142c3aa6b1943c91e55ffa9374b9",
-        "082ceb453728deb185889e798ded207003dfaae77fc4c3e997ba9406452d74a0",
-        "90a66aae843d9be5c619b94795c9198d083b3a45271121927a2c2e53cd52f768",
-        "2e2f5e0bcf4fa3be3aa8c07c299f170a2f4944649d810f2e1fc600ab0a045fa6",
-        "d562741261e2c4cd74f949aeb5e8fa3c3a8a6936ab59054ce76a307d5280a39b",
+        "09968f69bbfc794701a1415659fcb2b0c6049380d672c1be3bed1e0bb3a78912",
+        "69b14294fb2239b7af2cd24face88e0597a6af7483ffa9c9e8e376801c950387",
+        "c2fb339aecdfd7e1be6958b47b3830380a0e24debe5623cfada8cc4c426b8568",
+        "cbabb2ab05edd74cc11c4d838d274a9dfbc4a287ff1db565bc5ddafb5cc6bbcf",
+        "4a8d6703a7188420408102aacd7828cb7e145ae638fc0bd9c59757a1a412cb67",
+        "4daee2e5fda13fe89c8b6dff0bf555ef9004a487636272efe97146a94c3582aa",
+        "531dca70808d993d0edd9d3416ca48bdb34864367d5c541b045abcddafac6b8f",
     ],
     True: [
         "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
@@ -117,13 +128,13 @@ PROJECTION = (
 SAME_CIPHERTEXTS = {
     False: [
         "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
-        "6fd994cdc711de2806542968924cc75d45f3b935650cf940d7bdab92500e477a",
-        "92c2f0252aceb555973bc0e37f41792af6661c15adbbeb1a3ac4f46cd6dd18d7",
-        "b6af4c16e4aa0b5ddee02ab2b8cbe2d42159142c3aa6b1943c91e55ffa9374b9",
-        "082ceb453728deb185889e798ded207003dfaae77fc4c3e997ba9406452d74a0",
-        "90a66aae843d9be5c619b94795c9198d083b3a45271121927a2c2e53cd52f768",
-        "2e2f5e0bcf4fa3be3aa8c07c299f170a2f4944649d810f2e1fc600ab0a045fa6",
-        "d562741261e2c4cd74f949aeb5e8fa3c3a8a6936ab59054ce76a307d5280a39b",
+        "09968f69bbfc794701a1415659fcb2b0c6049380d672c1be3bed1e0bb3a78912",
+        "69b14294fb2239b7af2cd24face88e0597a6af7483ffa9c9e8e376801c950387",
+        "c2fb339aecdfd7e1be6958b47b3830380a0e24debe5623cfada8cc4c426b8568",
+        "cbabb2ab05edd74cc11c4d838d274a9dfbc4a287ff1db565bc5ddafb5cc6bbcf",
+        "4a8d6703a7188420408102aacd7828cb7e145ae638fc0bd9c59757a1a412cb67",
+        "4daee2e5fda13fe89c8b6dff0bf555ef9004a487636272efe97146a94c3582aa",
+        "531dca70808d993d0edd9d3416ca48bdb34864367d5c541b045abcddafac6b8f",
     ],
     True: [
         "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
@@ -137,14 +148,14 @@ SAME_CIPHERTEXTS = {
     ],
 }
 REPLY = {
-    False: "b0b9e837eaf275496994409160ccbad9609440c52054cfa6ed9da133474e2ff0",
+    False: "00e7aecf2ad9222197e602bb2029d6d7590cad774616cb8824ec27f307f06133",
     True: "036b104386e3b8d91ab3407f1c7431731df1d9bc2519cafae44dea4dce2749fe",
 }
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_rr_to_json_pinned_across_backends(star_mode):
-    requests, reply, oracle, outcome = _discover(CHAIN_NODES, star_mode)
+    requests, reply, oracle, outcome, _ = _discover(CHAIN_NODES, star_mode)
     assert outcome.trusted
     assert outcome.path == oracle.path
     assert outcome.trust == oracle.trust == TRUST
@@ -152,3 +163,25 @@ def test_rr_to_json_pinned_across_backends(star_mode):
     projected = [{k: obj[k] for k in PROJECTION} for obj in requests]
     assert [_sha256(obj) for obj in projected] == SAME_CIPHERTEXTS[star_mode]
     assert _sha256(reply) == REPLY[star_mode]
+
+
+ROUTE_FIELDS = ("pk", "lambda", "eta", "source", "destination", "next_hop", "path")
+ROUTE = {
+    False: "c36df70a8c4f509eb6567d0a445d9e54542554d0abaa0cc27ed5a94a9bef179a",
+    True: "11d1175db78b46abe109dfb1fb137287abbaa107b1e556024acd95cb97f4a5ab",
+}
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_route_and_running_totals_pinned(star_mode):
+    # No ciphertext enters this digest: each request's key, parameters,
+    # endpoints, next hop and path, and the total its accumulator decrypts to.
+    requests, _, _, _, keys = _discover(CHAIN_NODES, star_mode)
+    route = [
+        {
+            **{k: obj[k] for k in ROUTE_FIELDS},
+            "total": decrypt_value(keys.sk, rr_from_json(obj).acc_trust),
+        }
+        for obj in requests
+    ]
+    assert _sha256(route) == ROUTE[star_mode]

@@ -169,8 +169,10 @@ def test_update_accumulates_and_appends_path():
     assert rr2.path == (0, 1)
     assert rr2.next_hop == 2
     assert decrypt_value(keys.sk, rr2.acc_trust) == 7 + 5
-    # the adder's 9 XOR and 5 AND; 4 local bits and 4 zero pairs encrypted
-    assert ops == {"add": 9, "mul": 5, "encrypt": 12}
+    # the adder's 9 XOR and 5 AND; only the 4 local bits encrypted, since a
+    # plain hop draws no zero pairs for its successor
+    assert ops == {"add": 9, "mul": 5, "encrypt": 4}
+    assert rr2.zeros == ()
 
 
 def test_update_star_mode_matches_plain():
@@ -355,7 +357,10 @@ def test_same_seed_discoveries_serialize_byte_identical():
         "pk", "lambda", "eta", "source", "destination", "next_hop", "path",
         "acc_trust", "acc_trust_noise_bits", "zeros",
     }
-    assert all(set(json.loads(text)) == request_keys for text in first[:-1])
+    requests = [json.loads(text) for text in first[:-1]]
+    assert all(set(obj) == request_keys for obj in requests)
+    # Only a star hop reads zero pairs, so only the source's request carries them.
+    assert [len(obj["zeros"]) for obj in requests] == [8, 0, 0, 0]
     assert set(json.loads(first[-1])) == {"path", "acc_trust", "acc_trust_noise_bits"}
 
 
@@ -432,9 +437,9 @@ def test_zero_bounds_come_from_the_receiver():
     assert outputs[0] == outputs[1]  # the same values and the same noise bounds
 
 
-@pytest.mark.parametrize("count", [7, 9, 6, 10, 0])
+@pytest.mark.parametrize("count", [7, 9, 6, 10])
 def test_rr_from_json_rejects_wrong_zero_count(count):
-    # Two zeros per accumulator bit: 8 for a width-4 accumulator.
+    # None, or two zeros per accumulator bit: 8 for a width-4 accumulator.
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
     obj = rr_to_json(rr)
@@ -442,6 +447,24 @@ def test_rr_from_json_rejects_wrong_zero_count(count):
     obj["zeros"] = (obj["zeros"] * 2)[:count]
     with pytest.raises(ValueError, match="zeros"):
         rr_from_json(obj)
+
+
+def test_request_without_zeros_decodes_and_a_star_hop_drops_it():
+    # A plain hop forwards no zero pairs.  The next plain hop reads none; a
+    # star hop needs one pair per accumulator bit and drops the request.
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    obj = rr_to_json(rr)
+    obj["zeros"] = []
+    decoded = rr_from_json(obj)
+    assert decoded.zeros == ()
+    assert decoded.acc_trust == rr.acc_trust
+    decision = process_rr(nodes[1], decoded, rng, star_mode=True)
+    assert isinstance(decision, Drop)
+    assert decision.reason.startswith("malformed payload: ")
+    decision = process_rr(nodes[1], decoded, rng)
+    assert isinstance(decision, ForwardUpdated)
+    assert decrypt_value(keys.sk, decision.rr.acc_trust) == 7 + 5
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])

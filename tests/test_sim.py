@@ -519,7 +519,10 @@ def test_caller_observing_run_discovery_sees_every_ciphertext(star_mode, made_ke
     assert report.status == DELIVERED and report.trusted
     assert len(report.per_node_stats) == 2
     assert (ops["add"], ops["mul"]) == (report.stats.n_he_add, report.stats.n_he_mul)
-    assert len(produced) > 50
+    # The source encrypts 4 bits and 4 zero pairs.  Each of the 2 updates
+    # encrypts 4 local bits and runs 14 gates; a star hop also encrypts 14
+    # flags and 4 zero pairs, and its 18 universal gates are 90 ops.
+    assert len(produced) == (244 if star_mode else 48)
     sk = made_keys[0].sk
     for ct in produced:
         assert (ct.value % sk).bit_length() <= ct.noise_bits

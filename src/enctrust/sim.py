@@ -15,18 +15,18 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bignum, she
 from .circuits import BOUND_OPS, build_ripple_adder, update
 from .protocol import (
     Drop,
-    ForwardUnchanged,
+    ForwardDecision,
     ForwardUpdated,
     NodeId,
     NodeState,
     Reply,
-    RouteReply,
+    RouteRequest,
     make_node,
     process_rr,
     source_finalize,
@@ -398,12 +398,37 @@ class RunReport:
         }
 
 
-def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConfig) -> RunReport:
-    """Drive one encrypted discovery and compare it against the oracle.
+def hops(
+    nodes: dict[NodeId, NodeState], rr: RouteRequest, rng: random.Random, star_mode: bool = False
+) -> Iterator[tuple[NodeId, RouteRequest, ForwardDecision]]:
+    """Walk one request hop by hop from ``rr.next_hop``.
 
-    Each ``process_rr`` call runs inside ``she.observe``, which tallies that
-    hop's operations; a caller that observes around this call also receives
-    every ciphertext of the run.
+    Yields ``(node_id, request_received, decision)`` for each ``process_rr``
+    call: a ``ForwardUnchanged`` hands the same request to its next hop, a
+    ``ForwardUpdated`` hands on the updated one, and the walk stops after a
+    ``Reply`` or a ``Drop``.  A walk of more than ``2 * len(nodes) + 2``
+    calls raises ``RuntimeError``.
+    """
+    current = rr.next_hop
+    for _ in range(2 * len(nodes) + 2):
+        decision = process_rr(nodes[current], rr, rng, star_mode)
+        yield current, rr, decision
+        if isinstance(decision, (Reply, Drop)):
+            return
+        if isinstance(decision, ForwardUpdated):
+            rr = decision.rr
+            current = rr.next_hop
+        else:
+            current = decision.next_hop
+    raise RuntimeError("discovery did not terminate; decision loop detected")
+
+
+def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConfig) -> RunReport:
+    """Drive one encrypted discovery through :func:`hops` and compare it against the oracle.
+
+    One ``she.observe`` sink around the walk tallies each hop's operations
+    into that hop's ``EvalStats``; a caller that observes around this call
+    also receives every ciphertext of the run.
     """
     _check_endpoints(t, source, destination)
     walk = _greedy_walk(t, source, destination)
@@ -425,27 +450,13 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
     t1 = time.perf_counter()
     keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
     per_node: list[tuple[NodeId, EvalStats]] = []
-    rp: RouteReply | None = None
-    drop: Drop | None = None
-    current = rr.next_hop
-    for _ in range(2 * len(nodes) + 2):
-        hop = EvalStats()
-        with she.observe(hop.record):
-            decision = process_rr(nodes[current], rr, rng, cfg.star_mode)
-        if isinstance(decision, Reply):
-            rp = decision.reply
-            break
-        if isinstance(decision, Drop):
-            drop = decision
-            break
-        if isinstance(decision, ForwardUnchanged):
-            current = decision.next_hop
-        elif isinstance(decision, ForwardUpdated):
-            per_node.append((current, hop))
-            rr = decision.rr
-            current = rr.next_hop
-    else:
-        raise RuntimeError("discovery did not terminate; decision loop detected")
+    hop = EvalStats()
+    # The sink looks ``hop`` up per event, so each hop's events land in its own stats.
+    with she.observe(lambda op, ct: hop.record(op, ct)):
+        for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode):
+            if isinstance(decision, ForwardUpdated):
+                per_node.append((node_id, hop))
+            hop = EvalStats()
     t2 = time.perf_counter()
 
     wall = {"keygen": t1 - t0, "discovery": t2 - t1, "finalize": 0.0}
@@ -460,19 +471,19 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
         per_node_stats=tuple(per_node),
         stats=functools.reduce(EvalStats.merge, (s for _, s in per_node), EvalStats()),
     )
-    if drop is not None:
+    if isinstance(decision, Drop):
         return RunReport(
             status=DROPPED,
             path=rr.path,
             decrypted_trust=None,
             trusted=False,
             wall=wall,
-            drop_reason=drop.reason,
-            dropped_at=current,
+            drop_reason=decision.reason,
+            dropped_at=node_id,
             **common,
         )
     t3 = time.perf_counter()
-    outcome = source_finalize(keys, rp, params)
+    outcome = source_finalize(keys, decision.reply, params)
     wall["finalize"] = time.perf_counter() - t3
     if outcome.trusted and outcome.trust != oracle.trust:
         raise RuntimeError(

@@ -13,9 +13,9 @@ compact separators):
   reading the zeros from ``payload["zeros"]``, so they show that every
   ciphertext survived that format change.  The request is now exactly
   that projection, so ``GOLDEN`` equals it until a field is added.
-- ``REPLY`` pins the destination's reply, which the source decodes from
-  that JSON before it decrypts.  It was computed at the same earlier
-  commit with the reply's ``stats`` left out.
+- ``REPLY`` pins the destination's reply, which decodes from that JSON
+  back to the reply the source decrypts.  It was computed at the same
+  earlier commit with the reply's ``stats`` left out.
 - ``ROUTE`` pins, per request, everything but the ciphertexts: the key,
   parameters, endpoints, next hop, path and the total the accumulator
   decrypts to.
@@ -34,13 +34,8 @@ import random
 
 import pytest
 
-from enctrust import she
 from enctrust.she import decrypt_value
 from enctrust.protocol import (
-    ForwardUnchanged,
-    ForwardUpdated,
-    Reply,
-    process_rr,
     rp_from_json,
     rp_to_json,
     rr_from_json,
@@ -48,7 +43,7 @@ from enctrust.protocol import (
     source_finalize,
     source_initiate,
 )
-from enctrust.sim import build_nodes, chain_topology, plaintext_oracle, required_eta
+from enctrust.sim import build_nodes, chain_topology, hops, plaintext_oracle, required_eta
 from enctrust.she import SecurityParams
 
 LAM = 3
@@ -60,8 +55,15 @@ def _sha256(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _wire(msg, to_json, from_json):
+    """``msg``'s JSON, after checking that it decodes back to ``msg`` itself."""
+    obj = to_json(msg)
+    assert from_json(json.loads(json.dumps(obj))) == msg
+    return obj
+
+
 def _discover(n: int, star_mode: bool):
-    """Hop-by-hop discovery from 0 to n-1 on a chain, every request through the codec.
+    """Hop-by-hop discovery from 0 to n-1 on a chain, every message checked against the codec.
 
     Returns the JSON of each request sent, the JSON of the reply, the oracle,
     the source's outcome and its keys.
@@ -71,30 +73,14 @@ def _discover(n: int, star_mode: bool):
     eta = required_eta(4, len(oracle.path) - 2, LAM, star_mode)
     params = SecurityParams.from_lambda(LAM, eta=eta)
     nodes = build_nodes(t)
-
-    def iface(node_id):
-        return nodes[node_id].interface
-
     rng = random.Random(SEED)
-    keys = she.keygen(params, rng)
-    keys, rr = source_initiate(nodes[0], n - 1, params, rng, iface, _keys=keys)
-    requests = [rr_to_json(rr)]
-    current = rr.next_hop
-    for _ in range(2 * n):
-        wire = rr_from_json(json.loads(json.dumps(requests[-1])))
-        decision = process_rr(nodes[current], wire, rng, star_mode, iface)
-        if isinstance(decision, Reply):
-            reply = rp_to_json(decision.reply)
-            rp = rp_from_json(json.loads(json.dumps(reply)))
-            return requests, reply, oracle, source_finalize(keys, rp, params), keys
-        if isinstance(decision, ForwardUnchanged):
-            current = decision.next_hop
-            continue
-        assert isinstance(decision, ForwardUpdated), decision
-        rr = decision.rr
-        requests.append(rr_to_json(rr))
-        current = rr.next_hop
-    raise AssertionError("discovery did not terminate")
+    keys, rr = source_initiate(nodes[0], n - 1, params, rng)
+    walk = list(hops(nodes, rr, rng, star_mode))
+    # Each request once: a forward-unchanged hop hands on the one it received.
+    requests = [_wire(r, rr_to_json, rr_from_json) for r in dict.fromkeys(r for _, r, _ in walk)]
+    rp = walk[-1][2].reply
+    reply = _wire(rp, rp_to_json, rp_from_json)
+    return requests, reply, oracle, source_finalize(keys, rp, params), keys
 
 
 CHAIN_NODES = 10  # 7 accumulator updates

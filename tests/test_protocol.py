@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import random
 import re
@@ -26,7 +27,7 @@ from enctrust.protocol import (
     source_initiate,
 )
 from enctrust.she import SecurityParams, decrypt_value
-from enctrust.sim import build_nodes, chain_topology, plaintext_oracle, required_eta
+from enctrust.sim import build_nodes, chain_topology, hops, plaintext_oracle, required_eta
 
 
 def params_for(eta=200, lam=3):
@@ -137,8 +138,6 @@ def test_misdelivered_rr_is_dropped():
 
 
 def test_revisit_is_dropped():
-    import dataclasses
-
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     # A request re-addressed to its own source: the source is on the path.
@@ -197,8 +196,6 @@ def test_no_candidates_drops():
         1: make_node(1, {0, 2}, {0: 4, 2: 6}),
     }
     keys, rr = source_initiate(nodes[0], 9, params, rng)
-    import dataclasses
-
     rr = dataclasses.replace(rr, path=(0, 2), next_hop=1)
     decision = process_rr(nodes[1], rr, rng)
     assert isinstance(decision, Drop)
@@ -210,8 +207,6 @@ def test_no_candidates_drops():
 def test_malformed_payload_drops(star_mode, kept):
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)
-    import dataclasses
-
     bad = dataclasses.replace(rr, acc_trust=rr.acc_trust[:kept])
     decision = process_rr(nodes[1], bad, rng, star_mode)
     assert isinstance(decision, Drop)
@@ -220,32 +215,19 @@ def test_malformed_payload_drops(star_mode, kept):
 
 def test_full_two_update_chain_with_wraparound():
     # 0 -> 1 -> 2 -> 3 -> 4: nodes 1 and 2 update, node 3 shortcuts.
-    trusts = [9, 8, 7, 1]
-    params, rng, nodes = chain_fixture(trusts)
+    params, rng, nodes = chain_fixture([9, 8, 7, 1])
     keys, rr = source_initiate(nodes[0], 4, params, rng)
-    hops = 0
-    while True:
-        decision = process_rr(nodes[rr.next_hop], rr, rng)
-        if isinstance(decision, ForwardUpdated):
-            rr = decision.rr
-        elif isinstance(decision, ForwardUnchanged):
-            import dataclasses
-
-            rr = dataclasses.replace(rr, next_hop=decision.next_hop)
-        elif isinstance(decision, Reply):
-            rp = decision.reply
-            break
-        hops += 1
-        assert hops < 10
-    outcome = source_finalize(keys, rp, params)
+    walk = list(hops(nodes, rr, rng))
+    assert [(node_id, type(decision)) for node_id, _, decision in walk] == [
+        (1, ForwardUpdated), (2, ForwardUpdated), (3, ForwardUnchanged), (4, Reply),
+    ]
+    outcome = source_finalize(keys, walk[-1][2].reply, params)
     assert outcome.path == (0, 1, 2, 4)
     assert outcome.trust == (9 + 8 + 7) % 16
     assert outcome.trusted
 
 
 def test_intermediates_and_destination_never_decrypt(monkeypatch):
-    import dataclasses
-
     params, rng, nodes = chain_fixture([7, 5, 4])
     keys, rr = source_initiate(nodes[0], 3, params, rng)
 
@@ -253,20 +235,17 @@ def test_intermediates_and_destination_never_decrypt(monkeypatch):
         raise AssertionError("decrypt_bit called outside source_finalize")
 
     monkeypatch.setattr(she, "decrypt_bit", forbidden)
-    decision = process_rr(nodes[1], rr, rng)
-    assert isinstance(decision, ForwardUpdated)
-    decision = process_rr(nodes[2], decision.rr, rng)
-    assert isinstance(decision, ForwardUnchanged)
-    rr_at_dest = dataclasses.replace(rr, next_hop=3)
-    assert isinstance(process_rr(nodes[3], rr_at_dest, rng), Reply)
+    # Node 1 updates, node 2 forwards unchanged, and the destination replies
+    # to the request the route delivered.
+    walk = list(hops(nodes, rr, rng))
+    assert [type(decision) for _, _, decision in walk] == [ForwardUpdated, ForwardUnchanged, Reply]
+    assert walk[-1][2].reply.path == (0, 1, 3)
 
 
 def test_finalize_reports_untrusted_on_noise_overflow():
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
     rp = destination_reply(rr)
-    import dataclasses
-
     noisy = tuple(
         she.Ciphertext(value=ct.value, noise_bits=params.eta + 5) for ct in rp.acc_trust
     )
@@ -282,8 +261,6 @@ def test_finalize_reports_untrusted_on_oversized_ciphertext():
     keys, rr = source_initiate(nodes[0], 2, params, rng)
     rp = destination_reply(rr)
     assert source_finalize(keys, rp, params).trusted
-    import dataclasses
-
     for bits in (params.fresh_ct_bits + 1, 400_000):
         head = rp.acc_trust[0]
         value = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
@@ -317,8 +294,6 @@ def test_rp_json_roundtrip():
 def test_rr_validation():
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
-    import dataclasses
-
     with pytest.raises(ValueError):
         dataclasses.replace(rr, path=(1, 0))
     with pytest.raises(ValueError):
@@ -331,21 +306,9 @@ def test_same_seed_discoveries_serialize_byte_identical():
     def wire_texts():
         params, rng, nodes = chain_fixture([7, 5, 4, 6])
         keys, rr = source_initiate(nodes[0], 4, params, rng)
-        texts = []
-        current = rr.next_hop
-        while True:
-            text = json.dumps(rr_to_json(rr), sort_keys=True)
-            texts.append(text)
-            decision = process_rr(nodes[current], rr_from_json(json.loads(text)), rng)
-            if isinstance(decision, Reply):
-                texts.append(json.dumps(rp_to_json(decision.reply), sort_keys=True))
-                return texts
-            if isinstance(decision, ForwardUnchanged):
-                current = decision.next_hop
-                continue
-            assert isinstance(decision, ForwardUpdated), decision
-            rr = decision.rr
-            current = rr.next_hop
+        walk = list(hops(nodes, rr, rng))
+        texts = [json.dumps(rr_to_json(r), sort_keys=True) for _, r, _ in walk]
+        return texts + [json.dumps(rp_to_json(walk[-1][2].reply), sort_keys=True)]
 
     first = wire_texts()
     # the source's request, one per update, the unchanged forward, the reply
@@ -634,21 +597,10 @@ def test_no_ciphertext_repeats_within_a_message(star_mode):
     nodes = build_nodes(topo)
     rng = random.Random(21)
     keys, rr = source_initiate(nodes[0], n - 1, params, rng)
-    messages = []
-    current = rr.next_hop
-    for _ in range(2 * n):
-        messages.append(rr_to_json(rr))
-        decision = process_rr(nodes[current], rr_from_json(messages[-1]), rng, star_mode)
-        if isinstance(decision, Reply):
-            messages.append(rp_to_json(decision.reply))
-            break
-        if isinstance(decision, ForwardUnchanged):
-            current = decision.next_hop
-            continue
-        assert isinstance(decision, ForwardUpdated), decision
-        rr = decision.rr
-        current = rr.next_hop
-    assert source_finalize(keys, rp_from_json(messages[-1]), params).trust == oracle.trust
+    walk = list(hops(nodes, rr, rng, star_mode))
+    rp = walk[-1][2].reply
+    assert source_finalize(keys, rp, params).trust == oracle.trust
+    messages = [rr_to_json(r) for _, r, _ in walk] + [rp_to_json(rp)]
     assert len(messages) >= 4
     # A ciphertext on the wire is any hex string other than the public key.
     pk = format(keys.pk, "x")

@@ -11,18 +11,13 @@ import pytest
 
 from enctrust import circuits
 from enctrust.circuits import AND, build_ripple_adder
-from enctrust.protocol import (
-    ForwardUnchanged,
-    ForwardUpdated,
-    Reply,
-    process_rr,
-    source_initiate,
-)
+from enctrust.protocol import Reply, source_initiate
 from enctrust.she import Ciphertext, SecurityParams, decrypt_bit, decrypt_value
 from enctrust.sim import (
     RunConfig,
     build_nodes,
     chain_topology,
+    hops,
     plaintext_oracle,
     required_eta,
     run_discovery,
@@ -37,20 +32,10 @@ def _certified_requests(t, source, destination, seed, star_mode):
     nodes = build_nodes(t)
     rng = random.Random(seed)
     keys, rr = source_initiate(nodes[source], destination, params, rng)
-    requests = [rr]
-    current = rr.next_hop
-    for _ in range(2 * len(nodes)):
-        decision = process_rr(nodes[current], rr, rng, star_mode)
-        if isinstance(decision, Reply):
-            return keys, requests
-        if isinstance(decision, ForwardUnchanged):
-            current = decision.next_hop
-            continue
-        assert isinstance(decision, ForwardUpdated), decision
-        rr = decision.rr
-        requests.append(rr)
-        current = rr.next_hop
-    raise AssertionError("discovery did not terminate")
+    walk = list(hops(nodes, rr, rng, star_mode))
+    assert isinstance(walk[-1][2], Reply), walk[-1][2]
+    # Each request once: a forward-unchanged hop hands on the one it received.
+    return keys, list(dict.fromkeys(r for _, r, _ in walk))
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
@@ -62,8 +47,8 @@ def test_public_key_decrypts_every_running_total(star_mode):
         keys, requests = _certified_requests(t, 0, 7, seed, star_mode)
         assert len(requests) == 6
         for rr in requests:
-            hops = rr.path + (rr.next_hop,)
-            total = sum(t.trust[arc] for arc in zip(hops, hops[1:])) % 16
+            route = rr.path + (rr.next_hop,)
+            total = sum(t.trust[arc] for arc in zip(route, route[1:])) % 16
             assert decrypt_value(keys.sk, rr.acc_trust) == total
             assert decrypt_value(keys.pk, rr.acc_trust) == total
 

@@ -10,7 +10,14 @@ import pytest
 
 from enctrust import bignum, she, sim
 from enctrust.circuits import build_ripple_adder
-from enctrust.protocol import ForwardUpdated, process_rr, rr_from_json, rr_to_json, source_initiate
+from enctrust.protocol import (
+    ForwardUnchanged,
+    ForwardUpdated,
+    process_rr,
+    rr_from_json,
+    rr_to_json,
+    source_initiate,
+)
 from enctrust.she import SecurityParams
 from enctrust.sim import (
     DELIVERED,
@@ -26,6 +33,7 @@ from enctrust.sim import (
     chain_topology,
     format_benchmark_table,
     generate_topology,
+    hops,
     load_topology,
     measure_mul_throughput,
     plaintext_oracle,
@@ -357,6 +365,24 @@ def test_run_discovery_drop():
     assert report.dropped_at == 2
     assert "no trusted next hop" in report.drop_reason
     assert report.path == plaintext_oracle(t, 0, 3).path
+
+
+def test_hops_ends_a_decision_loop(monkeypatch):
+    # Honest nodes cannot loop, so two nodes that bounce a request stand in
+    # for a decision bug: the walk stops after 2n+2 calls instead of hanging.
+    nodes = build_nodes(chain_topology(4, seed=1))
+    params = SecurityParams.from_lambda(3, eta=required_eta(4, 2, 3))
+    _, rr = source_initiate(nodes[0], 3, params, random.Random(1))
+    calls = []
+
+    def bounce(node, rr, rng, star_mode):
+        calls.append(node.id)
+        return ForwardUnchanged(next_hop=3 - node.id)
+
+    monkeypatch.setattr(sim, "process_rr", bounce)
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        list(hops(nodes, rr, random.Random(2)))
+    assert calls == [1, 2] * 5
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bignum, she
@@ -250,14 +250,18 @@ def process_rr(
         )
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
-    updated = replace(
-        rr,
-        next_hop=next_hop,
-        path=rr.path + (node.id,),
-        acc_trust=outputs,
-        zeros=zeros,
+    return ForwardUpdated(
+        RouteRequest(
+            pk=pk,
+            params=params,
+            source=rr.source,
+            destination=rr.destination,
+            next_hop=next_hop,
+            path=rr.path + (node.id,),
+            acc_trust=outputs,
+            zeros=zeros,
+        )
     )
-    return ForwardUpdated(rr=updated)
 
 
 def destination_reply(rr: RouteRequest) -> RouteReply:
@@ -281,28 +285,41 @@ def source_finalize(
 # JSON wire formats.  Ciphertexts serialize as canonical hex; the accumulator's
 # noise bounds travel in a parallel field.
 
-def json_field(obj: object, key: str, kind: type | tuple[type, ...]):
-    """``obj[key]`` if present and of JSON type ``kind`` (never a boolean), else ``ValueError``."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing field {key!r}")
-    value = obj[key]
-    # Python takes JSON ``true`` for the integer 1; no wire field is a boolean.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
-    return value
+def json_fields(obj: object, kinds: dict[str, type], elements: dict[str, type]) -> list:
+    """The values of the fields ``kinds`` names, in its order, else ``ValueError``.
 
-
-def json_list(obj: object, key: str, kind: type) -> list:
-    """The list ``obj[key]``, each element of exactly type ``kind``, else ``ValueError``.
-
-    One pass over the element types in C; the exact-type test keeps JSON
-    booleans (Python ``bool``, a subclass of ``int``) out of int lists.
+    Each value must be of exactly its JSON type in ``kinds``, and each
+    element of a list field named in ``elements`` of exactly that type.  The
+    exact-type tests keep JSON booleans (Python ``bool``, a subclass of
+    ``int``) out of every int field.  The checks are one lookup per field,
+    one comparison of their types and one ``set(map(type, ...))`` per list;
+    any other field is ignored.  Only a failing message pays for the
+    diagnosis, which names its first bad field.
     """
-    values = json_field(obj, key, list)
-    if not set(map(type, values)) <= {kind}:
-        bad = next(v for v in values if type(v) is not kind)
-        raise ValueError(f"field {key!r} has the wrong JSON type: {type(bad).__name__}")
-    return values
+    try:
+        values = [obj[key] for key in kinds]
+    except (KeyError, TypeError):
+        pass
+    else:
+        if tuple(map(type, values)) == tuple(kinds.values()) and all(
+            set(map(type, obj[key])) <= {kind} for key, kind in elements.items()
+        ):
+            return values
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        value = obj[key]
+        if type(value) is not kind:
+            bad = type(value)
+        elif key in elements:
+            bad = next((type(v) for v in value if type(v) is not elements[key]), None)
+        else:
+            continue
+        if bad is not None:
+            raise ValueError(f"field {key!r} has the wrong JSON type: {bad.__name__}")
+    raise ValueError("malformed message")
 
 
 def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
@@ -313,14 +330,31 @@ def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
     }
 
 
-def cts_from_json(obj: dict, key: str) -> tuple[Ciphertext, ...]:
-    """Inverse of :func:`cts_to_json`; ``ValueError`` on a missing or ill-typed
-    field, or on a count mismatch between the ciphertexts and their bounds."""
-    hexes = json_list(obj, key, str)
-    bounds = json_list(obj, f"{key}_noise_bits", int)
+def _accumulator(hexes: list[str], bounds: list[int]) -> tuple[Ciphertext, ...]:
+    """The ``acc_trust`` ciphertexts with their bounds; ``ValueError`` on a count mismatch."""
     if len(hexes) != len(bounds):
-        raise ValueError(f"{len(hexes)} ciphertexts under {key!r} but {len(bounds)} noise bounds")
+        raise ValueError(
+            f"{len(hexes)} ciphertexts under 'acc_trust' but {len(bounds)} noise bounds"
+        )
     return tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
+
+
+# The fields a decoder reads, with their JSON types, and each list's element type.
+_RR_KINDS = {
+    "pk": str,
+    "lambda": int,
+    "eta": int,
+    "source": int,
+    "destination": int,
+    "next_hop": int,
+    "path": list,
+    "acc_trust": list,
+    "acc_trust_noise_bits": list,
+    "zeros": list,
+}
+_RR_ELEMENTS = {"path": int, "acc_trust": str, "acc_trust_noise_bits": int, "zeros": str}
+_RP_KINDS = {"path": list, "acc_trust": list, "acc_trust_noise_bits": list}
+_RP_ELEMENTS = {"path": int, "acc_trust": str, "acc_trust_noise_bits": int}
 
 
 def rr_to_json(rr: RouteRequest) -> dict:
@@ -351,25 +385,25 @@ def rr_from_json(obj: dict) -> RouteRequest:
     Each zero gets the fresh noise bound, since the adapter encrypted it
     fresh; any other field, such as an older request's ``stats``, is ignored.
     """
-    lam, eta = json_field(obj, "lambda", int), json_field(obj, "eta", int)
+    pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
+        json_fields(obj, _RR_KINDS, _RR_ELEMENTS)
+    )
     params = SecurityParams.from_lambda(lam, eta=eta)
-    pk_hex = json_field(obj, "pk", str)
-    if len(pk_hex) > _hex_digits(params.pk_bits):
-        raise ValueError(f"public key wider than {params.pk_bits} bits")
+    pk_bits = params.pk_bits
+    if len(pk_hex) > _hex_digits(pk_bits):
+        raise ValueError(f"public key wider than {pk_bits} bits")
     pk = bignum.from_hex(pk_hex)
-    if pk % 2 == 0 or pk.bit_length() != params.pk_bits:
-        raise ValueError(f"public key must be odd and {params.pk_bits} bits wide")
-    zero_hexes = json_list(obj, "zeros", str)
-    max_bits = params.fresh_ct_bits
-    hexes = (*json_list(obj, "acc_trust", str), *zero_hexes)
-    if max(map(len, hexes), default=0) > _hex_digits(max_bits):
-        raise ValueError(f"ciphertext wider than {max_bits} bits")
-    acc_trust = cts_from_json(obj, "acc_trust")
-    if len(zero_hexes) not in (0, 2 * len(acc_trust)):
+    if pk % 2 == 0 or pk.bit_length() != pk_bits:
+        raise ValueError(f"public key must be odd and {pk_bits} bits wide")
+    if len(zero_hexes) not in (0, 2 * len(hexes)):
         raise ValueError(
-            f"{len(zero_hexes)} zeros for {len(acc_trust)} accumulator bits, "
+            f"{len(zero_hexes)} zeros for {len(hexes)} accumulator bits, "
             "expected none or two per bit"
         )
+    max_bits = params.fresh_ct_bits
+    if max(map(len, hexes + zero_hexes), default=0) > _hex_digits(max_bits):
+        raise ValueError(f"ciphertext wider than {max_bits} bits")
+    acc_trust = _accumulator(hexes, bounds)
     fresh = she.fresh_noise_bits(params)
     zeros = [Ciphertext(bignum.from_hex(h), fresh) for h in zero_hexes]
     # The digit count alone admits up to 3 bits more than the bound.
@@ -379,10 +413,10 @@ def rr_from_json(obj: dict) -> RouteRequest:
     return RouteRequest(
         pk=pk,
         params=params,
-        source=json_field(obj, "source", int),
-        destination=json_field(obj, "destination", int),
-        next_hop=json_field(obj, "next_hop", int),
-        path=tuple(json_list(obj, "path", int)),
+        source=source,
+        destination=destination,
+        next_hop=next_hop,
+        path=tuple(path),
         acc_trust=acc_trust,
         zeros=tuple(zip(zeros[0::2], zeros[1::2])),
     )
@@ -399,6 +433,5 @@ def rp_to_json(rp: RouteReply) -> dict:
 
 def rp_from_json(obj: dict) -> RouteReply:
     """Decode a reply; ``ValueError`` on a missing or ill-typed field."""
-    return RouteReply(
-        path=tuple(json_list(obj, "path", int)), acc_trust=cts_from_json(obj, "acc_trust")
-    )
+    path, hexes, bounds = json_fields(obj, _RP_KINDS, _RP_ELEMENTS)
+    return RouteReply(path=tuple(path), acc_trust=_accumulator(hexes, bounds))

@@ -142,7 +142,7 @@ def encrypt_bit(pk: int, m: int, params: SecurityParams, rng: random.Random) -> 
     r = bignum.random_bits(params.r_bits, rng)
     q = bignum.random_bits(params.q_bits, rng)
     value = m + 2 * r + bignum.mul(pk, q)
-    ct = Ciphertext(value=value, noise_bits=fresh_noise_bits(params))
+    ct = Ciphertext(value, fresh_noise_bits(params))
     _emit("encrypt", ct)
     return ct
 
@@ -154,7 +154,7 @@ def decrypt_bit(sk: int, ct: Ciphertext) -> int:
 def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
     """Homomorphic XOR of the underlying bits."""
     value = bignum.mod(c1.value + c2.value, pk)
-    ct = Ciphertext(value=value, noise_bits=add_noise_bits(c1.noise_bits, c2.noise_bits))
+    ct = Ciphertext(value, add_noise_bits(c1.noise_bits, c2.noise_bits))
     _emit("add", ct)
     return ct
 
@@ -170,7 +170,7 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
     division is short.
     """
     value = bignum.mod(bignum.mul(bignum.mod(c1.value, pk), bignum.mod(c2.value, pk)), pk)
-    ct = Ciphertext(value=value, noise_bits=mul_noise_bits(c1.noise_bits, c2.noise_bits))
+    ct = Ciphertext(value, mul_noise_bits(c1.noise_bits, c2.noise_bits))
     _emit("mul", ct)
     return ct
 

@@ -27,6 +27,7 @@ from .protocol import (
     NodeState,
     Reply,
     RouteRequest,
+    json_fields,
     make_node,
     process_rr,
     source_finalize,
@@ -107,35 +108,42 @@ class Topology:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Topology":
-        for key in ("nodes", "edges", "trust"):
-            if key not in obj:
-                raise ValueError(f"missing field '{key}'")
+        """Parse :meth:`to_json`'s form; ``ValueError`` on any malformed part.
+
+        As on the wire (:func:`protocol.json_fields`), an integer must be
+        exactly an ``int``: JSON ``true`` is no node id, endpoint or trust.
+        """
+        node_list, edge_list, trust_map = json_fields(obj, _TOPOLOGY_KINDS, {})
         nodes = []
-        for i, entry in enumerate(obj["nodes"]):
-            if not isinstance(entry, dict) or "id" not in entry:
+        for i, entry in enumerate(node_list):
+            if type(entry) is not dict or "id" not in entry:
                 raise ValueError(f"nodes[{i}] must be an object with an 'id' field")
-            if not isinstance(entry["id"], int):
+            if type(entry["id"]) is not int:
                 raise ValueError(f"nodes[{i}].id must be an integer, got {entry['id']!r}")
             nodes.append(entry["id"])
         edges = []
-        for i, pair in enumerate(obj["edges"]):
+        for i, pair in enumerate(edge_list):
             if (
-                not isinstance(pair, list)
+                type(pair) is not list
                 or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
             ):
                 raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
             a, b = pair
             edges.append((min(a, b), max(a, b)))
         trust = {}
-        for key, value in obj["trust"].items():
+        for key, value in trust_map.items():
             head, sep, tail = key.partition("->")
             if not sep or not head.lstrip("-").isdigit() or not tail.lstrip("-").isdigit():
                 raise ValueError(f"trust key {key!r} is not of the form 'a->b'")
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise ValueError(f"trust['{key}'] must be an integer, got {value!r}")
             trust[(int(head), int(tail))] = value
         return cls(nodes=tuple(nodes), edges=tuple(edges), trust=trust)
+
+
+_TOPOLOGY_KINDS = {"nodes": list, "edges": list, "trust": dict}
 
 
 def save_topology(t: Topology, path: str) -> None:
@@ -290,6 +298,10 @@ def _check_endpoints(t: Topology, source: NodeId, destination: NodeId) -> None:
         raise ValueError(f"source and destination coincide: {source}")
 
 
+# Memoized: the answer depends on the four arguments alone, so a long-lived
+# source plans each route shape once.  ``typed`` keeps ``4.0`` and ``True``
+# from answering for ``4`` and ``1``; a call that raises caches nothing.
+@functools.lru_cache(maxsize=None, typed=True)
 def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> int | str:
     """Secret-key bits needed to certify ``hops`` accumulator updates.
 

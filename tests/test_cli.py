@@ -156,6 +156,13 @@ def test_error_exit_codes(tmp_path, capsys):
     # malformed eta
     assert main(["route", "--topology", t, "--source", "0", "--dest", "2",
                  "--lambda", "3", "--eta", "soon"]) == 1
+    # valid JSON of the wrong shape: trust as a list of pairs, not an object
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "trust": [["0->1", 5]]}')
+    capsys.readouterr()
+    assert main(["route", "--topology", str(bad), "--source", "0", "--dest", "1",
+                 "--lambda", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: field 'trust' has the wrong JSON type: list\n"
 
 
 def test_corrupt_topology_file_reports_line(tmp_path, capsys):

@@ -494,7 +494,9 @@ def test_wire_decoders_reject_missing_and_ill_typed_fields(message, field_path, 
         del field[last]
     else:
         field[last] = value
-    with pytest.raises(ValueError):
+    # The message names the mutated top-level field, quoted, so that
+    # 'acc_trust' does not match 'acc_trust_noise_bits'.
+    with pytest.raises(ValueError, match=re.escape(repr(field_path[0]))):
         decode(obj)
 
 

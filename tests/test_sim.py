@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enctrust import bignum, she, sim
 from enctrust.circuits import build_ripple_adder
@@ -124,6 +126,95 @@ def test_load_topology_diagnostics(tmp_path):
     badedge.write_text(json.dumps({"nodes": [{"id": 0}], "edges": [[0]], "trust": {}}))
     with pytest.raises(ValueError, match=r"edges\[0\] must be a pair"):
         load_topology(str(badedge))
+
+
+def _valid_topology_json():
+    return {
+        "nodes": [{"id": 0}, {"id": 1}],
+        "edges": [[0, 1]],
+        "trust": {"0->1": 5, "1->0": 7},
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), 5, "expected a JSON object, got int"),
+        ((), [], "expected a JSON object, got list"),
+        (("nodes",), {}, "field 'nodes' has the wrong JSON type: dict"),
+        (("edges",), 3, "field 'edges' has the wrong JSON type: int"),
+        (("trust",), [["0->1", 5]], "field 'trust' has the wrong JSON type: list"),
+        (("nodes", 0), 0, r"nodes\[0\] must be an object with an 'id' field"),
+        (("nodes", 1, "id"), True, r"nodes\[1\]\.id must be an integer, got True"),
+        (("edges", 0), "01", r"edges\[0\] must be a pair of integers"),
+        (("edges", 0, 1), True, r"edges\[0\] must be a pair of integers"),
+        (("trust", "1->0"), True, r"trust\['1->0'\] must be an integer, got True"),
+    ],
+)
+def test_topology_from_json_rejects_malformed_parts(path, value, message):
+    obj = _valid_topology_json()
+    assert Topology.from_json(obj).trust == {(0, 1): 5, (1, 0): 7}
+    if path:
+        *parents, last = path
+        field = obj
+        for key in parents:
+            field = field[key]
+        field[last] = value
+    else:
+        obj = value
+    with pytest.raises(ValueError, match=message):
+        Topology.from_json(obj)
+
+
+def _json_paths(obj, prefix=()):
+    """The key/index path of every field and list element in a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+TOPOLOGY_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=False),
+    st.sampled_from(["", "0", "0->1", "1->0", "a->b", "-1->2"]),
+    st.lists(st.integers(-1, 3) | st.booleans(), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "0->1", "1->0", "x"]), st.integers(-1, 11), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_topology_loads_or_raises_value_error(data):
+    # One or two parts of a real topology are dropped or replaced; loading it
+    # must give a Topology or raise ValueError, never another exception.
+    obj = generate_topology(5, 2, seed=3).to_json()
+    paths = list(_json_paths(obj))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        field = obj
+        try:
+            for key in parents:
+                field = field[key]
+            field[last]
+        except (KeyError, IndexError, TypeError):
+            continue  # the first mutation removed or retyped this path
+        if data.draw(st.booleans()):
+            del field[last]
+        else:
+            field[last] = data.draw(TOPOLOGY_VALUES)
+    try:
+        topo = Topology.from_json(obj)
+    except ValueError:
+        return
+    assert isinstance(topo, Topology)
 
 
 def reachable_from_0(t):
@@ -303,6 +394,39 @@ def test_required_eta_validation():
         required_eta(4, -1, 3)
     with pytest.raises(ValueError):
         required_eta(4, 1, 1)
+
+
+def test_required_eta_plans_each_shape_once(monkeypatch):
+    # A cleared cache: no earlier test can have planned these shapes.
+    required_eta.cache_clear()
+    updates = []
+    real_update = sim.update
+    monkeypatch.setattr(sim, "update", lambda *args: updates.append(args) or real_update(*args))
+    assert required_eta(4, 2, 3, star_mode=True) == 823
+    assert len(updates) == 2
+    assert required_eta(4, 50, 3, star_mode=True) == TOO_DEEP
+    planned = len(updates)
+    for _ in range(3):
+        assert required_eta(4, 2, 3, star_mode=True) == 823
+        assert required_eta(4, 50, 3, star_mode=True) == TOO_DEEP
+    assert len(updates) == planned  # no repeated call ran an update
+    # Another shape is planned on its own.
+    assert required_eta(4, 2, 3) == 47
+    assert len(updates) == planned + 2
+
+
+def test_required_eta_caches_no_error():
+    required_eta.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            required_eta(0, 1, 3)
+        with pytest.raises(ValueError):
+            required_eta(4, 1, 1)
+    assert required_eta.cache_info().currsize == 0
+    # A value equal to a planned argument but of another type answers for itself.
+    assert required_eta(4, 1, 3) == 27
+    with pytest.raises(TypeError):
+        required_eta(4.0, 1, 3)
 
 
 def test_run_discovery_chain_auto_eta():

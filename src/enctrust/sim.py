@@ -14,8 +14,8 @@ import functools
 import json
 import random
 import time
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from . import bignum, she
 from .circuits import BOUND_OPS, build_ripple_adder, update
@@ -134,12 +134,17 @@ class Topology:
             edges.append((min(a, b), max(a, b)))
         trust = {}
         for key, value in trust_map.items():
-            head, sep, tail = key.partition("->")
-            if not sep or not head.lstrip("-").isdigit() or not tail.lstrip("-").isdigit():
-                raise ValueError(f"trust key {key!r} is not of the form 'a->b'")
+            # Only the spelling to_json writes, so no two keys name one arc.
+            head, _, tail = key.partition("->")
+            try:
+                arc = int(head), int(tail)
+            except ValueError:
+                arc = None
+            if arc is None or f"{arc[0]}->{arc[1]}" != key:
+                raise ValueError(f"trust key {key!r} is not of the form 'a->b' with decimal ids")
             if type(value) is not int:
                 raise ValueError(f"trust['{key}'] must be an integer, got {value!r}")
-            trust[(int(head), int(tail))] = value
+            trust[arc] = value
         return cls(nodes=tuple(nodes), edges=tuple(edges), trust=trust)
 
 
@@ -152,16 +157,28 @@ def save_topology(t: Topology, path: str) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+    """Read :func:`save_topology`'s file; ``ValueError`` naming ``path`` if it is malformed.
+
+    A key repeated within one JSON object is an error, not last-wins.
+    """
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         return Topology.from_json(obj)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -217,11 +234,47 @@ def chain_topology(n: int, seed: int) -> Topology:
     return Topology(nodes=tuple(range(n)), edges=edges, trust=trust)
 
 
-def build_nodes(t: Topology, width: int = 4) -> dict[NodeId, NodeState]:
-    return {
-        i: make_node(i, t.neighbors(i), {nb: t.trust[(i, nb)] for nb in t.neighbors(i)}, width)
-        for i in t.nodes
-    }
+class _Nodes(Mapping[NodeId, NodeState]):
+    """A topology's nodes, each built by ``make_node`` on its first lookup and then kept.
+
+    ``len``, iteration (in ``t.nodes`` order) and ``values()`` cover every
+    node of the topology; an id outside it raises ``KeyError``.
+    """
+
+    def __init__(self, t: Topology, width: int) -> None:
+        self._t = t
+        self._width = width
+        self._built: dict[NodeId, NodeState] = {}
+
+    def __getitem__(self, node: NodeId) -> NodeState:
+        try:
+            return self._built[node]
+        except KeyError:
+            pass
+        nbs = self._t._adjacency[node]
+        trust = self._t.trust
+        built = make_node(node, nbs, {nb: trust[(node, nb)] for nb in nbs}, self._width)
+        self._built[node] = built
+        return built
+
+    def __contains__(self, node: object) -> bool:
+        # Mapping's default would build the node to answer.
+        return node in self._t._adjacency
+
+    def __len__(self) -> int:
+        return len(self._t.nodes)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._t.nodes)
+
+
+def build_nodes(t: Topology, width: int = 4) -> Mapping[NodeId, NodeState]:
+    """Every node of ``t`` at accumulator ``width``, each built on its first lookup.
+
+    A discovery builds only the nodes it visits.  Each call returns fresh
+    nodes: a ``NodeState`` is mutable, so calls share none.
+    """
+    return _Nodes(t, width)
 
 
 @dataclass(frozen=True)
@@ -290,9 +343,9 @@ def _oracle_result(t: Topology, walk: _Walk, width: int) -> OracleResult:
 
 
 def _check_endpoints(t: Topology, source: NodeId, destination: NodeId) -> None:
-    if source not in t.nodes:
+    if source not in t._adjacency:
         raise ValueError(f"source {source} not in topology")
-    if destination not in t.nodes:
+    if destination not in t._adjacency:
         raise ValueError(f"destination {destination} not in topology")
     if source == destination:
         raise ValueError(f"source and destination coincide: {source}")
@@ -411,7 +464,10 @@ class RunReport:
 
 
 def hops(
-    nodes: dict[NodeId, NodeState], rr: RouteRequest, rng: random.Random, star_mode: bool = False
+    nodes: Mapping[NodeId, NodeState],
+    rr: RouteRequest,
+    rng: random.Random,
+    star_mode: bool = False,
 ) -> Iterator[tuple[NodeId, RouteRequest, ForwardDecision]]:
     """Walk one request hop by hop from ``rr.next_hop``.
 

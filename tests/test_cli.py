@@ -163,6 +163,21 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["route", "--topology", str(bad), "--source", "0", "--dest", "1",
                  "--lambda", "3"]) == 1
     assert capsys.readouterr().err == f"error: {bad}: field 'trust' has the wrong JSON type: list\n"
+    # a second spelling of an arc, or one arc written twice, is an error, not last-wins
+    for key, fault in [
+        ("01->0", "trust key '01->0' is not of the form 'a->b' with decimal ids"),
+        ("0->\u0661", "trust key '0->\u0661' is not of the form 'a->b' with decimal ids"),
+        ("-0->1", "trust key '-0->1' is not of the form 'a->b' with decimal ids"),
+        ("0->1", "repeated key '0->1' in a JSON object"),
+    ]:
+        bad.write_text(
+            '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],'
+            f' "trust": {{"0->1": 5, "1->0": 7, "{key}": 9}}}}',
+            encoding="utf-8",
+        )
+        assert main(["route", "--topology", str(bad), "--source", "0", "--dest", "1",
+                     "--lambda", "3"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
 
 
 def test_corrupt_topology_file_reports_line(tmp_path, capsys):

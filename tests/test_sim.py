@@ -15,6 +15,7 @@ from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
     ForwardUpdated,
+    make_node,
     process_rr,
     rr_from_json,
     rr_to_json,
@@ -117,6 +118,15 @@ def test_load_topology_diagnostics(tmp_path):
     with pytest.raises(ValueError, match="'0-1' is not of the form 'a->b'"):
         load_topology(str(badkey))
 
+    # A dict cannot hold a repeated key, so only the file loader sees one.
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(
+        '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],'
+        ' "trust": {"0->1": 5, "1->0": 7, "0->1": 6}}'
+    )
+    with pytest.raises(ValueError, match=r"repeated\.json: repeated key '0->1' in a JSON object"):
+        load_topology(str(repeated))
+
     badnode = tmp_path / "badnode.json"
     badnode.write_text(json.dumps({"nodes": [{"noid": 0}], "edges": [], "trust": {}}))
     with pytest.raises(ValueError, match=r"nodes\[0\] must be an object with an 'id'"):
@@ -149,6 +159,10 @@ def _valid_topology_json():
         (("edges", 0), "01", r"edges\[0\] must be a pair of integers"),
         (("edges", 0, 1), True, r"edges\[0\] must be a pair of integers"),
         (("trust", "1->0"), True, r"trust\['1->0'\] must be an integer, got True"),
+        # Another spelling of an existing arc: it loaded, and the later key won.
+        (("trust", "01->0"), 9, r"trust key '01->0' is not of the form 'a->b'"),
+        (("trust", "-0->1"), 9, r"trust key '-0->1' is not of the form 'a->b'"),
+        (("trust", "0->\u0661"), 9, "trust key '0->\u0661' is not of the form 'a->b'"),
     ],
 )
 def test_topology_from_json_rejects_malformed_parts(path, value, message):
@@ -206,6 +220,8 @@ def test_mutated_topology_loads_or_raises_value_error(data):
             field[last]
         except (KeyError, IndexError, TypeError):
             continue  # the first mutation removed or retyped this path
+        if type(field) not in (dict, list):
+            continue  # retyped to a string, which indexes but cannot be mutated
         if data.draw(st.booleans()):
             del field[last]
         else:
@@ -320,6 +336,53 @@ def test_build_nodes_share_one_frozen_circuit():
     assert all(node.interface == 4 for node in nodes.values())
     with pytest.raises(dataclasses.FrozenInstanceError):
         build_ripple_adder(4).gates = ()
+
+
+def test_build_nodes_is_a_mapping_over_every_node():
+    t = dataclasses.replace(triangle_with_pendant(), nodes=(3, 1, 0, 2))
+    nodes = build_nodes(t, width=4)
+    assert len(nodes) == len(t.nodes)
+    assert list(nodes) == list(t.nodes)
+    assert 2 in nodes and 4 not in nodes
+    with pytest.raises(KeyError):
+        nodes[4]
+    assert nodes[1] is nodes[1]
+    for i, node in zip(t.nodes, nodes.values()):
+        trust = {nb: t.trust[(i, nb)] for nb in t.neighbors(i)}
+        assert node == make_node(i, t.neighbors(i), trust, 4)
+
+
+# ``RunReport.to_json()`` without ``wall`` for the route below, hashed as in
+# ``test_report_digest_pinned``; computed when ``build_nodes`` built every node.
+LARGE_ROUTE_DIGEST = "30221f9fc36705bd8807f6e8f7a370c04ad1885f5485e09a5061d2dc9af58b51"
+
+
+def test_run_discovery_builds_only_the_nodes_it_visits(monkeypatch):
+    # On 2000 nodes the route from 0 to 1999 has 24 nodes: the source and
+    # each process_rr call build at most one node apiece.
+    t = generate_topology(2000, 4, seed=3)
+    built, handled = [], []
+    real_make_node, real_process_rr = sim.make_node, sim.process_rr
+
+    def counting_make_node(node_id, *args):
+        built.append(node_id)
+        return real_make_node(node_id, *args)
+
+    def counting_process_rr(node, *args):
+        handled.append(node.id)
+        return real_process_rr(node, *args)
+
+    monkeypatch.setattr(sim, "make_node", counting_make_node)
+    monkeypatch.setattr(sim, "process_rr", counting_process_rr)
+    report = run_discovery(t, 0, 1999, RunConfig(lam=3, seed=5))
+    assert (report.status, report.trusted, len(report.path)) == (DELIVERED, True, 24)
+    assert built[0] == 0
+    assert sorted(built) == sorted({0, *handled})
+    assert len(built) <= len(handled) + 1
+    obj = report.to_json()
+    del obj["wall"]
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_ROUTE_DIGEST
 
 
 def test_oracle_shortcut_semantics():

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import bignum, she
@@ -86,9 +86,21 @@ def _check_wire(wire: WireRef, num_inputs: int, position: int, where: str) -> No
 
 @dataclass(frozen=True, slots=True)
 class Circuit:
+    """Gates in topological order over ``num_inputs`` input wires.
+
+    The walker sees every wire as one flat list, the inputs and then each
+    gate's output, so input ``i`` sits at position ``i`` and gate ``j``'s
+    output at ``num_inputs + j``.  ``steps`` holds each gate's
+    ``(is_and, a, b)`` with its operands' positions and ``output_positions``
+    each output's; both are derived once, here, and take no part in
+    equality, hashing or the repr.
+    """
+
     num_inputs: int
     gates: tuple[Gate, ...]
     outputs: tuple[WireRef, ...]
+    steps: tuple[tuple[bool, int, int], ...] = field(init=False, compare=False, repr=False)
+    output_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_inputs < 0:
@@ -98,6 +110,13 @@ class Circuit:
             _check_wire(g.b, self.num_inputs, i, f"gate {i}")
         for j, out in enumerate(self.outputs):
             _check_wire(out, self.num_inputs, len(self.gates), f"output {j}")
+
+        def position(w: WireRef) -> int:
+            return w.index if w.kind == INPUT else self.num_inputs + w.index
+
+        steps = tuple((g.kind == AND, position(g.a), position(g.b)) for g in self.gates)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "output_positions", tuple(map(position, self.outputs)))
 
     @property
     def xor_count(self) -> int:
@@ -121,25 +140,23 @@ class StarCircuit:
             raise ValueError(f"{len(self.flags)} flags for {len(self.circuit.gates)} gates")
 
 
-def _walk(circuit: Circuit, inputs: Sequence, gate: Callable) -> tuple:
-    """The one evaluation loop: each gate's output is ``gate(g, a, b)`` on its operand values.
+def _walk(circuit: Circuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
+    """The one evaluation loop: each XOR gate's output is ``xor(a, b)`` and
+    each AND gate's ``and_(a, b)``, on its operand values.
 
-    The domain is whatever ``inputs`` and ``gate`` work in: bits, noise
-    bounds or ciphertexts.  Gates come in topological order, so every
-    operand is an input or an earlier gate's output.
+    The domain is whatever ``inputs``, ``xor`` and ``and_`` work in: bits,
+    noise bounds or ciphertexts.  Gates come in topological order, so every
+    operand is an input or an earlier gate's output, already in ``wires`` at
+    the position :class:`Circuit` computed for it.
     """
     if len(inputs) != circuit.num_inputs:
         raise ValueError(f"expected {circuit.num_inputs} inputs, got {len(inputs)}")
-    produced: list = []
-    wires = {INPUT: inputs, GATE: produced}
-    for g in circuit.gates:
-        produced.append(gate(g, wires[g.a.kind][g.a.index], wires[g.b.kind][g.b.index]))
-    return tuple(wires[o.kind][o.index] for o in circuit.outputs)
-
-
-def _by_kind(xor: Callable, and_: Callable) -> Callable:
-    """A walker gate that applies each plain gate's own operation."""
-    return lambda g, a, b: xor(a, b) if g.kind == XOR else and_(a, b)
+    ops = (xor, and_)
+    wires = list(inputs)
+    append = wires.append
+    for is_and, a, b in circuit.steps:
+        append(ops[is_and](wires[a], wires[b]))
+    return tuple(map(wires.__getitem__, circuit.output_positions))
 
 
 def universal(xor: Callable, and_: Callable, a, b, flag):
@@ -182,18 +199,23 @@ def eval_bits(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     """Reference plaintext semantics."""
     if any(b not in (0, 1) for b in bits):
         raise ValueError("input bits must be 0 or 1")
-    return _walk(circuit, bits, _by_kind(operator.xor, operator.and_))
+    return _walk(circuit, bits, operator.xor, operator.and_)
 
 
 def eval_plain(circuit: Circuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
     """Evaluate with plain gates: each XOR gate as ``xor``, each AND gate as ``and_``."""
-    return _walk(circuit, inputs, _by_kind(xor, and_))
+    return _walk(circuit, inputs, xor, and_)
 
 
 def eval_star(sc: StarCircuit, inputs: Sequence, xor: Callable, and_: Callable) -> tuple:
-    """Evaluate a compiled circuit; every gate fires as a universal gate with its flag."""
+    """Evaluate a compiled circuit; every gate fires as a universal gate with its flag,
+    whatever its kind."""
     flags = iter(sc.flags)
-    return _walk(sc.circuit, inputs, lambda g, a, b: universal(xor, and_, a, b, next(flags)))
+
+    def gate(a, b):
+        return universal(xor, and_, a, b, next(flags))
+
+    return _walk(sc.circuit, inputs, gate, gate)
 
 
 @functools.cache

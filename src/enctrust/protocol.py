@@ -388,7 +388,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
         json_fields(obj, _RR_KINDS, _RR_ELEMENTS)
     )
-    params = SecurityParams.from_lambda(lam, eta=eta)
+    params = SecurityParams.from_lambda(lam, eta)
     pk_bits = params.pk_bits
     if len(pk_hex) > _hex_digits(pk_bits):
         raise ValueError(f"public key wider than {pk_bits} bits")

@@ -7,7 +7,8 @@ computes AND, as long as the accumulated noise ``(c mod sk)`` stays below
 ``sk``.  Noise is tracked alongside every ciphertext as a bit-length upper
 bound, so validity is decidable without the secret key.
 
-Keys and ciphertext values are plain ``int``s.  Every multiplication of
+Keys and ciphertext values are plain ``int``s, and a :class:`Ciphertext` is
+an immutable ``(value, noise_bits)`` tuple.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import bignum
 
@@ -50,7 +52,13 @@ class SecurityParams:
         if self.eta < self.lam + 2:
             raise ValueError(f"eta must be at least lam + 2, got eta={self.eta} lam={self.lam}")
 
+    # Memoized: a schedule is immutable, so each ``(lam, eta)`` is built once
+    # rather than once per decoded request.  The pair comes off the wire, so
+    # the cache is bounded: a sender cycling through values evicts entries
+    # instead of growing the process.  ``typed`` keeps ``4.0`` and ``True``
+    # from answering for ``4`` and ``1``; a call that raises caches nothing.
     @classmethod
+    @functools.lru_cache(maxsize=128, typed=True)
     def from_lambda(cls, lam: int, eta: int | None = None) -> "SecurityParams":
         """The schedule at ``lam``, with ``eta`` defaulting to ``lam**2``."""
         return cls(lam=lam, eta=lam * lam if eta is None else eta)
@@ -80,16 +88,32 @@ class KeyPair:
     q0: int
 
 
-@dataclass(frozen=True, slots=True)
-class Ciphertext:
-    """An encrypted bit plus a key-free upper bound on its noise bit length."""
+_tuple_new = tuple.__new__
 
+
+class _CiphertextFields(NamedTuple):
     value: int
     noise_bits: int
 
-    def __post_init__(self) -> None:
-        if self.noise_bits < 0:
-            raise ValueError(f"noise_bits cannot be negative: {self.noise_bits}")
+
+class Ciphertext(_CiphertextFields):
+    """An encrypted bit plus a key-free upper bound on its noise bit length.
+
+    An immutable ``(value, noise_bits)`` tuple: every he-op builds one, and a
+    tuple is cheaper to construct than a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, noise_bits: int) -> "Ciphertext":
+        if noise_bits < 0:
+            raise ValueError(f"noise_bits cannot be negative: {noise_bits}")
+        return _tuple_new(cls, (value, noise_bits))
+
+    @classmethod
+    def _make(cls, iterable) -> "Ciphertext":
+        # ``_replace`` builds through ``_make``, which would skip the check.
+        return cls(*iterable)
 
 
 def fresh_noise_bits(params: SecurityParams) -> int:

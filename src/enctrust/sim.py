@@ -311,6 +311,8 @@ def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
     if first is None:
         return _Walk(DROPPED, (source,), (), 0)
     path = [source]
+    # The protocol's exclusion set: the path so far plus the current node.
+    visited = {source}
     arcs = [(source, first)]
     updates = 0
     current = first
@@ -320,7 +322,8 @@ def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
         if destination in t.neighbors(current):
             # forwarded unchanged: current joins neither the path nor the sum
             return _Walk(DELIVERED, tuple(path) + (destination,), tuple(arcs), updates)
-        nxt = _argmax_neighbor(t, current, set(path) | {current})
+        visited.add(current)
+        nxt = _argmax_neighbor(t, current, visited)
         if nxt is None:
             return _Walk(DROPPED, tuple(path), tuple(arcs), updates)
         arcs.append((current, nxt))

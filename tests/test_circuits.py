@@ -86,6 +86,22 @@ def test_circuit_dag_validation():
         Circuit(2, (Gate(XOR, input_wire(0), input_wire(1)),), (gate_wire(1),))
 
 
+def test_wire_positions_are_derived_not_compared():
+    gates = (
+        Gate(XOR, input_wire(0), input_wire(1)),
+        Gate(AND, gate_wire(0), input_wire(2)),
+    )
+    first = Circuit(3, gates, (gate_wire(1), input_wire(0)))
+    second = Circuit(3, tuple(Gate(g.kind, g.a, g.b) for g in gates), (gate_wire(1), input_wire(0)))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first.steps == ((False, 0, 1), (True, 3, 2))
+    assert first.output_positions == (4, 0)
+    assert "steps" not in repr(first) and "positions" not in repr(first)
+    assert repr(first) == repr(second)
+    assert eval_bits(first, (1, 0, 1)) == (1, 1)
+
+
 def test_adder_structure():
     c4 = build_ripple_adder(4)
     assert c4.num_inputs == 8

@@ -500,6 +500,19 @@ def test_wire_decoders_reject_missing_and_ill_typed_fields(message, field_path, 
         decode(obj)
 
 
+@pytest.mark.parametrize("message", ["rr", "rp"])
+def test_wire_decoders_reject_a_negative_noise_bound(message):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    if message == "rr":
+        obj, decode = rr_to_json(rr), rr_from_json
+    else:
+        obj, decode = rp_to_json(destination_reply(rr)), rp_from_json
+    obj["acc_trust_noise_bits"][1] = -1
+    with pytest.raises(ValueError, match="noise_bits cannot be negative: -1"):
+        decode(obj)
+
+
 def _field_paths(obj, prefix=()):
     """The key/index path of every field and list element in a JSON message."""
     if isinstance(obj, dict):
@@ -558,6 +571,8 @@ def test_mutated_request_ends_in_decision_or_value_error(data, star_mode):
             old = field[last]
         except (KeyError, IndexError, TypeError):
             continue  # the first mutation removed or retyped this path
+        if type(field) not in (dict, list):
+            continue  # retyped to a string, which indexes but cannot be mutated
         kind = data.draw(st.sampled_from(["drop", "retype", "replace"]))
         if kind == "drop":
             del field[last]

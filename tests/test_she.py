@@ -57,6 +57,37 @@ def test_params_are_lam_and_eta_alone():
     assert SecurityParams(lam=3, eta=40) == SecurityParams.from_lambda(3, eta=40)
 
 
+def test_from_lambda_builds_each_schedule_once():
+    SecurityParams.from_lambda.cache_clear()
+    p = SecurityParams.from_lambda(5, 60)
+    assert SecurityParams.from_lambda(5, 60) is p
+    assert SecurityParams.from_lambda(5, 61) == SecurityParams(lam=5, eta=61)
+    # A call that raises caches nothing.
+    before = SecurityParams.from_lambda.cache_info().currsize
+    with pytest.raises(ValueError):
+        SecurityParams.from_lambda(5, 6)
+    assert SecurityParams.from_lambda.cache_info().currsize == before
+
+
+def test_ciphertext_is_an_immutable_validated_tuple():
+    ct = Ciphertext(12, 5)
+    assert ct == Ciphertext(value=12, noise_bits=5) == (12, 5)
+    assert (ct.value, ct.noise_bits) == (12, 5)
+    assert hash(ct) == hash(Ciphertext(12, 5))
+    assert not hasattr(ct, "__dict__")
+    with pytest.raises(AttributeError):
+        ct.value = 13
+    with pytest.raises(AttributeError):
+        ct.noise_bits = 6
+    for build in (
+        lambda: Ciphertext(12, -1),
+        lambda: Ciphertext(value=12, noise_bits=-1),
+        lambda: ct._replace(noise_bits=-1),
+    ):
+        with pytest.raises(ValueError, match="noise_bits cannot be negative: -1"):
+            build()
+
+
 def test_keygen_invariants():
     for lam in (2, 3, 5):
         params, keys, _ = make(lam=lam, seed=11)

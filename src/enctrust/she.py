@@ -47,6 +47,10 @@ class SecurityParams:
     eta: int
 
     def __post_init__(self) -> None:
+        # Exactly int: a float eta only fails later, in keygen, and a bool
+        # is no size.
+        if type(self.lam) is not int or type(self.eta) is not int:
+            raise ValueError(f"lam and eta must be integers, got lam={self.lam!r} eta={self.eta!r}")
         if self.lam < 2:
             raise ValueError(f"lam must be at least 2, got {self.lam}")
         if self.eta < self.lam + 2:
@@ -56,7 +60,8 @@ class SecurityParams:
     # rather than once per decoded request.  The pair comes off the wire, so
     # the cache is bounded: a sender cycling through values evicts entries
     # instead of growing the process.  ``typed`` keeps ``4.0`` and ``True``
-    # from answering for ``4`` and ``1``; a call that raises caches nothing.
+    # from answering for ``4`` and ``1``, so they reach ``__post_init__`` and
+    # are refused; a call that raises caches nothing.
     @classmethod
     @functools.lru_cache(maxsize=128, typed=True)
     def from_lambda(cls, lam: int, eta: int | None = None) -> "SecurityParams":

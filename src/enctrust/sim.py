@@ -11,7 +11,9 @@ are certified correct by construction as long as the tracked bounds hold.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 import random
 import time
 from collections.abc import Iterator, Mapping, Sequence
@@ -48,6 +50,9 @@ class NoiseBudgetError(ValueError):
     """Automatic key sizing failed: the run is too deep to certify."""
 
 
+_TRUST_SCORES = frozenset(range(1, 11))
+
+
 @dataclass(frozen=True)
 class Topology:
     """An undirected connected graph with directed per-arc trust scores."""
@@ -57,35 +62,57 @@ class Topology:
     trust: dict[tuple[NodeId, NodeId], int]
 
     def __post_init__(self) -> None:
+        # Whole-list checks; the per-edge and per-arc loops below run only to
+        # name the first fault of a topology that is being rejected.
         if not self.nodes:
             raise ValueError("topology has no nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node ids")
         known = set(self.nodes)
-        seen = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"edge ({a}, {b}) is a self-loop")
-            if a not in known or b not in known:
-                raise ValueError(f"edge ({a}, {b}) references an unknown node")
-            if a > b:
-                raise ValueError(f"edge ({a}, {b}) is not normalized (smaller id first)")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-        expected_arcs = {(a, b) for a, b in self.edges} | {(b, a) for a, b in self.edges}
-        if set(self.trust) != expected_arcs:
-            missing = sorted(expected_arcs - set(self.trust))
-            extra = sorted(set(self.trust) - expected_arcs)
-            detail = []
-            if missing:
-                detail.append(f"missing trust for arcs {missing}")
-            if extra:
-                detail.append(f"trust for non-edges {extra}")
-            raise ValueError("; ".join(detail))
-        for arc, t in self.trust.items():
-            if not 1 <= t <= 10:
-                raise ValueError(f"trust['{arc[0]}->{arc[1]}'] = {t} outside [1, 10]")
+        if len(known) != len(self.nodes):
+            raise ValueError("duplicate node ids")
+        try:
+            edges_ok = (
+                len(set(self.edges)) == len(self.edges)
+                and all(itertools.starmap(operator.lt, self.edges))
+                and known.issuperset(itertools.chain.from_iterable(self.edges))
+            )
+        except TypeError:  # an edge that is unhashable or not a pair
+            edges_ok = False
+        if not edges_ok:
+            seen = set()
+            for a, b in self.edges:
+                if a == b:
+                    raise ValueError(f"edge ({a}, {b}) is a self-loop")
+                if a not in known or b not in known:
+                    raise ValueError(f"edge ({a}, {b}) references an unknown node")
+                if a > b:
+                    raise ValueError(f"edge ({a}, {b}) is not normalized (smaller id first)")
+                if (a, b) in seen:
+                    raise ValueError(f"duplicate edge ({a}, {b})")
+                seen.add((a, b))
+        # Distinct normalized edges give 2 * len(edges) distinct arcs, so the
+        # trust keys are exactly the arcs if there are that many and each arc
+        # is one of them.
+        has = self.trust.__contains__
+        if not (
+            edges_ok
+            and len(self.trust) == 2 * len(self.edges)
+            and all(map(has, self.edges))
+            and all(map(has, [(b, a) for a, b in self.edges]))
+        ):
+            arcs = {(a, b) for a, b in self.edges} | {(b, a) for a, b in self.edges}
+            if self.trust.keys() != arcs:
+                missing = sorted(arcs - self.trust.keys())
+                extra = sorted(self.trust.keys() - arcs)
+                detail = []
+                if missing:
+                    detail.append(f"missing trust for arcs {missing}")
+                if extra:
+                    detail.append(f"trust for non-edges {extra}")
+                raise ValueError("; ".join(detail))
+        if not set(self.trust.values()) <= _TRUST_SCORES:
+            for arc, t in self.trust.items():
+                if not 1 <= t <= 10:
+                    raise ValueError(f"trust['{arc[0]}->{arc[1]}'] = {t} outside [1, 10]")
 
     @functools.cached_property
     def _adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -112,49 +139,100 @@ class Topology:
 
         As on the wire (:func:`protocol.json_fields`), an integer must be
         exactly an ``int``: JSON ``true`` is no node id, endpoint or trust.
+        A trust key must be spelled as :meth:`to_json` writes it, so no two
+        keys name one arc.
         """
         node_list, edge_list, trust_map = json_fields(obj, _TOPOLOGY_KINDS, {})
-        nodes = []
-        for i, entry in enumerate(node_list):
-            if type(entry) is not dict or "id" not in entry:
-                raise ValueError(f"nodes[{i}] must be an object with an 'id' field")
-            if type(entry["id"]) is not int:
-                raise ValueError(f"nodes[{i}].id must be an integer, got {entry['id']!r}")
-            nodes.append(entry["id"])
-        edges = []
-        for i, pair in enumerate(edge_list):
-            if (
-                type(pair) is not list
-                or len(pair) != 2
-                or type(pair[0]) is not int
-                or type(pair[1]) is not int
-            ):
-                raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
-            a, b = pair
-            edges.append((min(a, b), max(a, b)))
-        trust = {}
-        for key, value in trust_map.items():
-            # Only the spelling to_json writes, so no two keys name one arc.
-            head, _, tail = key.partition("->")
-            try:
-                arc = int(head), int(tail)
-            except ValueError:
-                arc = None
-            if arc is None or f"{arc[0]}->{arc[1]}" != key:
-                raise ValueError(f"trust key {key!r} is not of the form 'a->b' with decimal ids")
-            if type(value) is not int:
-                raise ValueError(f"trust['{key}'] must be an integer, got {value!r}")
-            trust[arc] = value
-        return cls(nodes=tuple(nodes), edges=tuple(edges), trust=trust)
+        parts = _topology_parts(node_list, edge_list, trust_map)
+        if parts is None:
+            parts = _diagnose_topology_parts(node_list, edge_list, trust_map)
+        return cls(*parts)
 
 
 _TOPOLOGY_KINDS = {"nodes": list, "edges": list, "trust": dict}
 
 
+def _topology_parts(node_list: list, edge_list: list, trust_map: dict) -> tuple | None:
+    """``(nodes, edges, trust)`` of a well-formed document, else ``None``.
+
+    Each type check is one C-level ``set(map(type, ...))`` over a whole
+    list: the entries, ids, pairs, pair lengths, endpoints and scores.  A
+    trust key is looked up among the two spellings of each edge's arcs, so a
+    key in any other spelling, or on a non-edge, fails.
+    """
+    if not (set(map(type, node_list)) <= {dict} and set(map(type, edge_list)) <= {list}):
+        return None
+    try:
+        # A list, not an iterator: ``tuple`` grows an iterator's items from a
+        # guessed size, which strands freed tuples of the final size on the
+        # interpreter's free list (0.9 MB of peak RSS on certbench star-chain).
+        nodes = tuple([entry["id"] for entry in node_list])
+    except KeyError:
+        return None
+    if not (
+        set(map(type, nodes)) <= {int}
+        and set(map(len, edge_list)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(edge_list))) <= {int}
+        and set(map(type, trust_map.values())) <= {int}
+    ):
+        return None
+    edges = tuple([(a, b) if a < b else (b, a) for a, b in edge_list])
+    try:
+        arcs = edges + tuple([(b, a) for a, b in edges])
+        spelled = dict(zip([f"{a}->{b}" for a, b in arcs], arcs))
+        trust = dict(zip(list(map(spelled.__getitem__, trust_map)), trust_map.values()))
+    except (KeyError, ValueError):  # ValueError: an id too long for str()
+        return None
+    return nodes, edges, trust
+
+
+def _diagnose_topology_parts(node_list: list, edge_list: list, trust_map: dict) -> tuple:
+    """:func:`_topology_parts` element by element, raising on the first bad one.
+
+    A canonical key on a non-edge passes here, and ``Topology`` names it.
+    """
+    nodes = []
+    for i, entry in enumerate(node_list):
+        if type(entry) is not dict or "id" not in entry:
+            raise ValueError(f"nodes[{i}] must be an object with an 'id' field")
+        if type(entry["id"]) is not int:
+            raise ValueError(f"nodes[{i}].id must be an integer, got {entry['id']!r}")
+        nodes.append(entry["id"])
+    edges = []
+    for i, pair in enumerate(edge_list):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
+        ):
+            raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
+        a, b = pair
+        edges.append((min(a, b), max(a, b)))
+    trust = {}
+    for key, value in trust_map.items():
+        head, _, tail = key.partition("->")
+        try:
+            arc = int(head), int(tail)
+        except ValueError:
+            arc = None
+        if arc is None or f"{arc[0]}->{arc[1]}" != key:
+            raise ValueError(f"trust key {key!r} is not of the form 'a->b' with decimal ids")
+        if type(value) is not int:
+            raise ValueError(f"trust['{key}'] must be an integer, got {value!r}")
+        trust[arc] = value
+    return tuple(nodes), tuple(edges), trust
+
+
 def save_topology(t: Topology, path: str) -> None:
+    """Write ``t`` as one line of compact JSON with sorted keys.
+
+    ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump`` and
+    any indented form run the pure-Python one, several times slower.
+    """
+    text = json.dumps(t.to_json(), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(t.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -50,6 +50,28 @@ def test_params_validation():
         SecurityParams.from_lambda(3, eta=4)  # below lam + 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SecurityParams.from_lambda(5, 60.0),
+        lambda: SecurityParams.from_lambda(3.0),
+        lambda: SecurityParams.from_lambda(True, 60),
+        lambda: SecurityParams.from_lambda(5, True),
+        lambda: SecurityParams.from_lambda(lam=5, eta=60.0),
+        lambda: SecurityParams.from_lambda(5, eta=False),
+        lambda: SecurityParams(lam=5, eta=60.0),
+        lambda: SecurityParams(lam=True, eta=60),
+    ],
+)
+def test_params_refuse_non_int_sizes(make):
+    # Only an exact int sizes a key: a float eta used to pass here and fail
+    # in keygen with TypeError, and a bool is no size.
+    SecurityParams.from_lambda(5, 60)
+    SecurityParams.from_lambda(3)
+    with pytest.raises(ValueError, match="lam and eta must be integers"):
+        make()
+
+
 def test_params_are_lam_and_eta_alone():
     # The wire carries only lambda and eta, so no other width may be set
     # apart from them: every hop rebuilds the same params from those two.

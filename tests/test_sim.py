@@ -15,6 +15,7 @@ from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
     ForwardUpdated,
+    json_fields,
     make_node,
     process_rr,
     rr_from_json,
@@ -100,6 +101,16 @@ def test_topology_file_roundtrip(tmp_path):
     assert load_topology(path) == t
 
 
+def test_saved_topology_is_compact_and_indented_files_still_load(tmp_path):
+    t = generate_topology(8, 3, seed=5)
+    path = tmp_path / "topo.json"
+    save_topology(t, str(path))
+    assert path.read_text() == json.dumps(t.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(t.to_json(), indent=2, sort_keys=True) + "\n")
+    assert load_topology(str(indented)) == t
+
+
 def test_load_topology_diagnostics(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
@@ -180,6 +191,101 @@ def test_topology_from_json_rejects_malformed_parts(path, value, message):
         Topology.from_json(obj)
 
 
+def _path_topology_json():
+    return {
+        "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+        "edges": [[0, 1], [1, 2]],
+        "trust": {"0->1": 5, "1->0": 7, "1->2": 3, "2->1": 9},
+    }
+
+
+def _set(path, value):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return mutate
+
+
+def _add_trust_key(key):
+    return _set(("trust", key), 5)
+
+
+NOT_A_KEY = "trust key {!r} is not of the form 'a->b' with decimal ids"
+HUGE_ID_KEY = "1" * 5000 + "->2"
+
+# Each message is exactly the one the element-by-element loader gave.
+REJECTED_TOPOLOGIES = {
+    "leading zero": (_add_trust_key("01->2"), NOT_A_KEY.format("01->2")),
+    "plus sign": (_add_trust_key("+1->2"), NOT_A_KEY.format("+1->2")),
+    "leading space": (_add_trust_key(" 1->2"), NOT_A_KEY.format(" 1->2")),
+    "underscore": (_add_trust_key("1_0->2"), NOT_A_KEY.format("1_0->2")),
+    "negative zero": (_add_trust_key("-0->1"), NOT_A_KEY.format("-0->1")),
+    "two arrows": (_add_trust_key("1->2->3"), NOT_A_KEY.format("1->2->3")),
+    "arabic-indic digit": (_add_trust_key("1->\u0662"), NOT_A_KEY.format("1->\u0662")),
+    # int() refuses more than 4300 digits, so such an id has no spelling.
+    "5000-digit id": (_add_trust_key(HUGE_ID_KEY), NOT_A_KEY.format(HUGE_ID_KEY)),
+    "key on a non-edge": (_add_trust_key("0->2"), "trust for non-edges [(0, 2)]"),
+    "missing arc": (lambda obj: obj["trust"].pop("2->1"), "missing trust for arcs [(2, 1)]"),
+    "bool id": (_set(("nodes", 1, "id"), True), "nodes[1].id must be an integer, got True"),
+    "bool endpoint": (
+        _set(("edges", 0, 1), True),
+        "edges[0] must be a pair of integers, got [0, True]",
+    ),
+    "bool score": (_set(("trust", "0->1"), True), "trust['0->1'] must be an integer, got True"),
+    "one-ended edge": (_set(("edges", 0), [0]), "edges[0] must be a pair of integers, got [0]"),
+    "three-ended edge": (
+        _set(("edges", 0), [0, 1, 2]),
+        "edges[0] must be a pair of integers, got [0, 1, 2]",
+    ),
+    "edge in both orders": (lambda obj: obj["edges"].append([1, 0]), "duplicate edge (0, 1)"),
+    "node without id": (
+        _set(("nodes", 0), {"name": 0}),
+        "nodes[0] must be an object with an 'id' field",
+    ),
+    "score 11": (_set(("trust", "1->2"), 11), "trust['1->2'] = 11 outside [1, 10]"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_TOPOLOGIES)
+def test_topology_from_json_rejection_messages(case):
+    mutate, message = REJECTED_TOPOLOGIES[case]
+    obj = _path_topology_json()
+    Topology.from_json(obj)
+    mutate(obj)
+    with pytest.raises(ValueError) as exc:
+        Topology.from_json(obj)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        ((-5, -1, 0), ((-5, -1), (-1, 0))),
+        ((2**64, 10**30, 7), ((7, 2**64), (7, 10**30))),
+        ((0, 1, 2, 3), ((1, 3), (0, 1), (0, 3))),
+    ],
+)
+def test_topology_json_roundtrip_of_unusual_ids(nodes, edges):
+    # Negative and large ids load as themselves; an edge written larger id
+    # first loads normalized, in the document's order, and trust keeps the
+    # document's key order.
+    arcs = [arc for a, b in edges for arc in ((b, a), (a, b))]
+    doc = {
+        "nodes": [{"id": i} for i in nodes],
+        "edges": [[b, a] for a, b in edges],
+        "trust": {f"{a}->{b}": 1 + k % 10 for k, (a, b) in enumerate(arcs)},
+    }
+    t = Topology.from_json(doc)
+    assert t.nodes == nodes
+    assert t.edges == edges
+    assert list(t.trust.items()) == [(arc, 1 + k % 10) for k, arc in enumerate(arcs)]
+    # to_json sorts nodes and edges, so its document reloads to the same form.
+    assert Topology.from_json(json.loads(json.dumps(t.to_json()))).to_json() == t.to_json()
+
+
 def _json_paths(obj, prefix=()):
     """The key/index path of every field and list element in a JSON document."""
     if isinstance(obj, dict):
@@ -204,14 +310,25 @@ TOPOLOGY_VALUES = st.one_of(
 )
 
 
+# Trust keys in other spellings of an existing arc, or on non-edges.
+TOPOLOGY_TRUST_KEYS = st.sampled_from(
+    ["0->1", "1->0", "01->1", "-0->1", " 1->0", "1->0->1", "0->4", "4->0", "0->9", "\u0661->0"]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_topology_loads_or_raises_value_error(data):
-    # One or two parts of a real topology are dropped or replaced; loading it
-    # must give a Topology or raise ValueError, never another exception.
+    # One or two parts of a real topology are dropped or replaced, or a trust
+    # key is added; loading it must give a Topology or raise ValueError,
+    # never another exception, and it must raise whenever the whole-list
+    # checks refuse the document.
     obj = generate_topology(5, 2, seed=3).to_json()
     paths = list(_json_paths(obj))
     for _ in range(data.draw(st.integers(1, 2))):
+        if type(obj.get("trust")) is dict and data.draw(st.integers(0, 3)) == 0:
+            obj["trust"][data.draw(TOPOLOGY_TRUST_KEYS)] = data.draw(st.integers(0, 11))
+            continue
         *parents, last = data.draw(st.sampled_from(paths))
         field = obj
         try:
@@ -230,7 +347,14 @@ def test_mutated_topology_loads_or_raises_value_error(data):
         topo = Topology.from_json(obj)
     except ValueError:
         return
-    assert isinstance(topo, Topology)
+    fields = json_fields(obj, sim._TOPOLOGY_KINDS, {})
+    parts = sim._topology_parts(*fields)
+    assert parts is not None
+    # The element-by-element loader is the reference: same nodes, edges,
+    # and trust in the same order.
+    nodes, edges, trust = sim._diagnose_topology_parts(*fields)
+    assert (parts[0], parts[1], list(parts[2].items())) == (nodes, edges, list(trust.items()))
+    assert topo == Topology(*parts)
 
 
 def reachable_from_0(t):

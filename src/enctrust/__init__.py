@@ -5,138 +5,9 @@ circuit evaluation on encrypted bits (plain XOR/AND gates and flag-configured
 universal gates), a chaining adapter for multi-hop evaluation, a greedy
 route-discovery protocol that accumulates per-hop trust under encryption, and
 a simulator with a plaintext reference oracle, a noise planner, and benchmarks.
+
+Each name is imported from the module that defines it, such as
+``from enctrust.sim import run_discovery``; the package root binds none.
 """
 
-from .bignum import UnderflowError
-from .circuits import (
-    BOUND_OPS,
-    Circuit,
-    Gate,
-    StarCircuit,
-    WireRef,
-    adapt,
-    bind_and_continue,
-    build_ripple_adder,
-    compile_to_star,
-    eval_plain,
-    eval_star,
-    he_ops,
-    update,
-)
-from .protocol import (
-    DiscoveryOutcome,
-    Drop,
-    ForwardUnchanged,
-    ForwardUpdated,
-    NodeState,
-    Reply,
-    RouteReply,
-    RouteRequest,
-    destination_reply,
-    make_node,
-    process_rr,
-    rr_from_json,
-    rr_to_json,
-    select_next_hop,
-    source_finalize,
-    source_initiate,
-)
-from .she import (
-    Ciphertext,
-    KeyPair,
-    SecurityParams,
-    decrypt_bit,
-    decrypt_value,
-    encrypt_bit,
-    encrypt_value,
-    he_add,
-    he_mul,
-    keygen,
-    noise_ok,
-    observe,
-)
-from .sim import (
-    DELIVERED,
-    DROPPED,
-    TOO_DEEP,
-    EvalStats,
-    NoiseBudgetError,
-    OracleResult,
-    RunConfig,
-    RunReport,
-    Topology,
-    benchmark,
-    build_nodes,
-    chain_topology,
-    generate_topology,
-    load_topology,
-    plaintext_oracle,
-    required_eta,
-    run_discovery,
-    save_topology,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUND_OPS",
-    "Circuit",
-    "Ciphertext",
-    "DELIVERED",
-    "DROPPED",
-    "DiscoveryOutcome",
-    "Drop",
-    "EvalStats",
-    "ForwardUnchanged",
-    "ForwardUpdated",
-    "Gate",
-    "KeyPair",
-    "NodeState",
-    "NoiseBudgetError",
-    "OracleResult",
-    "Reply",
-    "RouteReply",
-    "RouteRequest",
-    "RunConfig",
-    "RunReport",
-    "SecurityParams",
-    "StarCircuit",
-    "TOO_DEEP",
-    "Topology",
-    "UnderflowError",
-    "WireRef",
-    "adapt",
-    "benchmark",
-    "bind_and_continue",
-    "build_nodes",
-    "build_ripple_adder",
-    "chain_topology",
-    "compile_to_star",
-    "decrypt_bit",
-    "decrypt_value",
-    "destination_reply",
-    "encrypt_bit",
-    "encrypt_value",
-    "eval_plain",
-    "eval_star",
-    "generate_topology",
-    "he_add",
-    "he_mul",
-    "he_ops",
-    "keygen",
-    "load_topology",
-    "make_node",
-    "noise_ok",
-    "observe",
-    "plaintext_oracle",
-    "process_rr",
-    "required_eta",
-    "rr_from_json",
-    "rr_to_json",
-    "run_discovery",
-    "save_topology",
-    "select_next_hop",
-    "source_finalize",
-    "source_initiate",
-    "update",
-]

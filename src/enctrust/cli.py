@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``gen`` (random topology to JSON), ``oracle`` (plaintext greedy
-walk), ``route`` (full encrypted discovery), ``bench`` (timing table across
-security levels), and ``plan`` (secret-key sizing for a target depth).
+walk), ``route`` (full encrypted discovery), ``bench`` (the paper's
+uncertified timing table across security levels), and ``plan`` (secret-key
+sizing for a target depth).
 
 Exit codes: 0 on success or DELIVERED, 2 when a discovery ends DROPPED, 1 on
 any error, including bad arguments.
@@ -15,6 +16,7 @@ import json
 import sys
 from typing import Sequence
 
+from .protocol import DEFAULT_WIDTH
 from .sim import (
     DELIVERED,
     TOO_DEEP,
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--topology", required=True)
     oracle.add_argument("--source", type=int, required=True)
     oracle.add_argument("--dest", type=int, required=True)
-    oracle.add_argument("--width", type=int, default=4)
+    oracle.add_argument("--width", type=int, default=DEFAULT_WIDTH)
 
     route = sub.add_parser("route", help="run one encrypted route discovery")
     route.add_argument("--topology", required=True)
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=_parse_eta, default=None,
         help="secret key bits, or 'auto' to size for the run (default auto)",
     )
-    route.add_argument("--width", type=int, default=4)
+    route.add_argument("--width", type=int, default=DEFAULT_WIDTH)
     route.add_argument(
         "--star", action="store_true",
         help="evaluate through compiled universal gates instead of plain gates",
@@ -151,6 +153,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = benchmark(seed=args.seed)
+    print("uncertified: the paper's eta = lambda**2 reproduction, not certified performance")
     print(format_benchmark_table(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

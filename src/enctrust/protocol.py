@@ -53,19 +53,21 @@ from .she import Ciphertext, KeyPair, SecurityParams
 
 NodeId = int
 
+# A trust score lies in [MIN_TRUST, MAX_TRUST]; the paper's accumulator is
+# DEFAULT_WIDTH bits wide.
 MIN_TRUST = 1
 MAX_TRUST = 10
+DEFAULT_WIDTH = 4
 
 
 @dataclass
 class NodeState:
-    """One node's local view: neighbors, directed trust scores, and its adder."""
+    """One node's local view: neighbors, directed trust scores, and its adder width."""
 
     id: NodeId
     neighbors: frozenset[NodeId]
     trust_db: dict[NodeId, int]
     width: int
-    circuit: Circuit
 
     def __post_init__(self) -> None:
         if self.id in self.neighbors:
@@ -78,11 +80,13 @@ class NodeState:
                 raise ValueError(
                     f"node {self.id} trust for {nb} is {t}, outside [{MIN_TRUST}, {MAX_TRUST}]"
                 )
-        if self.circuit.num_inputs != 2 * self.width:
-            raise ValueError(
-                f"node {self.id} circuit takes {self.circuit.num_inputs} inputs, "
-                f"expected {2 * self.width}"
-            )
+        if self.width < 1:
+            raise ValueError(f"width must be positive, got {self.width}")
+
+    @property
+    def circuit(self) -> Circuit:
+        """The node's adder: the one ``build_ripple_adder`` builds for its width."""
+        return build_ripple_adder(self.width)
 
     @property
     def interface(self) -> int:
@@ -91,14 +95,10 @@ class NodeState:
 
 
 def make_node(
-    node_id: NodeId, neighbors, trust_db: dict[NodeId, int], width: int = 4
+    node_id: NodeId, neighbors, trust_db: dict[NodeId, int], width: int = DEFAULT_WIDTH
 ) -> NodeState:
     return NodeState(
-        id=node_id,
-        neighbors=frozenset(neighbors),
-        trust_db=dict(trust_db),
-        width=width,
-        circuit=build_ripple_adder(width),
+        id=node_id, neighbors=frozenset(neighbors), trust_db=dict(trust_db), width=width
     )
 
 

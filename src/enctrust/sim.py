@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from . import bignum, she
 from .circuits import BOUND_OPS, build_ripple_adder, update
 from .protocol import (
+    DEFAULT_WIDTH,
+    MAX_TRUST,
+    MIN_TRUST,
     Drop,
     ForwardDecision,
     ForwardUpdated,
@@ -50,7 +53,7 @@ class NoiseBudgetError(ValueError):
     """Automatic key sizing failed: the run is too deep to certify."""
 
 
-_TRUST_SCORES = frozenset(range(1, 11))
+_TRUST_SCORES = frozenset(range(MIN_TRUST, MAX_TRUST + 1))
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,10 @@ class Topology:
                 raise ValueError("; ".join(detail))
         if not set(self.trust.values()) <= _TRUST_SCORES:
             for arc, t in self.trust.items():
-                if not 1 <= t <= 10:
-                    raise ValueError(f"trust['{arc[0]}->{arc[1]}'] = {t} outside [1, 10]")
+                if not MIN_TRUST <= t <= MAX_TRUST:
+                    raise ValueError(
+                        f"trust['{arc[0]}->{arc[1]}'] = {t} outside [{MIN_TRUST}, {MAX_TRUST}]"
+                    )
 
     @functools.cached_property
     def _adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -292,11 +297,7 @@ def generate_topology(n: int, avg_degree: float, seed: int) -> Topology:
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
     ordered = tuple(sorted(edges))
-    trust = {}
-    for a, b in ordered:
-        trust[(a, b)] = rng.randint(1, 10)
-        trust[(b, a)] = rng.randint(1, 10)
-    return Topology(nodes=tuple(range(n)), edges=ordered, trust=trust)
+    return Topology(nodes=tuple(range(n)), edges=ordered, trust=_draw_trust(ordered, rng))
 
 
 def chain_topology(n: int, seed: int) -> Topology:
@@ -305,11 +306,16 @@ def chain_topology(n: int, seed: int) -> Topology:
         raise ValueError(f"need at least 2 nodes, got {n}")
     rng = random.Random(seed)
     edges = tuple((i, i + 1) for i in range(n - 1))
+    return Topology(nodes=tuple(range(n)), edges=edges, trust=_draw_trust(edges, rng))
+
+
+def _draw_trust(edges: tuple[tuple[NodeId, NodeId], ...], rng: random.Random) -> dict:
+    """A uniform score for each arc: per edge ``(a, b)`` in order, ``a->b`` then ``b->a``."""
     trust = {}
     for a, b in edges:
-        trust[(a, b)] = rng.randint(1, 10)
-        trust[(b, a)] = rng.randint(1, 10)
-    return Topology(nodes=tuple(range(n)), edges=edges, trust=trust)
+        trust[(a, b)] = rng.randint(MIN_TRUST, MAX_TRUST)
+        trust[(b, a)] = rng.randint(MIN_TRUST, MAX_TRUST)
+    return trust
 
 
 class _Nodes(Mapping[NodeId, NodeState]):
@@ -346,7 +352,7 @@ class _Nodes(Mapping[NodeId, NodeState]):
         return iter(self._t.nodes)
 
 
-def build_nodes(t: Topology, width: int = 4) -> Mapping[NodeId, NodeState]:
+def build_nodes(t: Topology, width: int = DEFAULT_WIDTH) -> Mapping[NodeId, NodeState]:
     """Every node of ``t`` at accumulator ``width``, each built on its first lookup.
 
     A discovery builds only the nodes it visits.  Each call returns fresh
@@ -372,7 +378,7 @@ class _Walk:
 
 def _argmax_neighbor(t: Topology, node: NodeId, exclude: set[NodeId]) -> NodeId | None:
     best = None
-    best_trust = 0
+    best_trust = MIN_TRUST - 1
     for nb in sorted(t.neighbors(node)):
         if nb in exclude:
             continue
@@ -411,7 +417,7 @@ def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
 
 
 def plaintext_oracle(
-    t: Topology, source: NodeId, destination: NodeId, width: int = 4
+    t: Topology, source: NodeId, destination: NodeId, width: int = DEFAULT_WIDTH
 ) -> OracleResult:
     """Reference answer: the greedy path and its trust sum mod 2**width."""
     _check_endpoints(t, source, destination)
@@ -419,6 +425,8 @@ def plaintext_oracle(
 
 
 def _oracle_result(t: Topology, walk: _Walk, width: int) -> OracleResult:
+    if width < 1:
+        raise ValueError(f"width must be positive, got {width}")
     total = sum(t.trust[arc] for arc in walk.arcs) % (1 << width)
     return OracleResult(path=walk.path, trust=total, status=walk.status)
 
@@ -465,7 +473,7 @@ def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> in
 class RunConfig:
     lam: int
     eta: int | None = None  # None sizes the key automatically via required_eta
-    width: int = 4
+    width: int = DEFAULT_WIDTH
     seed: int = 0
     star_mode: bool = False
 
@@ -688,7 +696,7 @@ def measure_mul_throughput(bits: int = 243, iters: int = 2000, seed: int = 0) ->
 
 
 def benchmark(
-    seed: int = 0, lambdas: Sequence[int] = (3, 5, 8, 10), n: int = 20, width: int = 4
+    seed: int = 0, lambdas: Sequence[int] = (3, 5, 8, 10), n: int = 20, width: int = DEFAULT_WIDTH
 ) -> list[BenchRow]:
     """Time full discoveries over an n-node chain at each security level.
 
@@ -737,8 +745,12 @@ def format_benchmark_table(rows: Sequence[BenchRow]) -> str:
     return "\n".join(lines)
 
 
-def benchmark_to_json(rows: Sequence[BenchRow], seed: int, n: int = 20, width: int = 4) -> dict:
+def benchmark_to_json(
+    rows: Sequence[BenchRow], seed: int, n: int = 20, width: int = DEFAULT_WIDTH
+) -> dict:
+    """The rows as JSON, marked ``"certified": false``: they run at ``eta = lam**2``."""
     return {
+        "certified": False,
         "seed": seed,
         "n": n,
         "width": width,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -121,8 +122,13 @@ def test_bench_table(tmp_path, capsys):
     code = main(["bench", "--seed", "0", "--out", out_path])
     out = capsys.readouterr().out
     assert code == 0
-    assert "lambda" in out
+    label, header = out.splitlines()[:2]
+    assert label == (
+        "uncertified: the paper's eta = lambda**2 reproduction, not certified performance"
+    )
+    assert header.split()[0] == "lambda"
     obj = json.load(open(out_path))
+    assert obj["certified"] is False
     assert [row["lambda"] for row in obj["rows"]] == [3, 5, 8, 10]
 
 
@@ -153,6 +159,12 @@ def test_error_exit_codes(tmp_path, capsys):
                  "--lambda", "3"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    # a width below 1, in the oracle as in a route
+    for command in (["oracle"], ["route", "--lambda", "3"]):
+        for width in ("0", "-1"):
+            assert main([*command, "--topology", t, "--source", "0", "--dest", "2",
+                         "--width", width]) == 1
+            assert capsys.readouterr().err == f"error: width must be positive, got {width}\n"
     # malformed eta
     assert main(["route", "--topology", t, "--source", "0", "--dest", "2",
                  "--lambda", "3", "--eta", "soon"]) == 1
@@ -185,6 +197,12 @@ def test_corrupt_topology_file_reports_line(tmp_path, capsys):
     bad.write_text('{"nodes": [{"id": 0}], "edges": [')
     assert main(["oracle", "--topology", str(bad), "--source", "0", "--dest", "1"]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_package_root_binds_only_its_version_and_submodules():
+    # Every name is imported from its defining module, never from the root.
+    public = {name for name in vars(enctrust) if not name.startswith("_")}
+    assert all(isinstance(getattr(enctrust, name), types.ModuleType) for name in public)
 
 
 def test_console_script_entry_point(tmp_path):

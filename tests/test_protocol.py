@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enctrust import bignum, protocol, she
+from enctrust import bignum, she
 from enctrust.circuits import build_ripple_adder, he_ops, universal
 from enctrust.protocol import (
     Drop,
@@ -43,11 +43,13 @@ def test_node_validation():
         make_node(1, {2}, {2: 11})
     with pytest.raises(ValueError):
         make_node(1, {2}, {2: 0})
-    with pytest.raises(ValueError):
-        protocol.NodeState(
-            id=1, neighbors=frozenset({2}), trust_db={2: 5}, width=4,
-            circuit=build_ripple_adder(3),
-        )
+    with pytest.raises(ValueError, match="width must be positive, got 0"):
+        make_node(1, {2}, {2: 5}, width=0)
+    # The adder follows from the width, so no node holds one of another width.
+    node = make_node(1, {2}, {2: 5}, width=3)
+    assert node.circuit is build_ripple_adder(3)
+    with pytest.raises(AttributeError):
+        node.circuit = build_ripple_adder(4)
 
 
 def test_select_next_hop_argmax_and_ties():

@@ -1,18 +1,27 @@
 """The scheme's security limits, pinned as measured facts.
 
-README "Limitations" and "Evaluation modes" state both: the public key
-decrypts every ciphertext, and a star hop encrypts the gate flags of its
-own, public adder, so the flags hide nothing from it.
+README "Limitations" and "Evaluation modes" state them: the public key
+decrypts every ciphertext, a star hop encrypts the gate flags of its own,
+public adder, so the flags hide nothing from it, and each attack in
+``ATTACKS`` gets the source to report a wrong total as ``trusted``.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from enctrust import circuits
+from enctrust import circuits, sim
 from enctrust.circuits import AND, build_ripple_adder
-from enctrust.protocol import Reply, source_initiate
-from enctrust.she import Ciphertext, SecurityParams, decrypt_bit, decrypt_value
+from enctrust.protocol import (
+    ForwardUpdated,
+    Reply,
+    RouteReply,
+    process_rr,
+    source_finalize,
+    source_initiate,
+)
+from enctrust.she import Ciphertext, SecurityParams, decrypt_bit, decrypt_value, encrypt_value
 from enctrust.sim import (
     RunConfig,
     build_nodes,
@@ -75,3 +84,77 @@ def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch, made_k
         assert circuit is build_ripple_adder(4)
         flags = [decrypt_bit(made_keys[0].sk, flag) for flag in star.flags]
         assert flags == [int(gate.kind == AND) for gate in circuit.gates]
+
+
+def _reply_edit(edit):
+    """A tamper that rewrites the destination's reply: ``edit`` maps its ciphertexts."""
+
+    def tamper(call, rr, decision, rng, oracle_trust):
+        if isinstance(decision, Reply):
+            reply = decision.reply
+            return Reply(RouteReply(reply.path, edit(reply.acc_trust)))
+        return decision
+
+    return tamper
+
+
+def _substitute_fourth_accumulator(call, rr, decision, rng, oracle_trust):
+    # The fourth process_rr call, an updating hop on every 12-node chain,
+    # forwards an encryption of its own choosing under the public key.
+    if call != 4:
+        return decision
+    assert isinstance(decision, ForwardUpdated)
+    acc = encrypt_value(rr.pk, (oracle_trust + 5) % 16, 4, rr.params, rng)
+    return ForwardUpdated(dataclasses.replace(decision.rr, acc_trust=acc))
+
+
+def _honest(call, rr, decision, rng, oracle_trust):
+    return decision
+
+
+# Each attack: chain length, eta (None: the planner's), star mode, the tamper
+# applied to each process_rr decision, and the count of wrong-but-trusted
+# answers over seeds 0-49, each seeding both chain_topology and the discovery.
+ATTACKS = {
+    # An undersized eta, with the reply's noise bounds rewritten to 1:
+    # source_finalize trusts the bounds the reply carries (ROADMAP item 1).
+    "forged reply bounds": (
+        20, 30, False, _reply_edit(lambda cts: tuple(Ciphertext(c.value, 1) for c in cts)), 28
+    ),
+    # Any hop can encrypt under pk; nothing binds the accumulator to the hops.
+    "accumulator substitution": (12, None, False, _substitute_fourth_accumulator, 46),
+    # source_finalize never compares the ciphertext count with the source's
+    # width, so the low two bits come back as the total.
+    "reply cut to 2 ciphertexts": (12, None, False, _reply_edit(lambda cts: cts[:2]), 36),
+    "honest, plain": (12, None, False, _honest, 0),
+    "honest, star": (12, None, True, _honest, 0),
+}
+
+
+@pytest.mark.parametrize("attack", ATTACKS)
+def test_wrong_totals_reported_trusted_under_each_attack(attack, monkeypatch):
+    n, eta, star_mode, tamper, expected = ATTACKS[attack]
+    calls = 0
+
+    def tampered_process_rr(node, rr, rng, star_mode=False):
+        nonlocal calls
+        calls += 1
+        return tamper(calls, rr, process_rr(node, rr, rng, star_mode), rng, oracle.trust)
+
+    # sim.hops looks process_rr up in its module, so the tamper sits between hops.
+    monkeypatch.setattr(sim, "process_rr", tampered_process_rr)
+    wrong_but_trusted = 0
+    for seed in range(50):
+        t = chain_topology(n, seed)
+        oracle = plaintext_oracle(t, 0, n - 1)
+        params = SecurityParams.from_lambda(
+            3, eta=eta or required_eta(4, len(oracle.path) - 2, 3, star_mode)
+        )
+        nodes = build_nodes(t)
+        rng = random.Random(seed)
+        keys, rr = source_initiate(nodes[0], n - 1, params, rng)
+        calls = 0
+        *_, (_, _, decision) = hops(nodes, rr, rng, star_mode)
+        outcome = source_finalize(keys, decision.reply, params)
+        wrong_but_trusted += outcome.trusted and outcome.trust != oracle.trust
+    assert wrong_but_trusted == expected

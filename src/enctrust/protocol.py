@@ -26,6 +26,13 @@ local block.  Only a star hop reads zero pairs, so only a star hop draws
 them for its successor; a plain hop forwards none.  The source is not told
 the mode, so its request always carries one set.
 
+A hop's local trust bits and star flags are only ever operands under ``pk``
+and never leave the hop, so it encrypts them as their residues ``m + 2r``
+(``residue=True``): ``(x + pk*Q) mod pk = x mod pk``, so every output, and
+so every message, is the same as from the full ``m + 2r + pk*Q``.  ``Q`` is
+still drawn.  The source's accumulator and the adapter's zeros cross the
+wire and keep their ``pk*Q`` term.
+
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
 later hop forwards unchanged to a neighboring destination.  The oracle
@@ -53,10 +60,11 @@ from .she import Ciphertext, KeyPair, SecurityParams
 
 NodeId = int
 
-# A trust score lies in [MIN_TRUST, MAX_TRUST]; the paper's accumulator is
-# DEFAULT_WIDTH bits wide.
+# A trust score is an integer in [MIN_TRUST, MAX_TRUST], one of TRUST_SCORES;
+# the paper's accumulator is DEFAULT_WIDTH bits wide.
 MIN_TRUST = 1
 MAX_TRUST = 10
+TRUST_SCORES = frozenset(range(MIN_TRUST, MAX_TRUST + 1))
 DEFAULT_WIDTH = 4
 
 
@@ -76,7 +84,7 @@ class NodeState:
         if unknown:
             raise ValueError(f"node {self.id} has trust for non-neighbors {sorted(unknown)}")
         for nb, t in self.trust_db.items():
-            if not MIN_TRUST <= t <= MAX_TRUST:
+            if t not in TRUST_SCORES:
                 raise ValueError(
                     f"node {self.id} trust for {nb} is {t}, outside [{MIN_TRUST}, {MAX_TRUST}]"
                 )
@@ -237,8 +245,11 @@ def process_rr(
         return Drop(f"no trusted next hop: node {node.id} exhausted its neighbors")
     pk = rr.pk
     try:
-        local = she.encrypt_value(pk, node.trust_db[next_hop], node.width, params, rng)
-        encrypt = functools.partial(she.encrypt_bit, pk, params=params, rng=rng)
+        # The local bits and star flags never leave this hop: born as residues.
+        local = she.encrypt_value(
+            pk, node.trust_db[next_hop], node.width, params, rng, residue=True
+        )
+        encrypt = functools.partial(she.encrypt_bit, pk, params=params, rng=rng, residue=True)
         outputs = update(
             node.circuit, rr.acc_trust, local, rr.zeros, star_mode, encrypt, *he_ops(pk, params)
         )

@@ -12,11 +12,18 @@ an immutable ``(value, noise_bits)`` tuple.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
-without changing the decryption or the noise residue.  :func:`he_mul` also
-reduces each operand before it multiplies.  The result is the same, but a
-fresh operand ``m + 2r + pk * Q`` shrinks to its residue ``m + 2r``, so no
-product starts from an operand wider than ``pk``.  That residue being the
-noise itself is also why ``pk`` decrypts (README "Limitations").
+without changing the decryption or the noise residue.
+
+Because ``(x + pk * Q) mod pk = x mod pk``, a ciphertext that is only ever an
+operand of homomorphic operations under one ``pk`` may start as its residue
+``m + 2r``: every result it feeds is the same.  :func:`encrypt_bit` builds
+that form on request (``residue=True``), for the bits a hop encrypts and
+consumes itself; ``Q`` is still drawn, so every later draw is unchanged.  A
+ciphertext that crosses the wire keeps its ``pk * Q`` term.  :func:`he_mul`
+also reduces each operand before it multiplies, which shrinks such a wire
+ciphertext to its residue, so no product starts from an operand wider than
+``pk``.  That residue being the noise itself is also why ``pk`` decrypts
+(README "Limitations").
 
 Parameters follow a single security knob ``lam``: the public key is
 ``lam**3`` bits, fresh noise ``r`` is ``lam`` bits, and the multiplier ``Q``
@@ -164,13 +171,21 @@ def keygen(params: SecurityParams, rng: random.Random) -> KeyPair:
     raise RuntimeError("key generation failed to hit the target public key width")
 
 
-def encrypt_bit(pk: int, m: int, params: SecurityParams, rng: random.Random) -> Ciphertext:
-    """Encrypt one bit as m + 2r + pk * Q, drawing r and then Q from ``rng``."""
+def encrypt_bit(
+    pk: int, m: int, params: SecurityParams, rng: random.Random, *, residue: bool = False
+) -> Ciphertext:
+    """Encrypt one bit as m + 2r + pk * Q, drawing r and then Q from ``rng``.
+
+    With ``residue`` the value is ``m + 2r``: the same ciphertext reduced mod
+    ``pk``, for a bit that is only ever an operand under ``pk`` and never
+    leaves its encrypter.  ``Q`` is drawn all the same, so the draws that
+    follow do not depend on the form.
+    """
     if m not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {m!r}")
     r = bignum.random_bits(params.r_bits, rng)
     q = bignum.random_bits(params.q_bits, rng)
-    value = m + 2 * r + bignum.mul(pk, q)
+    value = m + 2 * r if residue else m + 2 * r + bignum.mul(pk, q)
     ct = Ciphertext(value, fresh_noise_bits(params))
     _emit("encrypt", ct)
     return ct
@@ -193,10 +208,12 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
     Each operand is reduced mod ``pk`` before the product, which gives the
     same value, since ``(c1 * c2) mod pk = ((c1 mod pk) * (c2 mod pk)) mod pk``.
-    A fresh operand ``m + 2r + pk*Q`` is ``pk_bits + q_bits`` wide, but its
-    residue is ``m + 2r``, at most ``lam + 2`` bits.  A product with a fresh
-    factor (every star-mode flag) is then barely wider than ``pk``, and its
-    division is short.
+    A fresh wire operand ``m + 2r + pk*Q`` (an adapter zero) is
+    ``pk_bits + q_bits`` wide, but its residue is ``m + 2r``, at most
+    ``lam + 2`` bits.  A hop's own fresh bits (its local trust and star flags)
+    already arrive as that residue.  A product with a fresh factor (every
+    star-mode flag) is then barely wider than ``pk``, and its division is
+    short.
     """
     value = bignum.mod(bignum.mul(bignum.mod(c1.value, pk), bignum.mod(c2.value, pk)), pk)
     ct = Ciphertext(value, mul_noise_bits(c1.noise_bits, c2.noise_bits))
@@ -205,14 +222,23 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
 
 def encrypt_value(
-    pk: int, v: int, width: int, params: SecurityParams, rng: random.Random
+    pk: int,
+    v: int,
+    width: int,
+    params: SecurityParams,
+    rng: random.Random,
+    *,
+    residue: bool = False,
 ) -> tuple[Ciphertext, ...]:
-    """Encrypt an integer bitwise, least significant bit first."""
+    """Encrypt an integer bitwise, least significant bit first; ``residue`` as
+    in :func:`encrypt_bit`."""
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
     if not 0 <= v < (1 << width):
         raise ValueError(f"value {v} does not fit in {width} bits")
-    return tuple(encrypt_bit(pk, (v >> i) & 1, params, rng) for i in range(width))
+    return tuple(
+        encrypt_bit(pk, (v >> i) & 1, params, rng, residue=residue) for i in range(width)
+    )
 
 
 def decrypt_value(sk: int, cts: Sequence[Ciphertext]) -> int:

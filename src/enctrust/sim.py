@@ -25,6 +25,7 @@ from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
     MIN_TRUST,
+    TRUST_SCORES,
     Drop,
     ForwardDecision,
     ForwardUpdated,
@@ -51,9 +52,6 @@ NOISE_CEILING = 1 << 24
 
 class NoiseBudgetError(ValueError):
     """Automatic key sizing failed: the run is too deep to certify."""
-
-
-_TRUST_SCORES = frozenset(range(MIN_TRUST, MAX_TRUST + 1))
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,9 @@ class Topology:
                 if extra:
                     detail.append(f"trust for non-edges {extra}")
                 raise ValueError("; ".join(detail))
-        if not set(self.trust.values()) <= _TRUST_SCORES:
+        if not set(self.trust.values()) <= TRUST_SCORES:
             for arc, t in self.trust.items():
-                if not MIN_TRUST <= t <= MAX_TRUST:
+                if t not in TRUST_SCORES:
                     raise ValueError(
                         f"trust['{arc[0]}->{arc[1]}'] = {t} outside [{MIN_TRUST}, {MAX_TRUST}]"
                     )

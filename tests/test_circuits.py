@@ -3,6 +3,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enctrust import circuits, she
 from enctrust.circuits import (
@@ -278,6 +280,42 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
         assert max(bounds) + 2 == required_eta(width, hops, lam, star_mode)
         assert decrypt_value(keys.sk, acc) == total
     assert all(she.noise_ok(ct, params) for ct in acc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 5]),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.booleans(),
+)
+def test_update_is_the_same_from_residue_local_bits_and_flags(
+    seed, lam, acc_value, trust, star_mode
+):
+    # (x + pk*Q) mod pk = x mod pk: local bits and flags built as residues
+    # give the same outputs, values and bounds, as the full ciphertexts.
+    params, keys, rng = make(lam=lam, seed=seed)
+    acc = encrypt_value(keys.pk, acc_value, 4, params, rng)
+    zeros = adapt(4, keys.pk, params, rng)
+    runs = []
+    for residue in (False, True):
+        local_rng = random.Random(seed)
+        local = encrypt_value(keys.pk, trust, 4, params, local_rng, residue=residue)
+        flags = []
+
+        def encrypt(bit):
+            flags.append(encrypt_bit(keys.pk, bit, params, local_rng, residue=residue))
+            return flags[-1]
+
+        outputs = update(
+            build_ripple_adder(4), acc, local, zeros, star_mode, encrypt, *he_ops(keys.pk, params)
+        )
+        runs.append((local + tuple(flags), outputs))
+    (full_fresh, full_outputs), (residue_fresh, residue_outputs) = runs
+    assert tuple(ct._replace(value=ct.value % keys.pk) for ct in full_fresh) == residue_fresh
+    assert residue_outputs == full_outputs
+    assert decrypt_value(keys.sk, residue_outputs) == (acc_value + trust) % 16
 
 
 def test_noise_monotone_along_gate_order():

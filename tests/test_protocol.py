@@ -43,6 +43,8 @@ def test_node_validation():
         make_node(1, {2}, {2: 11})
     with pytest.raises(ValueError):
         make_node(1, {2}, {2: 0})
+    with pytest.raises(ValueError, match="trust for 2 is 5.5"):
+        make_node(1, {2}, {2: 5.5})
     with pytest.raises(ValueError, match="width must be positive, got 0"):
         make_node(1, {2}, {2: 5}, width=0)
     # The adder follows from the width, so no node holds one of another width.
@@ -187,6 +189,25 @@ def test_update_star_mode_matches_plain():
     # 4 recovery gates + 14 adder gates, each universal gate is 2 muls 3 adds;
     # 4 local bits, 14 flags and 4 zero pairs encrypted
     assert ops == {"mul": 36, "add": 54, "encrypt": 26}
+
+
+@pytest.mark.parametrize("star_mode, local", [(False, 4), (True, 4 + 14)], ids=["plain", "star"])
+def test_hop_local_encryptions_are_residues_and_wire_zeros_are_full(star_mode, local):
+    # The local bits and star flags never leave the hop, so they are born
+    # reduced mod pk; the adapter's zeros cross the wire whole.
+    params, rng, nodes = chain_fixture([7, 5, 4, 6], eta=300)
+    keys, rr = source_initiate(nodes[0], 4, params, rng)
+    fresh = []
+    with she.observe(lambda op, ct: fresh.append(ct.value) if op == "encrypt" else None):
+        decision = process_rr(nodes[1], rr, rng, star_mode)
+    assert isinstance(decision, ForwardUpdated)
+    sent = [z.value for pair in decision.rr.zeros for z in pair]
+    assert len(sent) == (8 if star_mode else 0)
+    assert len(fresh) == local + len(sent)
+    assert fresh[local:] == sent
+    assert all(value < keys.pk for value in fresh[:local])
+    assert all(keys.pk <= value for value in sent)
+    assert all(value.bit_length() <= params.fresh_ct_bits for value in sent)
 
 
 def test_no_candidates_drops():

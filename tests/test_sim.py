@@ -83,6 +83,9 @@ def test_topology_validation_messages():
         )
     with pytest.raises(ValueError, match=r"trust\['1->2'\] = 11"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 11, (2, 1): 5})
+    # In range but no score: the whole-list test refuses it, so the loop must name it.
+    with pytest.raises(ValueError, match=r"trust\['2->1'\] = 5.5"):
+        Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 5, (2, 1): 5.5})
 
 
 def test_topology_json_roundtrip():

@@ -16,14 +16,13 @@ adder, or in star mode the compile, the identity gates and the compiled adder.
 A hop runs it on ciphertexts and the planner that sizes a key runs it on noise
 bounds, so the planner's bound is the hops' tracked bound by construction.
 
-Multi-hop chaining runs through an adapter: per accumulator bit it draws two
-fresh ``Enc(0)``s, and the next evaluator fires the identity universal gate
-``(acc_i, Enc(0), Enc(0))`` to rerandomize the bit, then binds its own local
-inputs.  The zero pairs are the whole adapter output: they are fresh by
-construction, so a receiver knows their noise bound, and every evaluator's
-inputs are the accumulator block, then its local block, so no interface
-travels with them.  Plain evaluation reads no pairs, so a plain hop draws
-none; only the source, which is not told the mode, always sends one set.
+In star mode a hop first fires the identity universal gate
+``(acc_i, Enc(0), Enc(0))`` on each accumulator bit, to rerandomize it, then
+binds its own local inputs; every evaluator's inputs are the accumulator
+block, then its local block.  The hop draws each gate's ``Enc(0)`` pair
+itself with the ``encrypt`` that draws its flags, so the pairs are fresh by
+construction and never travel.  :func:`adapt` draws one set for the source's
+request, which no hop reads.
 """
 
 from __future__ import annotations
@@ -263,12 +262,10 @@ ZeroPairs = tuple[tuple[Ciphertext, Ciphertext], ...]
 
 
 def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) -> ZeroPairs:
-    """Draw the ``(Enc(0), Enc(0))`` pair of each accumulator bit's identity gate.
+    """Draw ``acc_bits`` pairs of ``(Enc(0), Enc(0))`` under ``pk``, in full form.
 
-    Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
-    the bit is preserved and the wire rerandomized by the fresh encryptions.
-    The accumulator bit itself travels once, in the route request.  Only
-    a star hop reads the pairs, so only the source and star hops draw them.
+    The source sends one set in its request.  No hop reads it: a star hop
+    draws its identity gates' pairs itself, in :func:`update`.
     """
     return tuple(
         (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))
@@ -286,8 +283,11 @@ def bind_and_continue(
 ) -> tuple:
     """Fire each accumulator bit's identity gate with its own zero pair, bind, evaluate.
 
+    Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
+    the bit is kept and the wire rerandomized by the fresh encryptions.
     ``ValueError`` if the accumulator and the pairs differ in length, or the
-    circuit takes another number of inputs.
+    circuit takes another number of inputs; a longer accumulator is refused
+    after as many gates as there are pairs.
     """
     recovered = [universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, zeros, strict=True)]
     return eval_star(star_circuit, (*recovered, *local_bits), xor, and_)
@@ -297,7 +297,6 @@ def update(
     circuit: Circuit,
     acc: Sequence,
     local: Sequence,
-    zeros: Sequence[tuple],
     star_mode: bool,
     encrypt: Callable,
     xor: Callable,
@@ -305,13 +304,16 @@ def update(
 ) -> tuple:
     """One hop's accumulator update: the adder's outputs on ``(*acc, *local)``.
 
-    Star mode compiles the adder with flags from ``encrypt`` and first passes
-    each accumulator bit through its identity gate with its zero pair; plain
-    mode reads neither.  Hops run it on ciphertexts, the planner on bounds.
+    Star mode compiles the adder with flags from ``encrypt``, then draws from
+    it one ``(Enc(0), Enc(0))`` pair per accumulator input of the adder and
+    first passes each accumulator bit through its identity gate; plain mode
+    draws nothing.  Hops run it on ciphertexts, the planner on bounds.
     """
     if not star_mode:
         return eval_plain(circuit, (*acc, *local), xor, and_)
-    return bind_and_continue(zeros, acc, local, compile_to_star(circuit, encrypt), xor, and_)
+    star_circuit = compile_to_star(circuit, encrypt)
+    zeros = [(encrypt(0), encrypt(0)) for _ in range(circuit.num_inputs - len(local))]
+    return bind_and_continue(zeros, acc, local, star_circuit, xor, and_)
 
 
 # The serialized star circuit: wire indices and encrypted flags, no gate kinds.

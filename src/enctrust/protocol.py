@@ -14,24 +14,21 @@ so any node on the path can read the running total; see README
 
 Intermediate evaluation runs in one of two modes: plain homomorphic XOR/AND
 gates reading the accumulator ciphertexts directly, or the universal-gate
-pipeline in which the node fires an identity gate on each accumulator
-ciphertext with the two fresh ``Enc(0)``s the previous hop's adapter sent,
-then evaluates its adder compiled to flag-configured universal gates.  Both
-run through ``circuits.update``, which the planner runs on noise bounds.  The
-hop compiles its own, public adder and encrypts the flags itself, so star
-mode reproduces the paper's pipeline but hides no gate kind from the hop
-that evaluates it.  Each accumulator ciphertext travels once, in
-``acc_trust``; every hop's adder inputs are the accumulator block, then its
-local block.  Only a star hop reads zero pairs, so only a star hop draws
-them for its successor; a plain hop forwards none.  The source is not told
-the mode, so its request always carries one set.
+pipeline in which the node fires an identity gate ``(acc_i, Enc(0), Enc(0))``
+on each accumulator ciphertext, then evaluates its adder compiled to
+flag-configured universal gates.  Both run through ``circuits.update``, which
+the planner runs on noise bounds.  The hop compiles its own, public adder and
+encrypts the flags and the identity gates' zeros itself, so star mode
+reproduces the paper's gates but hides no gate kind from the hop that
+evaluates it.  Each accumulator ciphertext travels once, in ``acc_trust``;
+every hop's adder inputs are the accumulator block, then its local block.
 
-A hop's local trust bits and star flags are only ever operands under ``pk``
-and never leave the hop, so it encrypts them as their residues ``m + 2r``
-(``residue=True``): ``(x + pk*Q) mod pk = x mod pk``, so every output, and
-so every message, is the same as from the full ``m + 2r + pk*Q``.  ``Q`` is
-still drawn.  The source's accumulator and the adapter's zeros cross the
-wire and keep their ``pk*Q`` term.
+A hop's local trust bits, star flags and zeros are only ever operands under
+``pk`` and never leave the hop, so it encrypts them as their residues
+``m + 2r`` (``residue=True``): ``(x + pk*Q) mod pk = x mod pk``, so every
+output is the same as from the full ``m + 2r + pk*Q``.  ``Q`` is still
+drawn.  The source's accumulator and zeros cross the wire and keep their
+``pk*Q`` term.
 
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
@@ -39,12 +36,12 @@ later hop forwards unchanged to a neighboring destination.  The oracle
 follows the same rule.
 
 A request carries only what the next hop cannot work out for itself: the
-key and parameters, the endpoints, the path, the accumulator with its noise
-bounds, and the adapter's zero pairs as one flat ``zeros`` list.  The zeros
-are fresh encryptions by construction, so the receiver assigns them the
-fresh noise bound; their count is twice the accumulator's, or zero after a
-plain hop.  No message carries op counts or an adder interface: a
-simulation counts each hop's operations through ``she.observe``.
+key and parameters, the endpoints, the path and the accumulator with its
+noise bounds.  Its ``zeros`` list is empty except in the source's request,
+which carries one ``circuits.adapt`` set, two per accumulator bit, that no
+hop reads; a decoder accepts none or two per bit.  No message carries op
+counts or an adder interface: a simulation counts each hop's operations
+through ``she.observe``.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Collection, Sequence
 
 from . import bignum, she
 from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
@@ -60,12 +57,20 @@ from .she import Ciphertext, KeyPair, SecurityParams
 
 NodeId = int
 
-# A trust score is an integer in [MIN_TRUST, MAX_TRUST], one of TRUST_SCORES;
+# A trust score is an int in [MIN_TRUST, MAX_TRUST], one of TRUST_SCORES;
 # the paper's accumulator is DEFAULT_WIDTH bits wide.
 MIN_TRUST = 1
 MAX_TRUST = 10
 TRUST_SCORES = frozenset(range(MIN_TRUST, MAX_TRUST + 1))
 DEFAULT_WIDTH = 4
+
+
+def trust_scores_ok(scores: Collection) -> bool:
+    """Whether every score is exactly an ``int`` in TRUST_SCORES, in two whole passes.
+
+    ``5.0 == 5`` and ``True == 1``, so membership alone would admit them.
+    """
+    return set(map(type, scores)) <= {int} and set(scores) <= TRUST_SCORES
 
 
 @dataclass
@@ -83,11 +88,11 @@ class NodeState:
         unknown = set(self.trust_db) - set(self.neighbors)
         if unknown:
             raise ValueError(f"node {self.id} has trust for non-neighbors {sorted(unknown)}")
-        for nb, t in self.trust_db.items():
-            if t not in TRUST_SCORES:
-                raise ValueError(
-                    f"node {self.id} trust for {nb} is {t}, outside [{MIN_TRUST}, {MAX_TRUST}]"
-                )
+        if not trust_scores_ok(self.trust_db.values()):
+            nb, t = next((nb, t) for nb, t in self.trust_db.items() if not trust_scores_ok((t,)))
+            raise ValueError(
+                f"node {self.id} trust for {nb} is {t!r}, outside [{MIN_TRUST}, {MAX_TRUST}]"
+            )
         if self.width < 1:
             raise ValueError(f"width must be positive, got {self.width}")
 
@@ -178,22 +183,21 @@ def select_next_hop(node: NodeState, exclude: set[NodeId]) -> NodeId | None:
     return best
 
 
-# A hop's accumulator width by node id.
-IfaceLookup = Callable[[NodeId], int]
-
-
 def source_initiate(
     node: NodeState,
     destination: NodeId,
     params: SecurityParams,
     rng: random.Random,
-    iface_lookup: IfaceLookup | None = None,
+    iface_lookup=None,
     _keys: KeyPair | None = None,
 ) -> tuple[KeyPair, RouteRequest]:
     """Generate keys, encrypt the best neighbor's trust, and build the first RR.
 
-    ``_keys`` lets a caller that wants to time key generation separately pass
-    a pre-generated pair; the result is identical to generating here.
+    The request carries one ``circuits.adapt`` set of zeros, sized by the
+    source's own width.  ``iface_lookup`` is unused; ROADMAP step 10b
+    deletes it.  ``_keys`` lets a caller that wants to time key generation
+    separately pass a pre-generated pair; the result is identical to
+    generating here.
     """
     if destination == node.id:
         raise ValueError(f"node {node.id} cannot discover a route to itself")
@@ -202,7 +206,7 @@ def source_initiate(
         raise ValueError(f"source {node.id} has no trusted neighbor to forward to")
     keys = _keys if _keys is not None else she.keygen(params, rng)
     acc = she.encrypt_value(keys.pk, node.trust_db[next_hop], node.width, params, rng)
-    zeros = adapt(iface_lookup(next_hop) if iface_lookup else node.width, keys.pk, params, rng)
+    zeros = adapt(node.width, keys.pk, params, rng)
     rr = RouteRequest(
         pk=keys.pk,
         params=params,
@@ -221,14 +225,16 @@ def process_rr(
     rr: RouteRequest,
     rng: random.Random,
     star_mode: bool = False,
-    iface_lookup: IfaceLookup | None = None,
+    iface_lookup=None,
 ) -> ForwardDecision:
     """One node's handling of an incoming route request.
 
     Decision order: deliver if this node is the destination; drop requests
     addressed elsewhere or revisiting this node; forward unchanged when the
     destination is a direct neighbor; otherwise accumulate local trust toward
-    the greedily chosen next hop and forward the updated request.
+    the greedily chosen next hop and forward the updated request.  The
+    updated request carries no zeros.  ``iface_lookup`` is unused; ROADMAP
+    step 10b deletes it.
     """
     params = rr.params
     if node.id == rr.destination:
@@ -245,20 +251,12 @@ def process_rr(
         return Drop(f"no trusted next hop: node {node.id} exhausted its neighbors")
     pk = rr.pk
     try:
-        # The local bits and star flags never leave this hop: born as residues.
+        # The local bits, star flags and zeros never leave this hop: born as residues.
         local = she.encrypt_value(
             pk, node.trust_db[next_hop], node.width, params, rng, residue=True
         )
         encrypt = functools.partial(she.encrypt_bit, pk, params=params, rng=rng, residue=True)
-        outputs = update(
-            node.circuit, rr.acc_trust, local, rr.zeros, star_mode, encrypt, *he_ops(pk, params)
-        )
-        # Only a star hop reads zero pairs, so a plain hop draws and sends none.
-        zeros = (
-            adapt(iface_lookup(next_hop) if iface_lookup else node.width, pk, params, rng)
-            if star_mode
-            else ()
-        )
+        outputs = update(node.circuit, rr.acc_trust, local, star_mode, encrypt, *he_ops(pk, params))
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
     return ForwardUpdated(
@@ -270,7 +268,7 @@ def process_rr(
             next_hop=next_hop,
             path=rr.path + (node.id,),
             acc_trust=outputs,
-            zeros=zeros,
+            zeros=(),
         )
     )
 
@@ -386,15 +384,15 @@ def rr_to_json(rr: RouteRequest) -> dict:
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
     key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
-    zero count other than none or twice the accumulator's.  A request with
-    no zeros decodes; a star hop drops it as a malformed payload.
+    zero count other than none or twice the accumulator's.  Only the
+    source's request carries zeros, and no hop reads them.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
     A hex string with more digits than its bound allows is rejected before it
     is parsed, so an oversized value costs its length check and nothing more.
-    Each zero gets the fresh noise bound, since the adapter encrypted it
-    fresh; any other field, such as an older request's ``stats``, is ignored.
+    Each zero gets the fresh noise bound, since ``circuits.adapt`` encrypted
+    it fresh; any other field, such as an older request's ``stats``, is ignored.
     """
     pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
         json_fields(obj, _RR_KINDS, _RR_ELEMENTS)

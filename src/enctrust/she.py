@@ -208,10 +208,10 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
     Each operand is reduced mod ``pk`` before the product, which gives the
     same value, since ``(c1 * c2) mod pk = ((c1 mod pk) * (c2 mod pk)) mod pk``.
-    A fresh wire operand ``m + 2r + pk*Q`` (an adapter zero) is
-    ``pk_bits + q_bits`` wide, but its residue is ``m + 2r``, at most
-    ``lam + 2`` bits.  A hop's own fresh bits (its local trust and star flags)
-    already arrive as that residue.  A product with a fresh factor (every
+    A fresh wire operand ``m + 2r + pk*Q`` (a bit of the source's
+    accumulator) is ``pk_bits + q_bits`` wide, but its residue is ``m + 2r``,
+    at most ``lam + 2`` bits.  A hop's own fresh bits (its local trust, star
+    flags and identity-gate zeros) already arrive as that residue.  A product with a fresh factor (every
     star-mode flag) is then barely wider than ``pk``, and its division is
     short.
     """

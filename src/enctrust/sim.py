@@ -25,7 +25,6 @@ from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
     MIN_TRUST,
-    TRUST_SCORES,
     Drop,
     ForwardDecision,
     ForwardUpdated,
@@ -38,6 +37,7 @@ from .protocol import (
     process_rr,
     source_finalize,
     source_initiate,
+    trust_scores_ok,
 )
 from .she import SecurityParams
 
@@ -110,12 +110,11 @@ class Topology:
                 if extra:
                     detail.append(f"trust for non-edges {extra}")
                 raise ValueError("; ".join(detail))
-        if not set(self.trust.values()) <= TRUST_SCORES:
-            for arc, t in self.trust.items():
-                if t not in TRUST_SCORES:
-                    raise ValueError(
-                        f"trust['{arc[0]}->{arc[1]}'] = {t} outside [{MIN_TRUST}, {MAX_TRUST}]"
-                    )
+        if not trust_scores_ok(self.trust.values()):
+            arc, t = next((arc, t) for arc, t in self.trust.items() if not trust_scores_ok((t,)))
+            raise ValueError(
+                f"trust['{arc[0]}->{arc[1]}'] = {t!r} outside [{MIN_TRUST}, {MAX_TRUST}]"
+            )
 
     @functools.cached_property
     def _adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -458,10 +457,9 @@ def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> in
     fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
     circuit = build_ripple_adder(width)
     local = (fresh,) * width
-    zeros = ((fresh, fresh),) * width
     acc = local
     for _ in range(hops):
-        acc = update(circuit, acc, local, zeros, star_mode, lambda bit: fresh, *BOUND_OPS)
+        acc = update(circuit, acc, local, star_mode, lambda bit: fresh, *BOUND_OPS)
         if max(acc) > NOISE_CEILING:
             return TOO_DEEP
     return max(acc) + 2

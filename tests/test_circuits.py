@@ -268,12 +268,10 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
     total = 9
     for hops, value in enumerate((4, 2, 7), start=1):
         local = encrypt_value(keys.pk, value, width, params, rng)
-        zeros = adapt(width, keys.pk, params, rng)
         encrypt = encryptor(keys, params, rng)
-        acc = update(circuit, acc, local, zeros, star_mode, encrypt, *he_ops(keys.pk, params))
-        fresh_zeros = ((fresh, fresh),) * width
+        acc = update(circuit, acc, local, star_mode, encrypt, *he_ops(keys.pk, params))
         bounds = update(
-            circuit, bounds, (fresh,) * width, fresh_zeros, star_mode, lambda bit: fresh, *BOUND_OPS
+            circuit, bounds, (fresh,) * width, star_mode, lambda bit: fresh, *BOUND_OPS
         )
         total = (total + value) % 16
         assert tuple(ct.noise_bits for ct in acc) == bounds
@@ -293,11 +291,10 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
 def test_update_is_the_same_from_residue_local_bits_and_flags(
     seed, lam, acc_value, trust, star_mode
 ):
-    # (x + pk*Q) mod pk = x mod pk: local bits and flags built as residues
-    # give the same outputs, values and bounds, as the full ciphertexts.
+    # (x + pk*Q) mod pk = x mod pk: local bits, flags and zeros built as
+    # residues give the same outputs, values and bounds, as the full ciphertexts.
     params, keys, rng = make(lam=lam, seed=seed)
     acc = encrypt_value(keys.pk, acc_value, 4, params, rng)
-    zeros = adapt(4, keys.pk, params, rng)
     runs = []
     for residue in (False, True):
         local_rng = random.Random(seed)
@@ -309,7 +306,7 @@ def test_update_is_the_same_from_residue_local_bits_and_flags(
             return flags[-1]
 
         outputs = update(
-            build_ripple_adder(4), acc, local, zeros, star_mode, encrypt, *he_ops(keys.pk, params)
+            build_ripple_adder(4), acc, local, star_mode, encrypt, *he_ops(keys.pk, params)
         )
         runs.append((local + tuple(flags), outputs))
     (full_fresh, full_outputs), (residue_fresh, residue_outputs) = runs

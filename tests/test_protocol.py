@@ -45,6 +45,11 @@ def test_node_validation():
         make_node(1, {2}, {2: 0})
     with pytest.raises(ValueError, match="trust for 2 is 5.5"):
         make_node(1, {2}, {2: 5.5})
+    # Equal to a score but not an int: 5.0 == 5 and True == 1.
+    with pytest.raises(ValueError, match="trust for 2 is 5.0"):
+        make_node(1, {2}, {2: 5.0})
+    with pytest.raises(ValueError, match="trust for 2 is True"):
+        make_node(1, {2}, {2: True})
     with pytest.raises(ValueError, match="width must be positive, got 0"):
         make_node(1, {2}, {2: 5}, width=0)
     # The adder follows from the width, so no node holds one of another width.
@@ -191,23 +196,38 @@ def test_update_star_mode_matches_plain():
     assert ops == {"mul": 36, "add": 54, "encrypt": 26}
 
 
-@pytest.mark.parametrize("star_mode, local", [(False, 4), (True, 4 + 14)], ids=["plain", "star"])
+@pytest.mark.parametrize(
+    "star_mode, local", [(False, 4), (True, 4 + 14 + 8)], ids=["plain", "star"]
+)
 def test_hop_local_encryptions_are_residues_and_wire_zeros_are_full(star_mode, local):
-    # The local bits and star flags never leave the hop, so they are born
-    # reduced mod pk; the adapter's zeros cross the wire whole.
+    # The local bits, star flags and identity-gate zeros never leave the hop,
+    # so they are born reduced mod pk and the hop forwards no zeros; the
+    # source's zeros cross the wire whole.
     params, rng, nodes = chain_fixture([7, 5, 4, 6], eta=300)
     keys, rr = source_initiate(nodes[0], 4, params, rng)
     fresh = []
     with she.observe(lambda op, ct: fresh.append(ct.value) if op == "encrypt" else None):
         decision = process_rr(nodes[1], rr, rng, star_mode)
     assert isinstance(decision, ForwardUpdated)
-    sent = [z.value for pair in decision.rr.zeros for z in pair]
-    assert len(sent) == (8 if star_mode else 0)
-    assert len(fresh) == local + len(sent)
-    assert fresh[local:] == sent
-    assert all(value < keys.pk for value in fresh[:local])
+    assert decision.rr.zeros == ()
+    assert len(fresh) == local
+    assert all(value < keys.pk for value in fresh)
+    sent = [z.value for pair in rr.zeros for z in pair]
+    assert len(sent) == 8
     assert all(keys.pk <= value for value in sent)
     assert all(value.bit_length() <= params.fresh_ct_bits for value in sent)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_iface_lookup_is_never_called(star_mode):
+    def lookup(node_id):
+        raise AssertionError(f"iface_lookup called for node {node_id}")
+
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng, lookup)
+    decision = process_rr(nodes[1], rr, rng, star_mode, lookup)
+    assert isinstance(decision, ForwardUpdated)
+    assert decrypt_value(keys.sk, decision.rr.acc_trust) == 7 + 5
 
 
 def test_no_candidates_drops():
@@ -435,9 +455,9 @@ def test_rr_from_json_rejects_wrong_zero_count(count):
         rr_from_json(obj)
 
 
-def test_request_without_zeros_decodes_and_a_star_hop_drops_it():
-    # A plain hop forwards no zero pairs.  The next plain hop reads none; a
-    # star hop needs one pair per accumulator bit and drops the request.
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_request_without_zeros_decodes_and_a_hop_updates_it(star_mode):
+    # No hop forwards zeros, and a star hop draws its identity gates' own.
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
@@ -445,12 +465,28 @@ def test_request_without_zeros_decodes_and_a_star_hop_drops_it():
     decoded = rr_from_json(obj)
     assert decoded.zeros == ()
     assert decoded.acc_trust == rr.acc_trust
-    decision = process_rr(nodes[1], decoded, rng, star_mode=True)
-    assert isinstance(decision, Drop)
-    assert decision.reason.startswith("malformed payload: ")
-    decision = process_rr(nodes[1], decoded, rng)
+    decision = process_rr(nodes[1], decoded, rng, star_mode)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 7 + 5
+
+
+def test_oversized_accumulator_costs_a_star_hop_at_most_its_own_width():
+    # 64 accumulator bits with their 128 zeros decode, since the decoder does
+    # not know the hop's width.  The hop fires one identity gate per input of
+    # its own adder's accumulator block, 4, before it refuses the rest.
+    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
+    keys, rr = source_initiate(nodes[0], 3, params, rng)
+    obj = rr_to_json(rr)
+    for key in ("acc_trust", "acc_trust_noise_bits", "zeros"):
+        obj[key] = obj[key] * 16
+    decoded = rr_from_json(obj)
+    assert (len(decoded.acc_trust), len(decoded.zeros)) == (64, 64)
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        decision = process_rr(nodes[1], decoded, rng, star_mode=True)
+    assert isinstance(decision, Drop)
+    assert decision.reason.startswith("malformed payload: ")
+    assert ops["mul"] <= 8 and ops["add"] <= 12
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])

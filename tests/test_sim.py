@@ -86,6 +86,11 @@ def test_topology_validation_messages():
     # In range but no score: the whole-list test refuses it, so the loop must name it.
     with pytest.raises(ValueError, match=r"trust\['2->1'\] = 5.5"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 5, (2, 1): 5.5})
+    # Equal to a score but not an int: 5.0 == 5 and True == 1.
+    with pytest.raises(ValueError, match=r"trust\['2->1'\] = 5.0"):
+        Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 5, (2, 1): 5.0})
+    with pytest.raises(ValueError, match=r"trust\['1->2'\] = True"):
+        Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): True, (2, 1): 5})
 
 
 def test_topology_json_roundtrip():

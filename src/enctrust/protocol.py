@@ -23,12 +23,11 @@ reproduces the paper's gates but hides no gate kind from the hop that
 evaluates it.  Each accumulator ciphertext travels once, in ``acc_trust``;
 every hop's adder inputs are the accumulator block, then its local block.
 
-A hop's local trust bits, star flags and zeros are only ever operands under
-``pk`` and never leave the hop, so it encrypts them as their residues
-``m + 2r`` (``residue=True``): ``(x + pk*Q) mod pk = x mod pk``, so every
-output is the same as from the full ``m + 2r + pk*Q``.  ``Q`` is still
-drawn.  The source's accumulator and zeros cross the wire and keep their
-``pk*Q`` term.
+One rule fixes each ciphertext's form (``she``): a ciphertext that never
+leaves its hop is ``m + 2r``, a wire ciphertext is ``m + 2r + pk*Q``, and
+every homomorphic result is reduced mod ``pk``.  So a hop's local trust
+bits, star flags and zeros are ``m + 2r`` (``residue=True``), and the
+source's accumulator and zeros keep their ``pk*Q`` term.
 
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
@@ -95,6 +94,12 @@ class NodeState:
             )
         if self.width < 1:
             raise ValueError(f"width must be positive, got {self.width}")
+        # A score the adder cannot hold is a configuration error, not a hop's Drop.
+        if max(self.trust_db.values(), default=0) >> self.width:
+            nb, t = next((nb, t) for nb, t in self.trust_db.items() if t >> self.width)
+            raise ValueError(
+                f"node {self.id} trust for {nb} is {t}, which does not fit in {self.width} bits"
+            )
 
     @property
     def circuit(self) -> Circuit:

@@ -14,16 +14,12 @@ through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
 without changing the decryption or the noise residue.
 
-Because ``(x + pk * Q) mod pk = x mod pk``, a ciphertext that is only ever an
-operand of homomorphic operations under one ``pk`` may start as its residue
-``m + 2r``: every result it feeds is the same.  :func:`encrypt_bit` builds
-that form on request (``residue=True``), for the bits a hop encrypts and
-consumes itself; ``Q`` is still drawn, so every later draw is unchanged.  A
-ciphertext that crosses the wire keeps its ``pk * Q`` term.  :func:`he_mul`
-also reduces each operand before it multiplies, which shrinks such a wire
-ciphertext to its residue, so no product starts from an operand wider than
-``pk``.  That residue being the noise itself is also why ``pk`` decrypts
-(README "Limitations").
+One rule fixes every ciphertext's form.  A ciphertext that never leaves its
+hop is ``m + 2r`` (:func:`encrypt_bit` with ``residue=True``), a ciphertext
+that crosses the wire is ``m + 2r + pk * Q``, and every homomorphic result is
+reduced mod ``pk``.  Since ``(x + pk * Q) mod pk = x mod pk``, a hop's own bits
+give every result the full form would.  That residue being the noise itself
+is also why ``pk`` decrypts (README "Limitations").
 
 Parameters follow a single security knob ``lam``: the public key is
 ``lam**3`` bits, fresh noise ``r`` is ``lam`` bits, and the multiplier ``Q``
@@ -176,16 +172,14 @@ def encrypt_bit(
 ) -> Ciphertext:
     """Encrypt one bit as m + 2r + pk * Q, drawing r and then Q from ``rng``.
 
-    With ``residue`` the value is ``m + 2r``: the same ciphertext reduced mod
-    ``pk``, for a bit that is only ever an operand under ``pk`` and never
-    leaves its encrypter.  ``Q`` is drawn all the same, so the draws that
-    follow do not depend on the form.
+    With ``residue`` the value is ``m + 2r`` and only ``r`` is drawn: the form
+    of a ciphertext that never leaves its hop (module docstring).
     """
     if m not in (0, 1):
         raise ValueError(f"plaintext bit must be 0 or 1, got {m!r}")
-    r = bignum.random_bits(params.r_bits, rng)
-    q = bignum.random_bits(params.q_bits, rng)
-    value = m + 2 * r if residue else m + 2 * r + bignum.mul(pk, q)
+    value = m + 2 * bignum.random_bits(params.r_bits, rng)
+    if not residue:
+        value += bignum.mul(pk, bignum.random_bits(params.q_bits, rng))
     ct = Ciphertext(value, fresh_noise_bits(params))
     _emit("encrypt", ct)
     return ct
@@ -204,18 +198,8 @@ def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
 
 def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
-    """Homomorphic AND of the underlying bits: ``(c1 * c2) mod pk``.
-
-    Each operand is reduced mod ``pk`` before the product, which gives the
-    same value, since ``(c1 * c2) mod pk = ((c1 mod pk) * (c2 mod pk)) mod pk``.
-    A fresh wire operand ``m + 2r + pk*Q`` (a bit of the source's
-    accumulator) is ``pk_bits + q_bits`` wide, but its residue is ``m + 2r``,
-    at most ``lam + 2`` bits.  A hop's own fresh bits (its local trust, star
-    flags and identity-gate zeros) already arrive as that residue.  A product with a fresh factor (every
-    star-mode flag) is then barely wider than ``pk``, and its division is
-    short.
-    """
-    value = bignum.mod(bignum.mul(bignum.mod(c1.value, pk), bignum.mod(c2.value, pk)), pk)
+    """Homomorphic AND of the underlying bits: ``(c1 * c2) mod pk``."""
+    value = bignum.mod(bignum.mul(c1.value, c2.value), pk)
     ct = Ciphertext(value, mul_noise_bits(c1.noise_bits, c2.noise_bits))
     _emit("mul", ct)
     return ct

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enctrust import circuits, she
+from enctrust import bignum, circuits, she
 from enctrust.circuits import (
     AND,
     BOUND_OPS,
@@ -292,24 +292,37 @@ def test_update_is_the_same_from_residue_local_bits_and_flags(
     seed, lam, acc_value, trust, star_mode
 ):
     # (x + pk*Q) mod pk = x mod pk: local bits, flags and zeros built as
-    # residues give the same outputs, values and bounds, as the full ciphertexts.
+    # residues give the same outputs, values and bounds as the full
+    # ciphertexts, each built here as the residue plus pk times a drawn Q.
     params, keys, rng = make(lam=lam, seed=seed)
     acc = encrypt_value(keys.pk, acc_value, 4, params, rng)
-    runs = []
-    for residue in (False, True):
-        local_rng = random.Random(seed)
-        local = encrypt_value(keys.pk, trust, 4, params, local_rng, residue=residue)
-        flags = []
+    ops = he_ops(keys.pk, params)
+    residue_local = encrypt_value(keys.pk, trust, 4, params, rng, residue=True)
+    residue_flags = []
 
-        def encrypt(bit):
-            flags.append(encrypt_bit(keys.pk, bit, params, local_rng, residue=residue))
-            return flags[-1]
+    def encrypt(bit):
+        residue_flags.append(encrypt_bit(keys.pk, bit, params, rng, residue=True))
+        return residue_flags[-1]
 
-        outputs = update(
-            build_ripple_adder(4), acc, local, star_mode, encrypt, *he_ops(keys.pk, params)
-        )
-        runs.append((local + tuple(flags), outputs))
-    (full_fresh, full_outputs), (residue_fresh, residue_outputs) = runs
+    residue_outputs = update(build_ripple_adder(4), acc, residue_local, star_mode, encrypt, *ops)
+    residue_fresh = residue_local + tuple(residue_flags)
+
+    def full(ct):
+        q = bignum.random_bits(params.q_bits, rng)
+        return ct._replace(value=ct.value + keys.pk * q)
+
+    full_fresh = tuple(map(full, residue_fresh))
+    flags = iter(full_fresh[4:])
+
+    def replay(bit):
+        ct = next(flags)
+        assert decrypt_bit(keys.sk, ct) == bit
+        return ct
+
+    full_outputs = update(build_ripple_adder(4), acc, full_fresh[:4], star_mode, replay, *ops)
+    assert next(flags, None) is None
+    assert all(ct.value < keys.pk < full_ct.value for ct, full_ct in zip(residue_fresh, full_fresh))
+    assert all(she.noise_ok(ct, params) for ct in full_fresh)
     assert tuple(ct._replace(value=ct.value % keys.pk) for ct in full_fresh) == residue_fresh
     assert residue_outputs == full_outputs
     assert decrypt_value(keys.sk, residue_outputs) == (acc_value + trust) % 16

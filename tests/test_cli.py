@@ -165,6 +165,15 @@ def test_error_exit_codes(tmp_path, capsys):
             assert main([*command, "--topology", t, "--source", "0", "--dest", "2",
                          "--width", width]) == 1
             assert capsys.readouterr().err == f"error: width must be positive, got {width}\n"
+    # a score wider than the width: a configuration error, though the oracle answers
+    t30 = str(tmp_path / "t30.json")
+    main(["gen", "--nodes", "30", "--degree", "4", "--seed", "1", "--out", t30])
+    assert main(["oracle", "--topology", t30, "--source", "2", "--dest", "0", "--width", "3"]) == 0
+    capsys.readouterr()
+    assert main(["route", "--topology", t30, "--source", "2", "--dest", "0",
+                 "--lambda", "3", "--width", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: node 14 trust for 2 is 8, which does not fit in 3 bits\n"
     # malformed eta
     assert main(["route", "--topology", t, "--source", "0", "--dest", "2",
                  "--lambda", "3", "--eta", "soon"]) == 1

@@ -36,6 +36,15 @@ values in the same order.  ``ROUTE`` in both modes, the star request 0 and
 every plain digest hold unedited across that change, and so do
 ``REPORT_DIGESTS`` in ``tests/test_sim.py``, which pin each run's route,
 decrypted trust, per-hop op counts and largest noise bound.
+
+When a hop's own encryptions (its local bits, star flags and identity-gate
+zeros), built as residues ``m + 2r``, stopped drawing a ``Q`` they never
+used, each hop drew fewer values, so every ciphertext a hop produces
+changed: the ``GOLDEN`` and ``SAME_CIPHERTEXTS`` digests from request 1 on,
+and ``REPLY``, were re-pinned in both modes then.  The source still draws
+``Q`` for its accumulator and zeros, so request 0 holds in both modes.
+``ROUTE`` and ``REPORT_DIGESTS`` hold too, so the keys, routes, decrypted
+totals, per-hop op counts and largest noise bounds did not move.
 """
 
 import hashlib
@@ -98,23 +107,23 @@ TRUST = 13
 GOLDEN = {
     False: [
         "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
-        "09968f69bbfc794701a1415659fcb2b0c6049380d672c1be3bed1e0bb3a78912",
-        "69b14294fb2239b7af2cd24face88e0597a6af7483ffa9c9e8e376801c950387",
-        "c2fb339aecdfd7e1be6958b47b3830380a0e24debe5623cfada8cc4c426b8568",
-        "cbabb2ab05edd74cc11c4d838d274a9dfbc4a287ff1db565bc5ddafb5cc6bbcf",
-        "4a8d6703a7188420408102aacd7828cb7e145ae638fc0bd9c59757a1a412cb67",
-        "4daee2e5fda13fe89c8b6dff0bf555ef9004a487636272efe97146a94c3582aa",
-        "531dca70808d993d0edd9d3416ca48bdb34864367d5c541b045abcddafac6b8f",
+        "7b2cca537651b5c5ba067697b4642a22378f94b07f4bea381eeecbefc05a172b",
+        "6a0036829100bafeb807b90c6b9e3968541453499faeb5c205d146941b9505c6",
+        "a67ee10341f4d45d45803936de2d77671dec01676a9fdc557fd12e7fb2caa511",
+        "81e29bede9d868f1bb5b765bb9ca7196b6765f592dd5e80d2ac623f0d71ac5d4",
+        "50138721f7bc1f94ac3ec26107ef9bb2e8f8e680cac2df3c14a0d78a55bf1cda",
+        "07e1290b3c017345eb395ffe7d02b3daf6e4b2eeacf37cd50f98010dbae4301a",
+        "84ec5d7bdab94bca7a68f2d5e198b153c8323a29492f3ee910053a480f07ece0",
     ],
     True: [
         "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
-        "d2aa2cd720927517d674deed9f09b5f9855a4d0d32610eeac46df906a85a8b94",
-        "c4f520cefb188ad35d98cc74b2aacac4d6db6cce484068f83472106027eb7077",
-        "45951705b244c9cbf7e184483f1d27733239091e63c1ce2cb02e6da9450f5761",
-        "2acb67f835f53c4dbb5159e6b952265590d921ac83d0b00b5f6cbd859d92ed78",
-        "e0a847cf5f7dddce2a9b3771bf583cb1ff20ccc13453279f20458270bb46bcad",
-        "5670a014516a0d195fa015586666e7d6194e75f186de51a7e1be2267908f4561",
-        "577ca3159c2179cc651c40118ad769b088da8215cc331af596b4414bf990da14",
+        "6e0c53bdab770707929f6712f001a9e4c7c39f4a0e64f367e4fd7f273133f606",
+        "5cdd07e89fd660d978b2f146a8ec30db942709798aaed6d01fc169c745a2731f",
+        "edf5ad494cce45e6606918ece213791863fafad1af5e996a3eb8ce6d05cb1c76",
+        "2581d49d9df2666aa04e42c4da1ef82c078309b35c2bac5539cffc75668bb321",
+        "b75c29184608c275411af8c98128e6b7f032a34e08fbe3113134a7c45694b4c9",
+        "f6570b6192a4d03bf8883976799243230bd10ef53ee2d40d0b211b49027e6ffc",
+        "e786e4a7fbfa99cfafe2ec12e3c6b8988338ebae2c27625840f30e73fca21b9a",
     ],
 }
 PROJECTION = (
@@ -124,28 +133,28 @@ PROJECTION = (
 SAME_CIPHERTEXTS = {
     False: [
         "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
-        "09968f69bbfc794701a1415659fcb2b0c6049380d672c1be3bed1e0bb3a78912",
-        "69b14294fb2239b7af2cd24face88e0597a6af7483ffa9c9e8e376801c950387",
-        "c2fb339aecdfd7e1be6958b47b3830380a0e24debe5623cfada8cc4c426b8568",
-        "cbabb2ab05edd74cc11c4d838d274a9dfbc4a287ff1db565bc5ddafb5cc6bbcf",
-        "4a8d6703a7188420408102aacd7828cb7e145ae638fc0bd9c59757a1a412cb67",
-        "4daee2e5fda13fe89c8b6dff0bf555ef9004a487636272efe97146a94c3582aa",
-        "531dca70808d993d0edd9d3416ca48bdb34864367d5c541b045abcddafac6b8f",
+        "7b2cca537651b5c5ba067697b4642a22378f94b07f4bea381eeecbefc05a172b",
+        "6a0036829100bafeb807b90c6b9e3968541453499faeb5c205d146941b9505c6",
+        "a67ee10341f4d45d45803936de2d77671dec01676a9fdc557fd12e7fb2caa511",
+        "81e29bede9d868f1bb5b765bb9ca7196b6765f592dd5e80d2ac623f0d71ac5d4",
+        "50138721f7bc1f94ac3ec26107ef9bb2e8f8e680cac2df3c14a0d78a55bf1cda",
+        "07e1290b3c017345eb395ffe7d02b3daf6e4b2eeacf37cd50f98010dbae4301a",
+        "84ec5d7bdab94bca7a68f2d5e198b153c8323a29492f3ee910053a480f07ece0",
     ],
     True: [
         "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
-        "d2aa2cd720927517d674deed9f09b5f9855a4d0d32610eeac46df906a85a8b94",
-        "c4f520cefb188ad35d98cc74b2aacac4d6db6cce484068f83472106027eb7077",
-        "45951705b244c9cbf7e184483f1d27733239091e63c1ce2cb02e6da9450f5761",
-        "2acb67f835f53c4dbb5159e6b952265590d921ac83d0b00b5f6cbd859d92ed78",
-        "e0a847cf5f7dddce2a9b3771bf583cb1ff20ccc13453279f20458270bb46bcad",
-        "5670a014516a0d195fa015586666e7d6194e75f186de51a7e1be2267908f4561",
-        "577ca3159c2179cc651c40118ad769b088da8215cc331af596b4414bf990da14",
+        "6e0c53bdab770707929f6712f001a9e4c7c39f4a0e64f367e4fd7f273133f606",
+        "5cdd07e89fd660d978b2f146a8ec30db942709798aaed6d01fc169c745a2731f",
+        "edf5ad494cce45e6606918ece213791863fafad1af5e996a3eb8ce6d05cb1c76",
+        "2581d49d9df2666aa04e42c4da1ef82c078309b35c2bac5539cffc75668bb321",
+        "b75c29184608c275411af8c98128e6b7f032a34e08fbe3113134a7c45694b4c9",
+        "f6570b6192a4d03bf8883976799243230bd10ef53ee2d40d0b211b49027e6ffc",
+        "e786e4a7fbfa99cfafe2ec12e3c6b8988338ebae2c27625840f30e73fca21b9a",
     ],
 }
 REPLY = {
-    False: "00e7aecf2ad9222197e602bb2029d6d7590cad774616cb8824ec27f307f06133",
-    True: "7013c06fe12c72196fb8b60bab8d5a3045af95f347becd8676650461b5e9f017",
+    False: "490fdc0d889357927cf7ed7f9c71c43ff80b871e9c1bf09300f287b8c118b393",
+    True: "2153db32917449e05af3ab8328cb1a54f91df3a3b3887f3ecfd7ebb8ae5c262d",
 }
 
 

@@ -52,6 +52,10 @@ def test_node_validation():
         make_node(1, {2}, {2: True})
     with pytest.raises(ValueError, match="width must be positive, got 0"):
         make_node(1, {2}, {2: 5}, width=0)
+    # A score the node's adder cannot hold is refused, not left to a hop's Drop.
+    with pytest.raises(ValueError, match="node 1 trust for 3 is 8, which does not fit in 3 bits"):
+        make_node(1, {2, 3}, {2: 5, 3: 8}, width=3)
+    assert make_node(1, {2}, {2: 7}, width=3).trust_db == {2: 7}
     # The adder follows from the width, so no node holds one of another width.
     node = make_node(1, {2}, {2: 5}, width=3)
     assert node.circuit is build_ripple_adder(3)

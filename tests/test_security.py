@@ -118,8 +118,10 @@ def _honest(call, rr, decision, rng, oracle_trust):
 ATTACKS = {
     # An undersized eta, with the reply's noise bounds rewritten to 1:
     # source_finalize trusts the bounds the reply carries (ROADMAP item 1).
+    # Which undersized decryptions go wrong depends on the noise drawn, so
+    # this count moves whenever the hops' draws do.
     "forged reply bounds": (
-        20, 30, False, _reply_edit(lambda cts: tuple(Ciphertext(c.value, 1) for c in cts)), 28
+        20, 30, False, _reply_edit(lambda cts: tuple(Ciphertext(c.value, 1) for c in cts)), 25
     ),
     # Any hop can encrypt under pk; nothing binds the accumulator to the hops.
     "accumulator substitution": (12, None, False, _substitute_fourth_accumulator, 46),

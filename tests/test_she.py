@@ -132,15 +132,19 @@ def test_keygen_narrow_q0_terminates():
 
 
 def test_encrypt_bit_exact_form_with_forced_randomness():
-    # Replay the rng from a saved state: encrypt_bit draws r, then Q.
+    # Replay the rng from a saved state: encrypt_bit draws r, then Q, and a
+    # residue draws r alone.
     params, keys, rng = make(lam=3, seed=2)
-    for m in (0, 1):
-        state = rng.getstate()
-        ct = encrypt_bit(keys.pk, m, params, rng)
-        rng.setstate(state)
-        r = bignum.random_bits(params.r_bits, rng)
-        q = bignum.random_bits(params.q_bits, rng)
-        assert ct.value == m + 2 * r + keys.pk * q
+    replay = random.Random()
+    for residue in (False, True):
+        for m in (0, 1):
+            replay.setstate(rng.getstate())
+            ct = encrypt_bit(keys.pk, m, params, rng, residue=residue)
+            value = m + 2 * bignum.random_bits(params.r_bits, replay)
+            if not residue:
+                value += keys.pk * bignum.random_bits(params.q_bits, replay)
+            assert ct.value == value
+            assert rng.getstate() == replay.getstate()
 
 
 def test_encrypt_rejects_non_bits():
@@ -246,9 +250,9 @@ def test_ciphertext_arithmetic_goes_through_bignum(monkeypatch):
     c2, _ = counted(encrypt_bit, keys.pk, 0, params, rng)
     _, n = counted(he_add, c1, c2, keys.pk, params)
     assert n == {"mul": 0, "mod": 1}
-    # he_mul reduces both operands, then the product.
+    # he_mul reduces only the product.
     _, n = counted(he_mul, c1, c2, keys.pk, params)
-    assert n == {"mul": 1, "mod": 3}
+    assert n == {"mul": 1, "mod": 1}
     _, n = counted(decrypt_bit, keys.sk, c1)
     assert n == {"mul": 0, "mod": 1}
 

@@ -904,21 +904,24 @@ def test_certified_star_run_seventeen_updates(made_keys):
     assert report.eta == 515_923
 
 
-def test_star_run_multiplies_nothing_wider_than_pk(monkeypatch, made_keys):
-    # he_mul reduces its operands mod pk first, so no flag product starts
-    # from a fresh ciphertext's pk_bits + q_bits width.
-    widths = []
+def test_star_run_multiplies_a_wide_factor_only_by_a_hop_residue(monkeypatch, made_keys):
+    # he_mul does not reduce its operands.  The only factor wider than pk is
+    # a bit of the source's full-form accumulator, at the first updating hop,
+    # and each one meets an identity gate's fresh residue zero, so every
+    # division after a product stays short.
+    factors = []
     mul = bignum.mul
 
     def recording_mul(a, b):
-        widths.append(max(a.bit_length(), b.bit_length()))
+        factors.append(sorted((a.bit_length(), b.bit_length())))
         return mul(a, b)
 
     monkeypatch.setattr(bignum, "mul", recording_mul)
     report = certified_star_chain(5, lam=10, seed=4, made_keys=made_keys)
     pk_bits = SecurityParams.from_lambda(10, eta=report.eta).pk_bits
-    assert len(widths) > 100
-    assert max(widths) <= pk_bits
+    assert len(factors) > 100
+    assert all(wide <= pk_bits or narrow <= 10 + 2 for narrow, wide in factors)
+    assert sum(wide > pk_bits for _, wide in factors) == 4
 
 
 def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeypatch):
@@ -943,6 +946,15 @@ def test_run_discovery_endpoint_validation():
     t = chain_topology(3, seed=0)
     with pytest.raises(ValueError):
         run_discovery(t, 0, 9, RunConfig(lam=3))
+
+
+def test_run_discovery_refuses_a_node_whose_width_cannot_hold_its_scores():
+    # The oracle answers trust 2 at width 3, but node 14 on the path holds an
+    # 8: a configuration error, where a hop used to report a malformed payload.
+    t = generate_topology(30, 4, seed=1)
+    assert plaintext_oracle(t, 2, 0, width=3).trust == 2
+    with pytest.raises(ValueError, match="node 14 trust for 2 is 8, which does not fit in 3 bits"):
+        run_discovery(t, 2, 0, RunConfig(lam=3, width=3))
 
 
 def test_oracle_agreement_on_random_topologies():

@@ -33,15 +33,11 @@ from .sim import (
 )
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; 2 is reserved for
-    # DROPPED here, so argument problems are rerouted through _CliError.
+    # DROPPED here, so an argument problem is an error like any other.
     def error(self, message: str) -> None:
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _parse_eta(text: str) -> int | None:
@@ -186,9 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

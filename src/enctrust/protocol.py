@@ -106,11 +106,6 @@ class NodeState:
         """The node's adder: the one ``build_ripple_adder`` builds for its width."""
         return build_ripple_adder(self.width)
 
-    @property
-    def interface(self) -> int:
-        """The accumulator width this node's adder reads."""
-        return self.width
-
 
 def make_node(
     node_id: NodeId, neighbors, trust_db: dict[NodeId, int], width: int = DEFAULT_WIDTH

@@ -112,9 +112,7 @@ class Topology:
                 raise ValueError("; ".join(detail))
         if not trust_scores_ok(self.trust.values()):
             arc, t = next((arc, t) for arc, t in self.trust.items() if not trust_scores_ok((t,)))
-            raise ValueError(
-                f"trust['{arc[0]}->{arc[1]}'] = {t!r} outside [{MIN_TRUST}, {MAX_TRUST}]"
-            )
+            raise ValueError(f"trust for arc {arc} = {t!r} outside [{MIN_TRUST}, {MAX_TRUST}]")
 
     @functools.cached_property
     def _adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -129,10 +127,11 @@ class Topology:
         return self._adjacency.get(node, frozenset())
 
     def to_json(self) -> dict:
+        """``{"nodes": [id, ...], "edges": [[a, b], ...], "trust": [[a, b, score], ...]}``, sorted."""
         return {
-            "nodes": [{"id": i} for i in sorted(self.nodes)],
+            "nodes": sorted(self.nodes),
             "edges": [list(e) for e in sorted(self.edges)],
-            "trust": {f"{a}->{b}": v for (a, b), v in sorted(self.trust.items())},
+            "trust": [[a, b, v] for (a, b), v in sorted(self.trust.items())],
         }
 
     @classmethod
@@ -141,89 +140,71 @@ class Topology:
 
         As on the wire (:func:`protocol.json_fields`), an integer must be
         exactly an ``int``: JSON ``true`` is no node id, endpoint or trust.
-        A trust key must be spelled as :meth:`to_json` writes it, so no two
-        keys name one arc.
+        A trust entry is an ``[a, b, score]`` triple, and an arc given twice
+        is an error, not last-wins.
         """
-        node_list, edge_list, trust_map = json_fields(obj, _TOPOLOGY_KINDS, {})
-        parts = _topology_parts(node_list, edge_list, trust_map)
+        node_list, edge_list, trust_list = json_fields(obj, _TOPOLOGY_KINDS, {})
+        parts = _topology_parts(node_list, edge_list, trust_list)
         if parts is None:
-            parts = _diagnose_topology_parts(node_list, edge_list, trust_map)
+            parts = _diagnose_topology_parts(node_list, edge_list, trust_list)
         return cls(*parts)
 
 
-_TOPOLOGY_KINDS = {"nodes": list, "edges": list, "trust": dict}
+_TOPOLOGY_KINDS = {"nodes": list, "edges": list, "trust": list}
 
 
-def _topology_parts(node_list: list, edge_list: list, trust_map: dict) -> tuple | None:
+def _topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple | None:
     """``(nodes, edges, trust)`` of a well-formed document, else ``None``.
 
     Each type check is one C-level ``set(map(type, ...))`` over a whole
-    list: the entries, ids, pairs, pair lengths, endpoints and scores.  A
-    trust key is looked up among the two spellings of each edge's arcs, so a
-    key in any other spelling, or on a non-edge, fails.
+    list: the ids, the pairs and triples, their lengths, and the integers in
+    them.  An arc given twice leaves the trust dict short, which fails.
     """
-    if not (set(map(type, node_list)) <= {dict} and set(map(type, edge_list)) <= {list}):
-        return None
-    try:
-        # A list, not an iterator: ``tuple`` grows an iterator's items from a
-        # guessed size, which strands freed tuples of the final size on the
-        # interpreter's free list (0.9 MB of peak RSS on certbench star-chain).
-        nodes = tuple([entry["id"] for entry in node_list])
-    except KeyError:
-        return None
     if not (
-        set(map(type, nodes)) <= {int}
+        set(map(type, node_list)) <= {int}
+        and set(map(type, edge_list)) <= {list}
+        and set(map(type, trust_list)) <= {list}
         and set(map(len, edge_list)) <= {2}
+        and set(map(len, trust_list)) <= {3}
         and set(map(type, itertools.chain.from_iterable(edge_list))) <= {int}
-        and set(map(type, trust_map.values())) <= {int}
+        and set(map(type, itertools.chain.from_iterable(trust_list))) <= {int}
     ):
         return None
     edges = tuple([(a, b) if a < b else (b, a) for a, b in edge_list])
-    try:
-        arcs = edges + tuple([(b, a) for a, b in edges])
-        spelled = dict(zip([f"{a}->{b}" for a, b in arcs], arcs))
-        trust = dict(zip(list(map(spelled.__getitem__, trust_map)), trust_map.values()))
-    except (KeyError, ValueError):  # ValueError: an id too long for str()
+    trust = {(a, b): score for a, b, score in trust_list}
+    if len(trust) != len(trust_list):
         return None
-    return nodes, edges, trust
+    return tuple(node_list), edges, trust
 
 
-def _diagnose_topology_parts(node_list: list, edge_list: list, trust_map: dict) -> tuple:
+def _diagnose_topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple:
     """:func:`_topology_parts` element by element, raising on the first bad one.
 
-    A canonical key on a non-edge passes here, and ``Topology`` names it.
+    An arc on a non-edge passes here, and ``Topology`` names it.
     """
-    nodes = []
-    for i, entry in enumerate(node_list):
-        if type(entry) is not dict or "id" not in entry:
-            raise ValueError(f"nodes[{i}] must be an object with an 'id' field")
-        if type(entry["id"]) is not int:
-            raise ValueError(f"nodes[{i}].id must be an integer, got {entry['id']!r}")
-        nodes.append(entry["id"])
+    for i, node in enumerate(node_list):
+        if type(node) is not int:
+            raise ValueError(f"nodes[{i}] must be an integer id, got {node!r}")
     edges = []
     for i, pair in enumerate(edge_list):
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) is not int
-            or type(pair[1]) is not int
-        ):
+        if not _ints(pair, 2):
             raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
         a, b = pair
         edges.append((min(a, b), max(a, b)))
     trust = {}
-    for key, value in trust_map.items():
-        head, _, tail = key.partition("->")
-        try:
-            arc = int(head), int(tail)
-        except ValueError:
-            arc = None
-        if arc is None or f"{arc[0]}->{arc[1]}" != key:
-            raise ValueError(f"trust key {key!r} is not of the form 'a->b' with decimal ids")
-        if type(value) is not int:
-            raise ValueError(f"trust['{key}'] must be an integer, got {value!r}")
-        trust[arc] = value
-    return tuple(nodes), tuple(edges), trust
+    for i, entry in enumerate(trust_list):
+        if not _ints(entry, 3):
+            raise ValueError(f"trust[{i}] must be a triple of integers, got {entry!r}")
+        a, b, score = entry
+        if (a, b) in trust:
+            raise ValueError(f"trust[{i}] repeats arc {(a, b)}")
+        trust[(a, b)] = score
+    return tuple(node_list), tuple(edges), trust
+
+
+def _ints(entry: object, size: int) -> bool:
+    """Whether ``entry`` is a JSON list of exactly ``size`` integers."""
+    return type(entry) is list and len(entry) == size and set(map(type, entry)) <= {int}
 
 
 def save_topology(t: Topology, path: str) -> None:
@@ -249,7 +230,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_topology(path: str) -> Topology:
     """Read :func:`save_topology`'s file; ``ValueError`` naming ``path`` if it is malformed.
 
-    A key repeated within one JSON object is an error, not last-wins.
+    A key repeated in the document's object is an error, not last-wins.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -307,7 +288,7 @@ def chain_topology(n: int, seed: int) -> Topology:
 
 
 def _draw_trust(edges: tuple[tuple[NodeId, NodeId], ...], rng: random.Random) -> dict:
-    """A uniform score for each arc: per edge ``(a, b)`` in order, ``a->b`` then ``b->a``."""
+    """A uniform score for each arc: per edge ``(a, b)`` in order, ``(a, b)`` then ``(b, a)``."""
     trust = {}
     for a, b in edges:
         trust[(a, b)] = rng.randint(MIN_TRUST, MAX_TRUST)

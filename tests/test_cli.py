@@ -177,25 +177,29 @@ def test_error_exit_codes(tmp_path, capsys):
     # malformed eta
     assert main(["route", "--topology", t, "--source", "0", "--dest", "2",
                  "--lambda", "3", "--eta", "soon"]) == 1
-    # valid JSON of the wrong shape: trust as a list of pairs, not an object
+    # valid JSON of the wrong shape: a file in the earlier format, with node
+    # objects and trust keyed by "a->b", is refused by its field
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "trust": [["0->1", 5]]}')
+    bad.write_text(
+        '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "trust": {"0->1": 5, "1->0": 7}}'
+    )
     capsys.readouterr()
-    assert main(["route", "--topology", str(bad), "--source", "0", "--dest", "1",
-                 "--lambda", "3"]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: field 'trust' has the wrong JSON type: list\n"
-    # a second spelling of an arc, or one arc written twice, is an error, not last-wins
-    for key, fault in [
-        ("01->0", "trust key '01->0' is not of the form 'a->b' with decimal ids"),
-        ("0->\u0661", "trust key '0->\u0661' is not of the form 'a->b' with decimal ids"),
-        ("-0->1", "trust key '-0->1' is not of the form 'a->b' with decimal ids"),
-        ("0->1", "repeated key '0->1' in a JSON object"),
-    ]:
-        bad.write_text(
-            '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],'
-            f' "trust": {{"0->1": 5, "1->0": 7, "{key}": 9}}}}',
-            encoding="utf-8",
+    for command in (["oracle"], ["route", "--lambda", "3"]):
+        assert main([*command, "--topology", str(bad), "--source", "0", "--dest", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: field 'trust' has the wrong JSON type: dict\n"
         )
+    # a node object, a malformed triple, or one arc given twice is an error, not last-wins
+    for nodes, trust, fault in [
+        ('[{"id": 0}, 1]', "[[0, 1, 5], [1, 0, 7]]",
+         "nodes[0] must be an integer id, got {'id': 0}"),
+        ("[0, 1]", "[[0, 1, 5], [1, 0]]", "trust[1] must be a triple of integers, got [1, 0]"),
+        ("[0, 1]", "[[0, 1, 5], [1, 0, true]]",
+         "trust[1] must be a triple of integers, got [1, 0, True]"),
+        ("[0, 1]", "[[0, 1, 5], [1, 0, 7], [0, 1, 9]]", "trust[2] repeats arc (0, 1)"),
+        ("[0, 1]", '[[0, 1, 5], [1, 0, 7]], "trust": []', "repeated key 'trust' in a JSON object"),
+    ]:
+        bad.write_text(f'{{"nodes": {nodes}, "edges": [[0, 1]], "trust": {trust}}}')
         assert main(["route", "--topology", str(bad), "--source", "0", "--dest", "1",
                      "--lambda", "3"]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
@@ -203,7 +207,7 @@ def test_error_exit_codes(tmp_path, capsys):
 
 def test_corrupt_topology_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nodes": [{"id": 0}], "edges": [')
+    bad.write_text('{"nodes": [0], "edges": [')
     assert main(["oracle", "--topology", str(bad), "--source", "0", "--dest", "1"]) == 1
     assert "invalid JSON" in capsys.readouterr().err
 

@@ -1,8 +1,9 @@
 """The scheme's security limits, pinned as measured facts.
 
 README "Limitations" and "Evaluation modes" state them: the public key
-decrypts every ciphertext, a star hop encrypts the gate flags of its own,
-public adder, so the flags hide nothing from it, and each attack in
+decrypts every ciphertext, and an evaluated one reads with no key at all;
+a star hop encrypts the gate flags of its own, public adder, so the flags
+hide nothing from it; and each attack in
 ``ATTACKS`` gets the source to report a wrong total as ``trusted``.
 """
 
@@ -51,15 +52,21 @@ def _certified_requests(t, source, destination, seed, star_mode):
 def test_public_key_decrypts_every_running_total(star_mode):
     # pk = sk * q0 exactly, so c mod pk is the noise m + 2r itself whenever
     # the noise is below sk: (c mod pk) mod 2 decrypts without the secret.
+    # A hop reduces every result mod pk, so an updated request's bits are
+    # already m + 2r, and their low bits read the total with no key at all.
+    # The source's own request is left out: its bits are m + 2r + pk*Q.
     for seed in range(5):
         t = chain_topology(8, seed=seed)
         keys, requests = _certified_requests(t, 0, 7, seed, star_mode)
         assert len(requests) == 6
-        for rr in requests:
+        for k, rr in enumerate(requests):
             route = rr.path + (rr.next_hop,)
             total = sum(t.trust[arc] for arc in zip(route, route[1:])) % 16
             assert decrypt_value(keys.sk, rr.acc_trust) == total
             assert decrypt_value(keys.pk, rr.acc_trust) == total
+            if k:
+                low_bits = sum((c.value & 1) << i for i, c in enumerate(rr.acc_trust))
+                assert low_bits == total
 
 
 def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch, made_keys):

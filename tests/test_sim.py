@@ -81,24 +81,25 @@ def test_topology_validation_messages():
             edges=((1, 2),),
             trust={(1, 2): 5, (2, 1): 5, (1, 3): 2},
         )
-    with pytest.raises(ValueError, match=r"trust\['1->2'\] = 11"):
+    with pytest.raises(ValueError, match=r"trust for arc \(1, 2\) = 11 outside"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 11, (2, 1): 5})
     # In range but no score: the whole-list test refuses it, so the loop must name it.
-    with pytest.raises(ValueError, match=r"trust\['2->1'\] = 5.5"):
+    with pytest.raises(ValueError, match=r"trust for arc \(2, 1\) = 5.5 outside"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 5, (2, 1): 5.5})
     # Equal to a score but not an int: 5.0 == 5 and True == 1.
-    with pytest.raises(ValueError, match=r"trust\['2->1'\] = 5.0"):
+    with pytest.raises(ValueError, match=r"trust for arc \(2, 1\) = 5.0 outside"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): 5, (2, 1): 5.0})
-    with pytest.raises(ValueError, match=r"trust\['1->2'\] = True"):
+    with pytest.raises(ValueError, match=r"trust for arc \(1, 2\) = True outside"):
         Topology(nodes=(1, 2), edges=((1, 2),), trust={(1, 2): True, (2, 1): 5})
 
 
 def test_topology_json_roundtrip():
     t = triangle_with_pendant()
     obj = t.to_json()
-    assert obj["nodes"] == [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3}]
-    assert [0, 1] in obj["edges"]
-    assert obj["trust"]["0->1"] == 9
+    assert obj["nodes"] == [0, 1, 2, 3]
+    assert obj["edges"] == [[0, 1], [0, 2], [0, 3], [1, 2]]
+    assert obj["trust"][:3] == [[0, 1, 9], [0, 2, 4], [0, 3, 1]]
+    assert len(obj["trust"]) == 8
     assert Topology.from_json(obj) == t
 
 
@@ -126,42 +127,34 @@ def test_load_topology_diagnostics(tmp_path):
         load_topology(str(bad_json))
 
     missing = tmp_path / "missing.json"
-    missing.write_text(json.dumps({"nodes": [{"id": 0}], "edges": []}))
+    missing.write_text(json.dumps({"nodes": [0], "edges": []}))
     with pytest.raises(ValueError, match="missing field 'trust'"):
         load_topology(str(missing))
-
-    badkey = tmp_path / "badkey.json"
-    badkey.write_text(
-        json.dumps({"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]], "trust": {"0-1": 5}})
-    )
-    with pytest.raises(ValueError, match="'0-1' is not of the form 'a->b'"):
-        load_topology(str(badkey))
 
     # A dict cannot hold a repeated key, so only the file loader sees one.
     repeated = tmp_path / "repeated.json"
     repeated.write_text(
-        '{"nodes": [{"id": 0}, {"id": 1}], "edges": [[0, 1]],'
-        ' "trust": {"0->1": 5, "1->0": 7, "0->1": 6}}'
+        '{"nodes": [0, 1], "edges": [[0, 1]], "trust": [[0, 1, 5], [1, 0, 7]], "trust": []}'
     )
-    with pytest.raises(ValueError, match=r"repeated\.json: repeated key '0->1' in a JSON object"):
+    with pytest.raises(ValueError, match=r"repeated\.json: repeated key 'trust' in a JSON object"):
         load_topology(str(repeated))
 
     badnode = tmp_path / "badnode.json"
-    badnode.write_text(json.dumps({"nodes": [{"noid": 0}], "edges": [], "trust": {}}))
-    with pytest.raises(ValueError, match=r"nodes\[0\] must be an object with an 'id'"):
+    badnode.write_text(json.dumps({"nodes": [{"id": 0}], "edges": [], "trust": []}))
+    with pytest.raises(ValueError, match=r"nodes\[0\] must be an integer id, got \{'id': 0\}"):
         load_topology(str(badnode))
 
     badedge = tmp_path / "badedge.json"
-    badedge.write_text(json.dumps({"nodes": [{"id": 0}], "edges": [[0]], "trust": {}}))
+    badedge.write_text(json.dumps({"nodes": [0], "edges": [[0]], "trust": []}))
     with pytest.raises(ValueError, match=r"edges\[0\] must be a pair"):
         load_topology(str(badedge))
 
 
 def _valid_topology_json():
     return {
-        "nodes": [{"id": 0}, {"id": 1}],
+        "nodes": [0, 1],
         "edges": [[0, 1]],
-        "trust": {"0->1": 5, "1->0": 7},
+        "trust": [[0, 1, 5], [1, 0, 7]],
     }
 
 
@@ -172,16 +165,12 @@ def _valid_topology_json():
         ((), [], "expected a JSON object, got list"),
         (("nodes",), {}, "field 'nodes' has the wrong JSON type: dict"),
         (("edges",), 3, "field 'edges' has the wrong JSON type: int"),
-        (("trust",), [["0->1", 5]], "field 'trust' has the wrong JSON type: list"),
-        (("nodes", 0), 0, r"nodes\[0\] must be an object with an 'id' field"),
-        (("nodes", 1, "id"), True, r"nodes\[1\]\.id must be an integer, got True"),
+        (("trust",), {"0->1": 5, "1->0": 7}, "field 'trust' has the wrong JSON type: dict"),
+        (("nodes", 0), {"id": 0}, r"nodes\[0\] must be an integer id, got \{'id': 0\}"),
+        (("nodes", 1), True, r"nodes\[1\] must be an integer id, got True"),
         (("edges", 0), "01", r"edges\[0\] must be a pair of integers"),
         (("edges", 0, 1), True, r"edges\[0\] must be a pair of integers"),
-        (("trust", "1->0"), True, r"trust\['1->0'\] must be an integer, got True"),
-        # Another spelling of an existing arc: it loaded, and the later key won.
-        (("trust", "01->0"), 9, r"trust key '01->0' is not of the form 'a->b'"),
-        (("trust", "-0->1"), 9, r"trust key '-0->1' is not of the form 'a->b'"),
-        (("trust", "0->\u0661"), 9, "trust key '0->\u0661' is not of the form 'a->b'"),
+        (("trust", 1, 2), True, r"trust\[1\] must be a triple of integers, got \[1, 0, True\]"),
     ],
 )
 def test_topology_from_json_rejects_malformed_parts(path, value, message):
@@ -201,9 +190,9 @@ def test_topology_from_json_rejects_malformed_parts(path, value, message):
 
 def _path_topology_json():
     return {
-        "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+        "nodes": [0, 1, 2],
         "edges": [[0, 1], [1, 2]],
-        "trust": {"0->1": 5, "1->0": 7, "1->2": 3, "2->1": 9},
+        "trust": [[0, 1, 5], [1, 0, 7], [1, 2, 3], [2, 1, 9]],
     }
 
 
@@ -217,43 +206,55 @@ def _set(path, value):
     return mutate
 
 
-def _add_trust_key(key):
-    return _set(("trust", key), 5)
+def _add_trust(entry):
+    return lambda obj: obj["trust"].append(entry)
 
 
-NOT_A_KEY = "trust key {!r} is not of the form 'a->b' with decimal ids"
-HUGE_ID_KEY = "1" * 5000 + "->2"
+def _old_format(obj):
+    # The earlier document: node objects and trust keyed by "a->b" strings.
+    obj["nodes"] = [{"id": i} for i in obj["nodes"]]
+    obj["trust"] = {f"{a}->{b}": score for a, b, score in obj["trust"]}
+
 
 # Each message is exactly the one the element-by-element loader gave.
 REJECTED_TOPOLOGIES = {
-    "leading zero": (_add_trust_key("01->2"), NOT_A_KEY.format("01->2")),
-    "plus sign": (_add_trust_key("+1->2"), NOT_A_KEY.format("+1->2")),
-    "leading space": (_add_trust_key(" 1->2"), NOT_A_KEY.format(" 1->2")),
-    "underscore": (_add_trust_key("1_0->2"), NOT_A_KEY.format("1_0->2")),
-    "negative zero": (_add_trust_key("-0->1"), NOT_A_KEY.format("-0->1")),
-    "two arrows": (_add_trust_key("1->2->3"), NOT_A_KEY.format("1->2->3")),
-    "arabic-indic digit": (_add_trust_key("1->\u0662"), NOT_A_KEY.format("1->\u0662")),
-    # int() refuses more than 4300 digits, so such an id has no spelling.
-    "5000-digit id": (_add_trust_key(HUGE_ID_KEY), NOT_A_KEY.format(HUGE_ID_KEY)),
-    "key on a non-edge": (_add_trust_key("0->2"), "trust for non-edges [(0, 2)]"),
-    "missing arc": (lambda obj: obj["trust"].pop("2->1"), "missing trust for arcs [(2, 1)]"),
-    "bool id": (_set(("nodes", 1, "id"), True), "nodes[1].id must be an integer, got True"),
+    "key on a non-edge": (_add_trust([0, 2, 5]), "trust for non-edges [(0, 2)]"),
+    "missing arc": (lambda obj: obj["trust"].pop(), "missing trust for arcs [(2, 1)]"),
+    "bool id": (_set(("nodes", 1), True), "nodes[1] must be an integer id, got True"),
     "bool endpoint": (
         _set(("edges", 0, 1), True),
         "edges[0] must be a pair of integers, got [0, True]",
     ),
-    "bool score": (_set(("trust", "0->1"), True), "trust['0->1'] must be an integer, got True"),
+    "bool score": (
+        _set(("trust", 0, 2), True),
+        "trust[0] must be a triple of integers, got [0, 1, True]",
+    ),
+    "bool arc end": (
+        _set(("trust", 3, 0), True),
+        "trust[3] must be a triple of integers, got [True, 1, 9]",
+    ),
     "one-ended edge": (_set(("edges", 0), [0]), "edges[0] must be a pair of integers, got [0]"),
     "three-ended edge": (
         _set(("edges", 0), [0, 1, 2]),
         "edges[0] must be a pair of integers, got [0, 1, 2]",
     ),
     "edge in both orders": (lambda obj: obj["edges"].append([1, 0]), "duplicate edge (0, 1)"),
+    "trust pair": (_set(("trust", 1), [1, 0]), "trust[1] must be a triple of integers, got [1, 0]"),
+    "trust quadruple": (
+        _set(("trust", 1), [1, 0, 7, 7]),
+        "trust[1] must be a triple of integers, got [1, 0, 7, 7]",
+    ),
+    "repeated arc": (_add_trust([1, 2, 4]), "trust[4] repeats arc (1, 2)"),
     "node without id": (
         _set(("nodes", 0), {"name": 0}),
-        "nodes[0] must be an object with an 'id' field",
+        "nodes[0] must be an integer id, got {'name': 0}",
     ),
-    "score 11": (_set(("trust", "1->2"), 11), "trust['1->2'] = 11 outside [1, 10]"),
+    "node as an object": (
+        _set(("nodes", 2), {"id": 2}),
+        "nodes[2] must be an integer id, got {'id': 2}",
+    ),
+    "old format": (_old_format, "field 'trust' has the wrong JSON type: dict"),
+    "score 11": (_set(("trust", 2, 2), 11), "trust for arc (1, 2) = 11 outside [1, 10]"),
 }
 
 
@@ -279,12 +280,12 @@ def test_topology_from_json_rejection_messages(case):
 def test_topology_json_roundtrip_of_unusual_ids(nodes, edges):
     # Negative and large ids load as themselves; an edge written larger id
     # first loads normalized, in the document's order, and trust keeps the
-    # document's key order.
+    # document's order.
     arcs = [arc for a, b in edges for arc in ((b, a), (a, b))]
     doc = {
-        "nodes": [{"id": i} for i in nodes],
+        "nodes": list(nodes),
         "edges": [[b, a] for a, b in edges],
-        "trust": {f"{a}->{b}": 1 + k % 10 for k, (a, b) in enumerate(arcs)},
+        "trust": [[a, b, 1 + k % 10] for k, (a, b) in enumerate(arcs)],
     }
     t = Topology.from_json(doc)
     assert t.nodes == nodes
@@ -312,30 +313,39 @@ TOPOLOGY_VALUES = st.one_of(
     st.booleans(),
     st.integers(-2, 6),
     st.floats(allow_nan=False),
-    st.sampled_from(["", "0", "0->1", "1->0", "a->b", "-1->2"]),
-    st.lists(st.integers(-1, 3) | st.booleans(), max_size=3),
-    st.dictionaries(st.sampled_from(["id", "0->1", "1->0", "x"]), st.integers(-1, 11), max_size=2),
+    st.sampled_from(["", "0", "0->1"]),
+    st.lists(st.integers(-1, 11) | st.booleans(), max_size=4),
+    st.dictionaries(st.sampled_from(["id", "0->1", "x"]), st.integers(-1, 11), max_size=2),
 )
 
 
-# Trust keys in other spellings of an existing arc, or on non-edges.
-TOPOLOGY_TRUST_KEYS = st.sampled_from(
-    ["0->1", "1->0", "01->1", "-0->1", " 1->0", "1->0->1", "0->4", "4->0", "0->9", "\u0661->0"]
+# Trust triples on an existing arc (a repeat), on a non-edge, or on an
+# unknown node of the 5-node topology below.
+TOPOLOGY_TRUST_ENTRIES = st.tuples(st.integers(-1, 5), st.integers(-1, 5), st.integers(0, 11)).map(
+    list
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_topology_loads_or_raises_value_error(data):
-    # One or two parts of a real topology are dropped or replaced, or a trust
-    # key is added; loading it must give a Topology or raise ValueError,
-    # never another exception, and it must raise whenever the whole-list
-    # checks refuse the document.
+    # One or two parts of a real topology are dropped or replaced, a trust
+    # triple is added, or the edges or trust entries are reordered, which
+    # keeps a document valid; loading it must give a Topology or raise
+    # ValueError, never another exception, and it must raise whenever the
+    # whole-list checks refuse the document.
     obj = generate_topology(5, 2, seed=3).to_json()
     paths = list(_json_paths(obj))
     for _ in range(data.draw(st.integers(1, 2))):
-        if type(obj.get("trust")) is dict and data.draw(st.integers(0, 3)) == 0:
-            obj["trust"][data.draw(TOPOLOGY_TRUST_KEYS)] = data.draw(st.integers(0, 11))
+        kind = data.draw(st.integers(0, 5))
+        if kind == 0 and type(obj.get("trust")) is list:
+            obj["trust"].append(data.draw(TOPOLOGY_TRUST_ENTRIES))
+            continue
+        if kind == 1 and type(obj.get("trust")) is list:
+            obj["trust"] = data.draw(st.permutations(obj["trust"]))
+            continue
+        if kind == 2 and type(obj.get("edges")) is list:
+            obj["edges"] = data.draw(st.permutations(obj["edges"]))
             continue
         *parents, last = data.draw(st.sampled_from(paths))
         field = obj
@@ -465,7 +475,6 @@ def test_build_nodes_share_one_frozen_circuit():
     nodes = build_nodes(generate_topology(12, 3, seed=1), width=4)
     assert all(node.circuit is build_ripple_adder(4) for node in nodes.values())
     assert build_ripple_adder(4) is build_ripple_adder(4)
-    assert all(node.interface == 4 for node in nodes.values())
     with pytest.raises(dataclasses.FrozenInstanceError):
         build_ripple_adder(4).gates = ()
 

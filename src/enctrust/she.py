@@ -8,7 +8,12 @@ computes AND, as long as the accumulated noise ``(c mod sk)`` stays below
 bound, so validity is decidable without the secret key.
 
 Keys and ciphertext values are plain ``int``s, and a :class:`Ciphertext` is
-an immutable ``(value, noise_bits)`` tuple.  Every multiplication of
+an immutable ``(value, noise_bits)`` tuple.  Its public constructor checks the
+bound, for every caller that brings outside values, such as a wire decoder.
+The producers, :func:`encrypt_bit`, :func:`he_add` and :func:`he_mul`, build
+the tuple directly: a plaintext bit is checked to be the int 0 or 1, and a
+result's bound comes from the noise rules over operands that were already
+checked, so it cannot be negative.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
@@ -108,7 +113,9 @@ class Ciphertext(_CiphertextFields):
     """An encrypted bit plus a key-free upper bound on its noise bit length.
 
     An immutable ``(value, noise_bits)`` tuple: every he-op builds one, and a
-    tuple is cheaper to construct than a frozen dataclass.
+    tuple is cheaper to construct than a frozen dataclass.  The constructor
+    refuses a negative bound.  The producers in this module skip it and build
+    the tuple from operands that were already checked (module docstring).
     """
 
     __slots__ = ()
@@ -175,13 +182,17 @@ def encrypt_bit(
     With ``residue`` the value is ``m + 2r`` and only ``r`` is drawn: the form
     of a ciphertext that never leaves its hop (module docstring).
     """
-    if m not in (0, 1):
-        raise ValueError(f"plaintext bit must be 0 or 1, got {m!r}")
+    # Exactly the ints 0 and 1: ``1.0 == 1`` and ``True == 1``, and a float
+    # here would become a float ciphertext that no decryption accepts.
+    if type(m) is not int or m not in (0, 1):
+        raise ValueError(f"plaintext bit must be the int 0 or 1, got {m!r}")
     value = m + 2 * bignum.random_bits(params.r_bits, rng)
     if not residue:
         value += bignum.mul(pk, bignum.random_bits(params.q_bits, rng))
-    ct = Ciphertext(value, fresh_noise_bits(params))
-    _emit("encrypt", ct)
+    ct = _tuple_new(Ciphertext, (value, fresh_noise_bits(params)))
+    sink = _sink.get()
+    if sink is not None:
+        sink("encrypt", ct)
     return ct
 
 
@@ -192,16 +203,20 @@ def decrypt_bit(sk: int, ct: Ciphertext) -> int:
 def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
     """Homomorphic XOR of the underlying bits."""
     value = bignum.mod(c1.value + c2.value, pk)
-    ct = Ciphertext(value, add_noise_bits(c1.noise_bits, c2.noise_bits))
-    _emit("add", ct)
+    ct = _tuple_new(Ciphertext, (value, add_noise_bits(c1.noise_bits, c2.noise_bits)))
+    sink = _sink.get()
+    if sink is not None:
+        sink("add", ct)
     return ct
 
 
 def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
     """Homomorphic AND of the underlying bits: ``(c1 * c2) mod pk``."""
     value = bignum.mod(bignum.mul(c1.value, c2.value), pk)
-    ct = Ciphertext(value, mul_noise_bits(c1.noise_bits, c2.noise_bits))
-    _emit("mul", ct)
+    ct = _tuple_new(Ciphertext, (value, mul_noise_bits(c1.noise_bits, c2.noise_bits)))
+    sink = _sink.get()
+    if sink is not None:
+        sink("mul", ct)
     return ct
 
 
@@ -218,6 +233,8 @@ def encrypt_value(
     in :func:`encrypt_bit`."""
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
+    if type(v) is not int:
+        raise ValueError(f"plaintext value must be an int, got {v!r}")
     if not 0 <= v < (1 << width):
         raise ValueError(f"value {v} does not fit in {width} bits")
     return tuple(
@@ -234,21 +251,16 @@ def decrypt_value(sk: int, cts: Sequence[Ciphertext]) -> int:
 
 
 # Event sink: every ciphertext that encrypt_bit, he_add and he_mul produce is
-# reported as ``sink(op, ct)``, with ``op`` one of "encrypt", "add" and "mul",
-# to the sinks that :func:`observe` installed in the current context,
-# innermost first.  The sink lives in a ``ContextVar``, so each thread or task
-# sees only its own operations, and two concurrent runs never mix their
-# evidence.
+# reported in place as ``sink(op, ct)``, with ``op`` one of "encrypt", "add"
+# and "mul", to the sinks that :func:`observe` installed in the current
+# context, innermost first.  With none installed, a producer pays one
+# ``ContextVar.get`` and one test.  The sink lives in a ``ContextVar``, so
+# each thread or task sees only its own operations, and two concurrent runs
+# never mix their evidence.
 
 Sink = Callable[[str, Ciphertext], None]
 
 _sink: contextvars.ContextVar[Sink | None] = contextvars.ContextVar("she_sink", default=None)
-
-
-def _emit(op: str, ct: Ciphertext) -> None:
-    sink = _sink.get()
-    if sink is not None:
-        sink(op, ct)
 
 
 @contextlib.contextmanager

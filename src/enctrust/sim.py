@@ -14,9 +14,12 @@ import functools
 import itertools
 import json
 import operator
+import os
+import platform
 import random
+import statistics
 import time
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import bignum, she
@@ -25,6 +28,7 @@ from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
     MIN_TRUST,
+    DiscoveryOutcome,
     Drop,
     ForwardDecision,
     ForwardUpdated,
@@ -35,6 +39,10 @@ from .protocol import (
     json_fields,
     make_node,
     process_rr,
+    rp_from_json,
+    rp_to_json,
+    rr_from_json,
+    rr_to_json,
     source_finalize,
     source_initiate,
     trust_scores_ok,
@@ -534,17 +542,21 @@ def hops(
     rr: RouteRequest,
     rng: random.Random,
     star_mode: bool = False,
+    carry: Callable[[RouteRequest], RouteRequest] | None = None,
 ) -> Iterator[tuple[NodeId, RouteRequest, ForwardDecision]]:
     """Walk one request hop by hop from ``rr.next_hop``.
 
     Yields ``(node_id, request_received, decision)`` for each ``process_rr``
     call: a ``ForwardUnchanged`` hands the same request to its next hop, a
     ``ForwardUpdated`` hands on the updated one, and the walk stops after a
-    ``Reply`` or a ``Drop``.  A walk of more than ``2 * len(nodes) + 2``
-    calls raises ``RuntimeError``.
+    ``Reply`` or a ``Drop``.  ``carry``, when given, takes each request to
+    the hop that receives it, such as across a wire.  A walk of more than
+    ``2 * len(nodes) + 2`` calls raises ``RuntimeError``.
     """
     current = rr.next_hop
     for _ in range(2 * len(nodes) + 2):
+        if carry is not None:
+            rr = carry(rr)
         decision = process_rr(nodes[current], rr, rng, star_mode)
         yield current, rr, decision
         if isinstance(decision, (Reply, Drop)):
@@ -557,6 +569,33 @@ def hops(
     raise RuntimeError("discovery did not terminate; decision loop detected")
 
 
+def _plan(
+    t: Topology,
+    source: NodeId,
+    destination: NodeId,
+    width: int,
+    lam: int,
+    star_mode: bool,
+    eta: int | None = None,
+) -> tuple[_Walk, OracleResult, int]:
+    """The greedy walk, the oracle's answer, and the eta a discovery runs at.
+
+    A given ``eta`` is kept as is; otherwise :func:`required_eta` sizes it
+    for the walk's updates, and ``NoiseBudgetError`` refuses a walk too deep
+    to certify.
+    """
+    walk = _greedy_walk(t, source, destination)
+    oracle = _oracle_result(t, walk, width)
+    if eta is None:
+        eta = required_eta(width, walk.updates, lam, star_mode)
+        if eta == TOO_DEEP:
+            raise NoiseBudgetError(
+                f"cannot certify {walk.updates} updates at width {width}, "
+                f"lam {lam}, star_mode={star_mode}"
+            )
+    return walk, oracle, eta
+
+
 def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConfig) -> RunReport:
     """Drive one encrypted discovery through :func:`hops` and compare it against the oracle.
 
@@ -565,17 +604,7 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
     also receives every ciphertext of the run.
     """
     _check_endpoints(t, source, destination)
-    walk = _greedy_walk(t, source, destination)
-    oracle = _oracle_result(t, walk, cfg.width)
-    if cfg.eta is not None:
-        eta = cfg.eta
-    else:
-        eta = required_eta(cfg.width, walk.updates, cfg.lam, cfg.star_mode)
-        if eta == TOO_DEEP:
-            raise NoiseBudgetError(
-                f"cannot certify {walk.updates} updates at width {cfg.width}, "
-                f"lam {cfg.lam}, star_mode={cfg.star_mode}"
-            )
+    walk, oracle, eta = _plan(t, source, destination, cfg.width, cfg.lam, cfg.star_mode, cfg.eta)
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
@@ -734,3 +763,140 @@ def benchmark_to_json(
         "rows": [r.to_json() for r in rows],
         "mul_243bit_per_sec": measure_mul_throughput(),
     }
+
+
+_WIRE_SEPARATORS = (",", ":")
+
+
+def _wire_discovery(
+    t: Topology,
+    destination: NodeId,
+    params: SecurityParams,
+    star_mode: bool,
+    seed: int,
+) -> tuple[DiscoveryOutcome | None, int, tuple[float, float, float]]:
+    """One discovery from node 0 whose every message crosses the JSON wire.
+
+    Returns the source's outcome (``None`` if the walk dropped), the bytes of
+    every request a hop received and of the reply, and the seconds of
+    keygen, hops (the source's request through the decoded reply) and
+    finalize.
+    """
+    nodes = build_nodes(t)
+    rng = random.Random(seed)
+    wire = 0
+
+    def carry(rr: RouteRequest) -> RouteRequest:
+        nonlocal wire
+        data = json.dumps(rr_to_json(rr), separators=_WIRE_SEPARATORS).encode()
+        wire += len(data)
+        return rr_from_json(json.loads(data))
+
+    t0 = time.perf_counter()
+    keys = she.keygen(params, rng)
+    t1 = time.perf_counter()
+    keys, rr = source_initiate(nodes[0], destination, params, rng, _keys=keys)
+    for _, _, decision in hops(nodes, rr, rng, star_mode, carry):
+        pass
+    if not isinstance(decision, Reply):
+        return None, wire, (t1 - t0, time.perf_counter() - t1, 0.0)
+    data = json.dumps(rp_to_json(decision.reply), separators=_WIRE_SEPARATORS).encode()
+    wire += len(data)
+    reply = rp_from_json(json.loads(data))
+    t2 = time.perf_counter()
+    outcome = source_finalize(keys, reply, params)
+    t3 = time.perf_counter()
+    return outcome, wire, (t1 - t0, t2 - t1, t3 - t2)
+
+
+CERTIFIED_LAMBDAS = (3, 5, 8, 10)
+
+
+def certified_benchmark(
+    seed: int = 0, updates: Sequence[int] = (7, 17), repeats: int = 7
+) -> list[dict]:
+    """Certified wire discoveries in plain and star mode, one row per mode, lam and update count.
+
+    Each update count runs on ``chain_topology(updates + 3, seed)`` from node
+    0 to the last node, at each of :data:`CERTIFIED_LAMBDAS` and
+    ``DEFAULT_WIDTH``, at the planner's eta, ``repeats`` times from the same
+    seed.  Times are medians over the repeats, split into keygen, hops and
+    finalize, with the total's min and max as its spread.  ``RuntimeError``
+    instead of a row whose discovery is not delivered, ``trusted`` and equal
+    to the oracle's path and trust.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be positive, got {repeats}")
+    rows = []
+    for n_updates in updates:
+        t = chain_topology(n_updates + 3, seed)
+        destination = n_updates + 2
+        for star_mode in (False, True):
+            mode = "star" if star_mode else "plain"
+            for lam in CERTIFIED_LAMBDAS:
+                walk, oracle, eta = _plan(t, 0, destination, DEFAULT_WIDTH, lam, star_mode)
+                params = SecurityParams.from_lambda(lam, eta=eta)
+                phases = []
+                for _ in range(repeats):
+                    outcome, wire, times = _wire_discovery(t, destination, params, star_mode, seed)
+                    answer = None if outcome is None else (outcome.path, outcome.trust)
+                    correct = answer == (oracle.path, oracle.trust)
+                    if not (correct and outcome.trusted):
+                        raise RuntimeError(
+                            f"refusing the {mode} row at lam {lam}, {walk.updates} updates: "
+                            f"got {outcome}, oracle path {oracle.path} trust {oracle.trust}"
+                        )
+                    phases.append(times)
+                totals = [sum(p) for p in phases]
+                keygen_s, hops_s, finalize_s = (statistics.median(col) for col in zip(*phases))
+                rows.append(
+                    {
+                        "mode": mode,
+                        "lambda": lam,
+                        "updates": walk.updates,
+                        "eta": eta,
+                        "trusted": outcome.trusted,
+                        "correct": correct,
+                        "trust": outcome.trust,
+                        "wire_bytes": wire,
+                        "repeats": repeats,
+                        "total_s": statistics.median(totals),
+                        "total_min_s": min(totals),
+                        "total_max_s": max(totals),
+                        "keygen_s": keygen_s,
+                        "hops_s": hops_s,
+                        "finalize_s": finalize_s,
+                    }
+                )
+    return rows
+
+
+def certified_benchmark_to_json(rows: Sequence[dict], seed: int) -> dict:
+    """The rows as JSON, marked ``"certified": true``, with the Python version and the host."""
+    return {
+        "certified": True,
+        "seed": seed,
+        "width": DEFAULT_WIDTH,
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "host": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "rows": list(rows),
+    }
+
+
+def format_certified_table(rows: Sequence[dict]) -> str:
+    header = (
+        f"{'mode':>5} {'lambda':>6} {'updates':>7} {'eta':>8} {'wire':>9} {'total_s':>9} "
+        f"{'keygen_s':>9} {'hops_s':>9} {'final_s':>9}"
+    )
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(
+            f"{r['mode']:>5} {r['lambda']:>6} {r['updates']:>7} {r['eta']:>8} "
+            f"{r['wire_bytes']:>9} {r['total_s']:>9.5f} {r['keygen_s']:>9.5f} "
+            f"{r['hops_s']:>9.5f} {r['finalize_s']:>9.5f}"
+        )
+    return "\n".join(lines)

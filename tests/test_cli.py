@@ -132,6 +132,44 @@ def test_bench_table(tmp_path, capsys):
     assert [row["lambda"] for row in obj["rows"]] == [3, 5, 8, 10]
 
 
+def test_certified_bench_quick_tier(tmp_path, capsys):
+    # One repetition of the 7-update chains: plain and star at every lam,
+    # each row a wire discovery that came back trusted and correct.
+    # ``--quick`` alone runs the certified bench.
+    out_path = tmp_path / "bench.json"
+    assert main(["bench", "--quick", "--out", str(out_path)]) == 0
+    label, header = capsys.readouterr().out.splitlines()[:2]
+    assert label == "certified: planner-sized eta, JSON wire, every row trusted and correct"
+    assert header.split()[:3] == ["mode", "lambda", "updates"]
+    obj = json.loads(out_path.read_text())
+    assert obj["certified"] is True
+    assert obj["python"] and obj["host"]["cpus"]
+    rows = obj["rows"]
+    assert [(r["mode"], r["lambda"]) for r in rows] == [
+        (mode, lam) for mode in ("plain", "star") for lam in (3, 5, 8, 10)
+    ]
+    for r in rows:
+        assert r["trusted"] is True and r["correct"] is True
+        assert (r["updates"], r["repeats"]) == (7, 1)
+        assert r["total_s"] == pytest.approx(r["keygen_s"] + r["hops_s"] + r["finalize_s"])
+    assert [r["eta"] for r in rows if r["lambda"] == 3] == [81, 25123]
+
+
+def test_certified_bench_refuses_a_wrong_row(tmp_path, capsys, monkeypatch):
+    # A finalize that reports a wrong total as trusted: no row, no file.
+    from enctrust import protocol, sim
+
+    def forged(keys, rp, params):
+        real = protocol.source_finalize(keys, rp, params)
+        return protocol.DiscoveryOutcome(real.path, (real.trust + 1) % 16, True)
+
+    monkeypatch.setattr(sim, "source_finalize", forged)
+    out_path = tmp_path / "bench.json"
+    assert main(["bench", "--certified", "--quick", "--out", str(out_path)]) == 1
+    assert "error: refusing the plain row at lam 3, 7 updates" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_plan_outputs_eta(capsys):
     assert main(["plan", "--width", "4", "--hops", "2", "--lambda", "3"]) == 0
     assert "eta: 47" in capsys.readouterr().out

@@ -110,6 +110,35 @@ def test_ciphertext_is_an_immutable_validated_tuple():
             build()
 
 
+@pytest.mark.parametrize("lam", [3, 5])
+def test_producers_build_exact_ciphertexts_and_report_them(lam):
+    # encrypt_bit, he_add and he_mul skip the checked constructor: each
+    # result must still be exactly a Ciphertext equal to the checked one,
+    # and be the very object the installed sink received.
+    params, keys, rng = make(lam=lam, eta=4 * lam * lam, seed=lam)
+    pk = keys.pk
+    seen = []
+    with observe(lambda op, ct: seen.append((op, ct))):
+        made = [
+            ("encrypt", encrypt_bit(pk, m, params, rng, residue=r))
+            for r in (False, True)
+            for m in (0, 1)
+        ]
+        full, residue = made[1][1], made[3][1]
+        made += [
+            ("add", he_add(full, residue, pk, params)),
+            ("mul", he_mul(full, residue, pk, params)),
+            ("add", he_add(residue, residue, pk, params)),
+            ("mul", he_mul(full, full, pk, params)),
+        ]
+    assert len(seen) == len(made)
+    for (op, ct), (seen_op, seen_ct) in zip(made, seen):
+        assert type(ct) is Ciphertext
+        assert ct == Ciphertext(ct.value, ct.noise_bits)
+        assert type(ct.value) is int and type(ct.noise_bits) is int
+        assert (seen_op, seen_ct) == (op, ct) and seen_ct is ct
+
+
 def test_keygen_invariants():
     for lam in (2, 3, 5):
         params, keys, _ = make(lam=lam, seed=11)
@@ -148,11 +177,16 @@ def test_encrypt_bit_exact_form_with_forced_randomness():
 
 
 def test_encrypt_rejects_non_bits():
+    # Exactly the ints 0 and 1: a float bit used to become a float
+    # ciphertext that decrypt_bit then refused with TypeError.
     params, keys, rng = make()
-    with pytest.raises(ValueError):
-        encrypt_bit(keys.pk, 2, params, rng)
-    with pytest.raises(ValueError):
-        encrypt_bit(keys.pk, -1, params, rng)
+    for m in (2, -1, 1.0, 0.0, True, False, "1"):
+        for residue in (False, True):
+            with pytest.raises(ValueError, match="plaintext bit must be the int 0 or 1"):
+                encrypt_bit(keys.pk, m, params, rng, residue=residue)
+    for v in (5.0, 0.0, True, False, "5"):
+        with pytest.raises(ValueError, match="plaintext value must be an int"):
+            encrypt_value(keys.pk, v, 4, params, rng)
 
 
 @pytest.mark.parametrize("lam", [2, 3, 5])

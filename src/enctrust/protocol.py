@@ -72,9 +72,24 @@ def trust_scores_ok(scores: Collection) -> bool:
     return set(map(type, scores)) <= {int} and set(scores) <= TRUST_SCORES
 
 
-@dataclass
+def check_width(width: object) -> None:
+    """``ValueError`` unless ``width`` is exactly an ``int`` of at least 1.
+
+    ``4.0 == 4`` and ``True == 1``, so a looser test would let them stand
+    for widths they are not.
+    """
+    if type(width) is not int or width < 1:
+        raise ValueError(f"width must be a positive int, got {width!r}")
+
+
+@dataclass(frozen=True)
 class NodeState:
-    """One node's local view: neighbors, directed trust scores, and its adder width."""
+    """One node's local view: neighbors, directed trust scores, and its adder width.
+
+    Frozen, because :func:`sim.build_nodes` hands the same node to every
+    discovery on a topology at one width.  ``trust_db`` is a plain ``dict``
+    that nothing may mutate either.
+    """
 
     id: NodeId
     neighbors: frozenset[NodeId]
@@ -92,8 +107,7 @@ class NodeState:
             raise ValueError(
                 f"node {self.id} trust for {nb} is {t!r}, outside [{MIN_TRUST}, {MAX_TRUST}]"
             )
-        if self.width < 1:
-            raise ValueError(f"width must be positive, got {self.width}")
+        check_width(self.width)
         # A score the adder cannot hold is a configuration error, not a hop's Drop.
         if max(self.trust_db.values(), default=0) >> self.width:
             nb, t = next((nb, t) for nb, t in self.trust_db.items() if t >> self.width)

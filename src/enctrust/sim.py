@@ -19,6 +19,7 @@ import platform
 import random
 import statistics
 import time
+import timeit
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .protocol import (
     NodeState,
     Reply,
     RouteRequest,
+    check_width,
     json_fields,
     make_node,
     process_rr,
@@ -130,6 +132,13 @@ class Topology:
             out[a].add(b)
             out[b].add(a)
         return {node: frozenset(nbs) for node, nbs in out.items()}
+
+    @functools.cached_property
+    def _node_store(self) -> dict[int, dict[NodeId, NodeState]]:
+        # Per width, the nodes ``build_nodes`` has built so far; cached like
+        # ``_adjacency``.  It must hold nothing that refers back to the
+        # topology, or every topology would wait for the cyclic collector.
+        return {}
 
     def neighbors(self, node: NodeId) -> frozenset[NodeId]:
         return self._adjacency.get(node, frozenset())
@@ -307,14 +316,17 @@ def _draw_trust(edges: tuple[tuple[NodeId, NodeId], ...], rng: random.Random) ->
 class _Nodes(Mapping[NodeId, NodeState]):
     """A topology's nodes, each built by ``make_node`` on its first lookup and then kept.
 
-    ``len``, iteration (in ``t.nodes`` order) and ``values()`` cover every
-    node of the topology; an id outside it raises ``KeyError``.
+    The built nodes live in the topology's store for ``width``, so every
+    ``_Nodes`` over one topology and width shares them; they are frozen and
+    must not be mutated.  ``len``, iteration (in ``t.nodes`` order) and
+    ``values()`` cover every node of the topology; an id outside it raises
+    ``KeyError``.
     """
 
     def __init__(self, t: Topology, width: int) -> None:
         self._t = t
         self._width = width
-        self._built: dict[NodeId, NodeState] = {}
+        self._built = t._node_store.setdefault(width, {})
 
     def __getitem__(self, node: NodeId) -> NodeState:
         try:
@@ -341,9 +353,14 @@ class _Nodes(Mapping[NodeId, NodeState]):
 def build_nodes(t: Topology, width: int = DEFAULT_WIDTH) -> Mapping[NodeId, NodeState]:
     """Every node of ``t`` at accumulator ``width``, each built on its first lookup.
 
-    A discovery builds only the nodes it visits.  Each call returns fresh
-    nodes: a ``NodeState`` is mutable, so calls share none.
+    A discovery builds only the nodes it visits, and each node is built and
+    checked once per topology and width: every later call on ``t`` at that
+    width hands out the same ``NodeState`` objects.  They are shared, so
+    they must not be mutated; ``NodeState`` is frozen, and nothing writes
+    to a node's ``trust_db``.  ``ValueError`` unless ``width`` is exactly an
+    ``int`` of at least 1.
     """
+    check_width(width)
     return _Nodes(t, width)
 
 
@@ -812,6 +829,19 @@ def _wire_discovery(
 CERTIFIED_LAMBDAS = (3, 5, 8, 10)
 
 
+def _reference_task() -> None:
+    """Fixed work of a discovery's kinds that calls nothing in the package:
+    big-integer multiply and reduce, small tuples, hex and a JSON round trip."""
+    rng = random.Random(0)
+    modulus = rng.getrandbits(2048) | 1
+    x = rng.getrandbits(2048)
+    items = []
+    for i in range(200):
+        x = x * (x | i) % modulus
+        items.append((i, format(x, "x")))
+    json.loads(json.dumps(items))
+
+
 def certified_benchmark(
     seed: int = 0, updates: Sequence[int] = (7, 17), repeats: int = 7
 ) -> list[dict]:
@@ -821,9 +851,12 @@ def certified_benchmark(
     0 to the last node, at each of :data:`CERTIFIED_LAMBDAS` and
     ``DEFAULT_WIDTH``, at the planner's eta, ``repeats`` times from the same
     seed.  Times are medians over the repeats, split into keygen, hops and
-    finalize, with the total's min and max as its spread.  ``RuntimeError``
-    instead of a row whose discovery is not delivered, ``trusted`` and equal
-    to the oracle's path and trust.
+    finalize, with the total's min and max as its spread.  Just before each
+    row, :func:`_reference_task`, which calls nothing in the package, runs
+    5 times, and the row records its median CPU seconds as ``reference_s``,
+    so two runs compare row by row as ``total_s / reference_s``.
+    ``RuntimeError`` instead of a row whose discovery is not delivered,
+    ``trusted`` and equal to the oracle's path and trust.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -836,6 +869,9 @@ def certified_benchmark(
             for lam in CERTIFIED_LAMBDAS:
                 walk, oracle, eta = _plan(t, 0, destination, DEFAULT_WIDTH, lam, star_mode)
                 params = SecurityParams.from_lambda(lam, eta=eta)
+                reference_s = statistics.median(
+                    timeit.repeat(_reference_task, timer=time.process_time, number=1, repeat=5)
+                )
                 phases = []
                 for _ in range(repeats):
                     outcome, wire, times = _wire_discovery(t, destination, params, star_mode, seed)
@@ -866,6 +902,7 @@ def certified_benchmark(
                         "keygen_s": keygen_s,
                         "hops_s": hops_s,
                         "finalize_s": finalize_s,
+                        "reference_s": reference_s,
                     }
                 )
     return rows

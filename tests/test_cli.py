@@ -152,6 +152,7 @@ def test_certified_bench_quick_tier(tmp_path, capsys):
         assert r["trusted"] is True and r["correct"] is True
         assert (r["updates"], r["repeats"]) == (7, 1)
         assert r["total_s"] == pytest.approx(r["keygen_s"] + r["hops_s"] + r["finalize_s"])
+        assert r["reference_s"] > 0
     assert [r["eta"] for r in rows if r["lambda"] == 3] == [81, 25123]
 
 

@@ -50,8 +50,10 @@ def test_node_validation():
         make_node(1, {2}, {2: 5.0})
     with pytest.raises(ValueError, match="trust for 2 is True"):
         make_node(1, {2}, {2: True})
-    with pytest.raises(ValueError, match="width must be positive, got 0"):
-        make_node(1, {2}, {2: 5}, width=0)
+    # A width is exactly an int of at least 1: 4.0 == 4 and True == 1.
+    for width, shown in ((0, "0"), (4.0, "4.0"), ("4", "'4'"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^width must be a positive int, got {shown}$"):
+            make_node(1, {2}, {2: 5}, width=width)
     # A score the node's adder cannot hold is refused, not left to a hop's Drop.
     with pytest.raises(ValueError, match="node 1 trust for 3 is 8, which does not fit in 3 bits"):
         make_node(1, {2, 3}, {2: 5, 3: 8}, width=3)

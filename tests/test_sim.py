@@ -1,10 +1,12 @@
 import collections
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +526,66 @@ def test_run_discovery_builds_only_the_nodes_it_visits(monkeypatch):
     del obj["wall"]
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_ROUTE_DIGEST
+
+
+def test_discoveries_on_one_topology_share_its_nodes(monkeypatch):
+    # The second discovery builds no node, and reports what the first did.
+    t = generate_topology(64, 4, seed=2)
+    first = run_discovery(t, 0, 63, RunConfig(lam=3, seed=5))
+    built = []
+    real_make_node = sim.make_node
+
+    def counting_make_node(node_id, *args):
+        built.append(node_id)
+        return real_make_node(node_id, *args)
+
+    monkeypatch.setattr(sim, "make_node", counting_make_node)
+    second = run_discovery(t, 0, 63, RunConfig(lam=3, seed=5))
+    assert built == []
+    assert (first.status, first.trusted) == (DELIVERED, True)
+    one, two = first.to_json(), second.to_json()
+    del one["wall"], two["wall"]
+    assert one == two
+
+
+def test_build_nodes_are_built_once_per_topology_and_width():
+    # Every score fits in 3 bits.
+    t = Topology(
+        nodes=(0, 1, 2), edges=((0, 1), (1, 2)), trust={(0, 1): 5, (1, 0): 3, (1, 2): 7, (2, 1): 2}
+    )
+    for i in t.nodes:
+        assert build_nodes(t, 4)[i] is build_nodes(t, 4)[i]
+        assert build_nodes(t, 3)[i] is not build_nodes(t, 4)[i]
+        assert build_nodes(t, 3)[i].width == 3
+    # A copy is a new topology with a store of its own.
+    copy = dataclasses.replace(t)
+    assert copy == t
+    assert build_nodes(copy, 4)[0] == build_nodes(t, 4)[0]
+    assert build_nodes(copy, 4)[0] is not build_nodes(t, 4)[0]
+    node = build_nodes(t, 4)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.width = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.trust_db = {}
+    # True and 4.0 would otherwise share the nodes of widths 1 and 4.
+    for width in (True, 4.0, "4", 0):
+        with pytest.raises(ValueError, match="width must be a positive int"):
+            build_nodes(t, width)
+
+
+def test_a_topology_with_built_nodes_dies_with_its_last_name():
+    # The node store must not refer back to its topology: a cycle would
+    # leave every topology to the cyclic collector.
+    t = generate_topology(64, 4, seed=2)
+    ref = weakref.ref(t)
+    gc.disable()
+    try:
+        run_discovery(t, 0, 63, RunConfig(lam=3, seed=5))
+        assert len(list(build_nodes(t, 5).values())) == 64
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_oracle_shortcut_semantics():

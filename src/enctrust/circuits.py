@@ -231,8 +231,7 @@ def build_ripple_adder(width: int) -> Circuit:
     Built and validated once per width: the result is frozen, so every
     caller shares the same ``Circuit``.
     """
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    she.check_width(width)
     gates: list[Gate] = []
 
     def emit(kind: str, a: WireRef, b: WireRef) -> WireRef:

@@ -52,7 +52,7 @@ from typing import Collection, Sequence
 
 from . import bignum, she
 from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
-from .she import Ciphertext, KeyPair, SecurityParams
+from .she import Ciphertext, KeyPair, SecurityParams, check_width
 
 NodeId = int
 
@@ -70,16 +70,6 @@ def trust_scores_ok(scores: Collection) -> bool:
     ``5.0 == 5`` and ``True == 1``, so membership alone would admit them.
     """
     return set(map(type, scores)) <= {int} and set(scores) <= TRUST_SCORES
-
-
-def check_width(width: object) -> None:
-    """``ValueError`` unless ``width`` is exactly an ``int`` of at least 1.
-
-    ``4.0 == 4`` and ``True == 1``, so a looser test would let them stand
-    for widths they are not.
-    """
-    if type(width) is not int or width < 1:
-        raise ValueError(f"width must be a positive int, got {width!r}")
 
 
 @dataclass(frozen=True)

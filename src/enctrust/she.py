@@ -220,6 +220,16 @@ def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
     return ct
 
 
+def check_width(width: object) -> None:
+    """``ValueError`` unless ``width`` is exactly an ``int`` of at least 1.
+
+    ``4.0 == 4`` and ``True == 1``, so a looser test would let them stand
+    for widths they are not.
+    """
+    if type(width) is not int or width < 1:
+        raise ValueError(f"width must be a positive int, got {width!r}")
+
+
 def encrypt_value(
     pk: int,
     v: int,
@@ -231,8 +241,7 @@ def encrypt_value(
 ) -> tuple[Ciphertext, ...]:
     """Encrypt an integer bitwise, least significant bit first; ``residue`` as
     in :func:`encrypt_bit`."""
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    check_width(width)
     if type(v) is not int:
         raise ValueError(f"plaintext value must be an int, got {v!r}")
     if not 0 <= v < (1 << width):

@@ -19,9 +19,8 @@ import platform
 import random
 import statistics
 import time
-import timeit
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bignum, she
 from .circuits import BOUND_OPS, build_ripple_adder, update
@@ -37,7 +36,6 @@ from .protocol import (
     NodeState,
     Reply,
     RouteRequest,
-    check_width,
     json_fields,
     make_node,
     process_rr,
@@ -49,7 +47,7 @@ from .protocol import (
     source_initiate,
     trust_scores_ok,
 )
-from .she import SecurityParams
+from .she import SecurityParams, check_width
 
 DELIVERED = "DELIVERED"
 DROPPED = "DROPPED"
@@ -71,6 +69,15 @@ class Topology:
     nodes: tuple[NodeId, ...]
     edges: tuple[tuple[NodeId, NodeId], ...]
     trust: dict[tuple[NodeId, NodeId], int]
+    # Per width, the nodes ``build_nodes`` has built so far: not compared,
+    # hashed or shown, and empty in every new instance, ``replace``'s too.
+    # A field, not a cached property like ``_adjacency``, whose first read
+    # takes a lock: every freshly loaded topology would pay for it.  It must
+    # hold nothing that refers back to the topology, or every topology
+    # would wait for the cyclic collector.
+    _node_store: dict[int, dict[NodeId, NodeState]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Whole-list checks; the per-edge and per-arc loops below run only to
@@ -132,13 +139,6 @@ class Topology:
             out[a].add(b)
             out[b].add(a)
         return {node: frozenset(nbs) for node, nbs in out.items()}
-
-    @functools.cached_property
-    def _node_store(self) -> dict[int, dict[NodeId, NodeState]]:
-        # Per width, the nodes ``build_nodes`` has built so far; cached like
-        # ``_adjacency``.  It must hold nothing that refers back to the
-        # topology, or every topology would wait for the cyclic collector.
-        return {}
 
     def neighbors(self, node: NodeId) -> frozenset[NodeId]:
         return self._adjacency.get(node, frozenset())
@@ -428,8 +428,7 @@ def plaintext_oracle(
 
 
 def _oracle_result(t: Topology, walk: _Walk, width: int) -> OracleResult:
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    check_width(width)
     total = sum(t.trust[arc] for arc in walk.arcs) % (1 << width)
     return OracleResult(path=walk.path, trust=total, status=walk.status)
 
@@ -456,8 +455,7 @@ def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> in
     its operands', so the outputs' largest bound covers every wire.  Returns
     :data:`TOO_DEEP` once any bound exceeds :data:`NOISE_CEILING`.
     """
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    check_width(width)
     if hops < 0:
         raise ValueError(f"hops cannot be negative, got {hops}")
     fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
@@ -795,7 +793,7 @@ def _wire_discovery(
     """One discovery from node 0 whose every message crosses the JSON wire.
 
     Returns the source's outcome (``None`` if the walk dropped), the bytes of
-    every request a hop received and of the reply, and the seconds of
+    every request a hop received and of the reply, and the CPU seconds of
     keygen, hops (the source's request through the decoded reply) and
     finalize.
     """
@@ -809,20 +807,20 @@ def _wire_discovery(
         wire += len(data)
         return rr_from_json(json.loads(data))
 
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     keys = she.keygen(params, rng)
-    t1 = time.perf_counter()
+    t1 = time.process_time()
     keys, rr = source_initiate(nodes[0], destination, params, rng, _keys=keys)
     for _, _, decision in hops(nodes, rr, rng, star_mode, carry):
         pass
     if not isinstance(decision, Reply):
-        return None, wire, (t1 - t0, time.perf_counter() - t1, 0.0)
+        return None, wire, (t1 - t0, time.process_time() - t1, 0.0)
     data = json.dumps(rp_to_json(decision.reply), separators=_WIRE_SEPARATORS).encode()
     wire += len(data)
     reply = rp_from_json(json.loads(data))
-    t2 = time.perf_counter()
+    t2 = time.process_time()
     outcome = source_finalize(keys, reply, params)
-    t3 = time.perf_counter()
+    t3 = time.process_time()
     return outcome, wire, (t1 - t0, t2 - t1, t3 - t2)
 
 
@@ -842,6 +840,17 @@ def _reference_task() -> None:
     json.loads(json.dumps(items))
 
 
+def _reference_s() -> float:
+    """Median CPU seconds of 5 runs of :func:`_reference_task`, on the clock and
+    with the collector setting that :func:`_wire_discovery` times a row with."""
+    times = []
+    for _ in range(5):
+        t0 = time.process_time()
+        _reference_task()
+        times.append(time.process_time() - t0)
+    return statistics.median(times)
+
+
 def certified_benchmark(
     seed: int = 0, updates: Sequence[int] = (7, 17), repeats: int = 7
 ) -> list[dict]:
@@ -850,11 +859,12 @@ def certified_benchmark(
     Each update count runs on ``chain_topology(updates + 3, seed)`` from node
     0 to the last node, at each of :data:`CERTIFIED_LAMBDAS` and
     ``DEFAULT_WIDTH``, at the planner's eta, ``repeats`` times from the same
-    seed.  Times are medians over the repeats, split into keygen, hops and
-    finalize, with the total's min and max as its spread.  Just before each
-    row, :func:`_reference_task`, which calls nothing in the package, runs
-    5 times, and the row records its median CPU seconds as ``reference_s``,
-    so two runs compare row by row as ``total_s / reference_s``.
+    seed.  Times are medians over the repeats of CPU seconds, split into
+    keygen, hops and finalize, with the total's min and max as its spread.
+    Just before each row, :func:`_reference_task`, which calls nothing in
+    the package, runs 5 times on the same clock, and the row records its
+    median as ``reference_s``, so two runs compare row by row as
+    ``total_s / reference_s``.
     ``RuntimeError`` instead of a row whose discovery is not delivered,
     ``trusted`` and equal to the oracle's path and trust.
     """
@@ -869,9 +879,7 @@ def certified_benchmark(
             for lam in CERTIFIED_LAMBDAS:
                 walk, oracle, eta = _plan(t, 0, destination, DEFAULT_WIDTH, lam, star_mode)
                 params = SecurityParams.from_lambda(lam, eta=eta)
-                reference_s = statistics.median(
-                    timeit.repeat(_reference_task, timer=time.process_time, number=1, repeat=5)
-                )
+                reference_s = _reference_s()
                 phases = []
                 for _ in range(repeats):
                     outcome, wire, times = _wire_discovery(t, destination, params, star_mode, seed)

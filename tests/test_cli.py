@@ -203,7 +203,7 @@ def test_error_exit_codes(tmp_path, capsys):
         for width in ("0", "-1"):
             assert main([*command, "--topology", t, "--source", "0", "--dest", "2",
                          "--width", width]) == 1
-            assert capsys.readouterr().err == f"error: width must be positive, got {width}\n"
+            assert capsys.readouterr().err == f"error: width must be a positive int, got {width}\n"
     # a score wider than the width: a configuration error, though the oracle answers
     t30 = str(tmp_path / "t30.json")
     main(["gen", "--nodes", "30", "--degree", "4", "--seed", "1", "--out", t30])

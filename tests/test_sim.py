@@ -567,10 +567,41 @@ def test_build_nodes_are_built_once_per_topology_and_width():
         node.width = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.trust_db = {}
-    # True and 4.0 would otherwise share the nodes of widths 1 and 4.
-    for width in (True, 4.0, "4", 0):
-        with pytest.raises(ValueError, match="width must be a positive int"):
-            build_nodes(t, width)
+
+
+def test_every_width_entry_point_refuses_a_width_that_is_not_a_positive_int():
+    # 4.0 == 4 and True == 1, so a looser test lets them stand for widths 4
+    # and 1: build_nodes would hand them the stored nodes of those widths,
+    # and build_ripple_adder must not answer them from its cache either.
+    t = generate_topology(8, 3, seed=1)
+    assert (build_ripple_adder(4).num_inputs, build_ripple_adder(1).num_inputs) == (8, 2)
+    pk = she.keygen(SecurityParams.from_lambda(3), random.Random(0)).pk
+    entry_points = (
+        lambda w: plaintext_oracle(t, 3, 1, width=w),
+        lambda w: run_discovery(t, 3, 1, RunConfig(lam=3, width=w)),
+        lambda w: required_eta(w, 2, 3),
+        lambda w: build_ripple_adder(w),
+        lambda w: she.encrypt_value(pk, 1, w, SecurityParams.from_lambda(3), random.Random(0)),
+        lambda w: build_nodes(t, w),
+    )
+    for call in entry_points:
+        for width, shown in ((4.0, "4.0"), (True, "True"), ("4", "'4'"), (0, "0"), (-1, "-1")):
+            with pytest.raises(ValueError, match=f"^width must be a positive int, got {shown}$"):
+                call(width)
+
+
+def test_certified_rows_and_their_reference_share_one_clock(monkeypatch):
+    # total_s / reference_s cancels only the drift that both sides see, so
+    # both are CPU seconds; the wall clock also counts time descheduled.
+    def wall_clock():
+        raise AssertionError("the certified bench read the wall clock")
+
+    monkeypatch.setattr(time, "perf_counter", wall_clock)
+    rows = sim.certified_benchmark(updates=(1,), repeats=2)
+    assert len(rows) == 8
+    for r in rows:
+        assert r["reference_s"] > 0
+        assert r["total_min_s"] <= r["total_s"] <= r["total_max_s"]
 
 
 def test_a_topology_with_built_nodes_dies_with_its_last_name():
@@ -691,7 +722,7 @@ def test_required_eta_caches_no_error():
     assert required_eta.cache_info().currsize == 0
     # A value equal to a planned argument but of another type answers for itself.
     assert required_eta(4, 1, 3) == 27
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^width must be a positive int, got 4.0$"):
         required_eta(4.0, 1, 3)
 
 

@@ -32,6 +32,7 @@ choosing the seed.
 from __future__ import annotations
 
 import binascii
+import itertools
 import random
 
 LIMB_BITS = 64
@@ -85,6 +86,23 @@ def from_hex(s: str) -> int:
     except ValueError:
         raise ValueError(f"invalid hex string: {s!r}") from None
     return int.from_bytes(raw, "big")
+
+
+def hex_values(strings: list[str]) -> list[int] | None:
+    """``from_hex`` of every string, or ``None`` if it refuses any of them.
+
+    The work of ``from_hex`` without a Python call per string: one
+    ``unhexlify`` per string in a list comprehension, then one C-level
+    ``map`` of ``int.from_bytes``.  ``int(s, 16)`` would be faster on short
+    strings but is about twice as slow on a 2,000-bit value.
+    """
+    if "" in strings:
+        return None
+    try:
+        raw = [binascii.unhexlify(s if len(s) % 2 == 0 else "0" + s) for s in strings]
+    except ValueError:
+        return None
+    return list(map(int.from_bytes, raw, itertools.repeat("big")))
 
 
 def random_bits(n: int, rng: random.Random) -> int:

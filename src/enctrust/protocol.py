@@ -41,14 +41,28 @@ which carries one ``circuits.adapt`` set, two per accumulator bit, that no
 hop reads; a decoder accepts none or two per bit.  No message carries op
 counts or an adder interface: a simulation counts each hop's operations
 through ``she.observe``.
+
+A decoder checks each field and list of a message once, with whole-list
+operations: one key getter and one type comparison for the fields
+(:class:`JsonFields`), one ``set(map(type, ...))`` per element type, one
+comprehension that parses every hex string with no Python call per string
+(``bignum.hex_values``), one ``min`` over the noise bounds and one ``max``
+over the values for the width check.  Only a message that fails pays for
+the element-by-element diagnosis, which raises the ``ValueError`` of its
+first fault in wire order.
+``process_rr`` builds the request it forwards without re-running
+``RouteRequest``'s checks: they hold by construction, since the path grows
+only by the hop itself, which the revisit test has just shown is not on it.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
-from dataclasses import dataclass
-from typing import Collection, Sequence
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Collection, NoReturn
 
 from . import bignum, she
 from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
@@ -78,13 +92,20 @@ class NodeState:
 
     Frozen, because :func:`sim.build_nodes` hands the same node to every
     discovery on a topology at one width.  ``trust_db`` is a plain ``dict``
-    that nothing may mutate either.
+    that nothing may mutate either.  Two fields follow from the others and
+    are derived once, here: ``circuit``, the one adder
+    ``build_ripple_adder`` builds for the width, and ``ranking``, the
+    trusted neighbors by trust descending, then id ascending, which
+    :func:`select_next_hop` walks.  Neither takes part in equality or the
+    repr.
     """
 
     id: NodeId
     neighbors: frozenset[NodeId]
     trust_db: dict[NodeId, int]
     width: int
+    circuit: Circuit = field(init=False, compare=False, repr=False)
+    ranking: tuple[NodeId, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.id in self.neighbors:
@@ -104,11 +125,9 @@ class NodeState:
             raise ValueError(
                 f"node {self.id} trust for {nb} is {t}, which does not fit in {self.width} bits"
             )
-
-    @property
-    def circuit(self) -> Circuit:
-        """The node's adder: the one ``build_ripple_adder`` builds for its width."""
-        return build_ripple_adder(self.width)
+        trust = self.trust_db
+        object.__setattr__(self, "circuit", build_ripple_adder(self.width))
+        object.__setattr__(self, "ranking", tuple(sorted(trust, key=lambda nb: (-trust[nb], nb))))
 
 
 def make_node(
@@ -131,12 +150,45 @@ class RouteRequest:
     zeros: ZeroPairs
 
     def __post_init__(self) -> None:
-        if not self.path or self.path[0] != self.source:
-            raise ValueError(f"path must start at the source {self.source}, got {self.path}")
-        if len(set(self.path)) != len(self.path):
-            raise ValueError(f"path revisits a node: {self.path}")
-        if self.source == self.destination:
-            raise ValueError(f"source and destination coincide: {self.source}")
+        _check_route(self.source, self.destination, self.path)
+
+
+def _check_route(source: NodeId, destination: NodeId, path: tuple[NodeId, ...]) -> None:
+    """``RouteRequest``'s checks: the path starts at the source and repeats no
+    node, and the source is not the destination."""
+    if not path or path[0] != source:
+        raise ValueError(f"path must start at the source {source}, got {path}")
+    if len(set(path)) != len(path):
+        raise ValueError(f"path revisits a node: {path}")
+    if source == destination:
+        raise ValueError(f"source and destination coincide: {source}")
+
+
+def _request(
+    pk: int,
+    params: SecurityParams,
+    source: NodeId,
+    destination: NodeId,
+    next_hop: NodeId,
+    path: tuple[NodeId, ...],
+    acc_trust: tuple[Ciphertext, ...],
+    zeros: ZeroPairs,
+) -> RouteRequest:
+    """A ``RouteRequest`` filled in without ``__post_init__`` or the frozen
+    dataclass's ``object.__setattr__`` per field, for a caller whose fields
+    already pass :func:`_check_route`."""
+    rr = object.__new__(RouteRequest)
+    rr.__dict__.update(
+        pk=pk,
+        params=params,
+        source=source,
+        destination=destination,
+        next_hop=next_hop,
+        path=path,
+        acc_trust=acc_trust,
+        zeros=zeros,
+    )
+    return rr
 
 
 @dataclass(frozen=True)
@@ -175,16 +227,13 @@ class DiscoveryOutcome:
     trusted: bool
 
 
-def select_next_hop(node: NodeState, exclude: set[NodeId]) -> NodeId | None:
-    """The neighbor with the highest trust score, smallest id on ties."""
-    best: NodeId | None = None
-    best_trust = MIN_TRUST - 1
-    for nb in sorted(node.trust_db):
-        if nb in exclude:
-            continue
-        if node.trust_db[nb] > best_trust:
-            best, best_trust = nb, node.trust_db[nb]
-    return best
+def select_next_hop(node: NodeState, exclude: Collection[NodeId]) -> NodeId | None:
+    """The neighbor with the highest trust score, smallest id on ties: the
+    first of ``node.ranking`` not in ``exclude``."""
+    for nb in node.ranking:
+        if nb not in exclude:
+            return nb
+    return None
 
 
 def source_initiate(
@@ -240,40 +289,38 @@ def process_rr(
     updated request carries no zeros.  ``iface_lookup`` is unused; ROADMAP
     step 10b deletes it.
     """
-    params = rr.params
-    if node.id == rr.destination:
+    node_id = node.id
+    if node_id == rr.destination:
         return Reply(destination_reply(rr))
-    if rr.next_hop != node.id:
-        return Drop(f"misdelivered: request addressed to {rr.next_hop}, not {node.id}")
-    if node.id in rr.path:
-        return Drop(f"revisit: node {node.id} already on path {list(rr.path)}")
+    if rr.next_hop != node_id:
+        return Drop(f"misdelivered: request addressed to {rr.next_hop}, not {node_id}")
+    path = rr.path
+    if node_id in path:
+        return Drop(f"revisit: node {node_id} already on path {list(path)}")
     if rr.destination in node.neighbors:
         return ForwardUnchanged(next_hop=rr.destination)
-    exclude = set(rr.path) | {node.id}
-    next_hop = select_next_hop(node, exclude)
+    # The node is not its own neighbor, so the path alone is what it excludes.
+    next_hop = select_next_hop(node, path)
     if next_hop is None:
-        return Drop(f"no trusted next hop: node {node.id} exhausted its neighbors")
+        return Drop(f"no trusted next hop: node {node_id} exhausted its neighbors")
     pk = rr.pk
+    params = rr.params
     try:
         # The local bits, star flags and zeros never leave this hop: born as residues.
         local = she.encrypt_value(
             pk, node.trust_db[next_hop], node.width, params, rng, residue=True
         )
-        encrypt = functools.partial(she.encrypt_bit, pk, params=params, rng=rng, residue=True)
+        encrypt = (
+            functools.partial(she.encrypt_bit, pk, params=params, rng=rng, residue=True)
+            if star_mode
+            else None
+        )
         outputs = update(node.circuit, rr.acc_trust, local, star_mode, encrypt, *he_ops(pk, params))
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
+    # Valid by construction: the path gains this node, which it does not hold.
     return ForwardUpdated(
-        RouteRequest(
-            pk=pk,
-            params=params,
-            source=rr.source,
-            destination=rr.destination,
-            next_hop=next_hop,
-            path=rr.path + (node.id,),
-            acc_trust=outputs,
-            zeros=(),
-        )
+        _request(pk, params, rr.source, rr.destination, next_hop, path + (node_id,), outputs, ())
     )
 
 
@@ -298,26 +345,54 @@ def source_finalize(
 # JSON wire formats.  Ciphertexts serialize as canonical hex; the accumulator's
 # noise bounds travel in a parallel field.
 
-def json_fields(obj: object, kinds: dict[str, type], elements: dict[str, type]) -> list:
-    """The values of the fields ``kinds`` names, in its order, else ``ValueError``.
+class JsonFields:
+    """A message kind's fields, and the decoder of their values.
 
-    Each value must be of exactly its JSON type in ``kinds``, and each
-    element of a list field named in ``elements`` of exactly that type.  The
-    exact-type tests keep JSON booleans (Python ``bool``, a subclass of
-    ``int``) out of every int field.  The checks are one lookup per field,
-    one comparison of their types and one ``set(map(type, ...))`` per list;
-    any other field is ignored.  Only a failing message pays for the
-    diagnosis, which names its first bad field.
+    ``kinds`` names two or more fields with their exact JSON types, and
+    ``elements`` gives the exact element type of each list field among them.
+    The key getter, the tuple of types and the element-type groups are
+    built once, here, so a call makes one lookup of all the fields, one
+    comparison of their types and one ``set(map(type, ...))`` per element
+    type over every list of that type together.  The exact-type tests keep
+    JSON booleans (Python ``bool``, a subclass of ``int``) out of every int
+    field.  Any other field is ignored.
     """
-    try:
-        values = [obj[key] for key in kinds]
-    except (KeyError, TypeError):
-        pass
-    else:
-        if tuple(map(type, values)) == tuple(kinds.values()) and all(
-            set(map(type, obj[key])) <= {kind} for key, kind in elements.items()
-        ):
-            return values
+
+    def __init__(self, kinds: dict[str, type], elements: dict[str, type]) -> None:
+        if len(kinds) < 2:
+            raise ValueError("a message kind names at least two fields")
+        self.kinds = kinds
+        self.elements = elements
+        self._get = operator.itemgetter(*kinds)
+        self._types = tuple(kinds.values())
+        # Per element type: a getter of the tuple of its lists, and the type.
+        lists = []
+        for element in dict.fromkeys(elements.values()):
+            at = [i for i, key in enumerate(kinds) if elements.get(key) is element]
+            # A slice, so that one list also comes back in a tuple.
+            get = operator.itemgetter(*at if len(at) > 1 else [slice(at[0], at[0] + 1)])
+            lists.append((get, {element}))
+        self._lists = tuple(lists)
+
+    def __call__(self, obj: object) -> tuple:
+        """The values in ``kinds`` order, else ``ValueError`` naming the first bad field."""
+        try:
+            values = self._get(obj)
+        except (KeyError, TypeError):
+            pass
+        else:
+            if tuple(map(type, values)) == self._types:
+                for lists, kind in self._lists:
+                    if not set(map(type, chain.from_iterable(lists(values)))) <= kind:
+                        break
+                else:
+                    return values
+        _diagnose_fields(obj, self.kinds, self.elements)
+
+
+def _diagnose_fields(obj: object, kinds: dict[str, type], elements: dict[str, type]) -> NoReturn:
+    """The ``ValueError`` of a message :class:`JsonFields` refused: only a
+    failing message pays for naming its first bad field."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key, kind in kinds.items():
@@ -335,61 +410,83 @@ def json_fields(obj: object, kinds: dict[str, type], elements: dict[str, type]) 
     raise ValueError("malformed message")
 
 
-def cts_to_json(key: str, cts: Sequence[Ciphertext]) -> dict:
-    """Ciphertexts as hex under ``key``, their noise bounds under ``key + "_noise_bits"``."""
-    return {
-        key: [bignum.to_hex(c.value) for c in cts],
-        f"{key}_noise_bits": [c.noise_bits for c in cts],
-    }
+def _ciphertext_values(
+    hexes: list[str], bounds: list[int], zero_hexes: list[str]
+) -> list[int]:
+    """The values of ``hexes``, then of ``zero_hexes``: one pass over all
+    their digits, and one ``min`` over the noise bounds.
 
-
-def _accumulator(hexes: list[str], bounds: list[int]) -> tuple[Ciphertext, ...]:
-    """The ``acc_trust`` ciphertexts with their bounds; ``ValueError`` on a count mismatch."""
+    ``ValueError`` if ``hexes`` and ``bounds`` differ in length, else for
+    the first bad hex string or negative bound in wire order, the one that
+    decoding element by element would meet first.
+    """
     if len(hexes) != len(bounds):
         raise ValueError(
             f"{len(hexes)} ciphertexts under 'acc_trust' but {len(bounds)} noise bounds"
         )
-    return tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
+    values = bignum.hex_values(hexes + zero_hexes)
+    if values is None or min(bounds, default=0) < 0:
+        # Only a failing message pays for naming its first fault.
+        tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
+        list(map(bignum.from_hex, zero_hexes))
+    return values
+
+
+_tuple_new = tuple.__new__
+
+
+def _ciphertexts(values, bounds) -> tuple[Ciphertext, ...]:
+    """Ciphertexts of checked values and non-negative bounds, built as
+    ``she``'s producers build them."""
+    return tuple(map(_tuple_new, repeat(Ciphertext), zip(values, bounds)))
 
 
 # The fields a decoder reads, with their JSON types, and each list's element type.
-_RR_KINDS = {
-    "pk": str,
-    "lambda": int,
-    "eta": int,
-    "source": int,
-    "destination": int,
-    "next_hop": int,
-    "path": list,
-    "acc_trust": list,
-    "acc_trust_noise_bits": list,
-    "zeros": list,
-}
-_RR_ELEMENTS = {"path": int, "acc_trust": str, "acc_trust_noise_bits": int, "zeros": str}
-_RP_KINDS = {"path": list, "acc_trust": list, "acc_trust_noise_bits": list}
-_RP_ELEMENTS = {"path": int, "acc_trust": str, "acc_trust_noise_bits": int}
+_RR_FIELDS = JsonFields(
+    {
+        "pk": str,
+        "lambda": int,
+        "eta": int,
+        "source": int,
+        "destination": int,
+        "next_hop": int,
+        "path": list,
+        "acc_trust": list,
+        "acc_trust_noise_bits": list,
+        "zeros": list,
+    },
+    {"path": int, "acc_trust": str, "acc_trust_noise_bits": int, "zeros": str},
+)
+_RP_FIELDS = JsonFields(
+    {"path": list, "acc_trust": list, "acc_trust_noise_bits": list},
+    {"path": int, "acc_trust": str, "acc_trust_noise_bits": int},
+)
 
 
 def rr_to_json(rr: RouteRequest) -> dict:
+    to_hex = bignum.to_hex
+    acc = rr.acc_trust
     return {
-        "pk": bignum.to_hex(rr.pk),
+        "pk": to_hex(rr.pk),
         "lambda": rr.params.lam,
         "eta": rr.params.eta,
         "source": rr.source,
         "destination": rr.destination,
         "next_hop": rr.next_hop,
         "path": list(rr.path),
-        **cts_to_json("acc_trust", rr.acc_trust),
+        "acc_trust": [to_hex(c.value) for c in acc],
+        "acc_trust_noise_bits": [c.noise_bits for c in acc],
         # Flat: accumulator bit i's pair is zeros[2i], zeros[2i+1].
-        "zeros": [bignum.to_hex(z.value) for pair in rr.zeros for z in pair],
+        "zeros": [to_hex(z.value) for pair in rr.zeros for z in pair],
     }
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
-    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
-    zero count other than none or twice the accumulator's.  Only the
-    source's request carries zeros, and no hop reads them.
+    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), a
+    zero count other than none or twice the accumulator's, or a path that
+    ``RouteRequest`` refuses.  Only the source's request carries zeros, and
+    no hop reads them.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
@@ -399,7 +496,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     it fresh; any other field, such as an older request's ``stats``, is ignored.
     """
     pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
-        json_fields(obj, _RR_KINDS, _RR_ELEMENTS)
+        _RR_FIELDS(obj)
     )
     params = SecurityParams.from_lambda(lam, eta)
     pk_bits = params.pk_bits
@@ -408,30 +505,27 @@ def rr_from_json(obj: dict) -> RouteRequest:
     pk = bignum.from_hex(pk_hex)
     if pk % 2 == 0 or pk.bit_length() != pk_bits:
         raise ValueError(f"public key must be odd and {pk_bits} bits wide")
-    if len(zero_hexes) not in (0, 2 * len(hexes)):
+    n = len(hexes)
+    if len(zero_hexes) not in (0, 2 * n):
         raise ValueError(
-            f"{len(zero_hexes)} zeros for {len(hexes)} accumulator bits, "
-            "expected none or two per bit"
+            f"{len(zero_hexes)} zeros for {n} accumulator bits, expected none or two per bit"
         )
     max_bits = params.fresh_ct_bits
-    if max(map(len, hexes + zero_hexes), default=0) > _hex_digits(max_bits):
+    if max(map(len, chain(hexes, zero_hexes)), default=0) > _hex_digits(max_bits):
         raise ValueError(f"ciphertext wider than {max_bits} bits")
-    acc_trust = _accumulator(hexes, bounds)
-    fresh = she.fresh_noise_bits(params)
-    zeros = [Ciphertext(bignum.from_hex(h), fresh) for h in zero_hexes]
-    # The digit count alone admits up to 3 bits more than the bound.
-    for ct in (*acc_trust, *zeros):
-        if ct.value.bit_length() > max_bits:
-            raise ValueError(f"ciphertext wider than {max_bits} bits")
-    return RouteRequest(
-        pk=pk,
-        params=params,
-        source=source,
-        destination=destination,
-        next_hop=next_hop,
-        path=tuple(path),
-        acc_trust=acc_trust,
-        zeros=tuple(zip(zeros[0::2], zeros[1::2])),
+    values = _ciphertext_values(hexes, bounds, zero_hexes)
+    # The digit count alone admits up to 3 bits more than the bound.  No
+    # value is negative, so the largest is the widest.
+    if max(values, default=0).bit_length() > max_bits:
+        raise ValueError(f"ciphertext wider than {max_bits} bits")
+    path = tuple(path)
+    _check_route(source, destination, path)
+    pairs = ()
+    if zero_hexes:
+        zeros = _ciphertexts(values[n:], repeat(she.fresh_noise_bits(params)))
+        pairs = tuple(zip(zeros[0::2], zeros[1::2]))
+    return _request(
+        pk, params, source, destination, next_hop, path, _ciphertexts(values[:n], bounds), pairs
     )
 
 
@@ -441,10 +535,17 @@ def _hex_digits(bits: int) -> int:
 
 
 def rp_to_json(rp: RouteReply) -> dict:
-    return {"path": list(rp.path), **cts_to_json("acc_trust", rp.acc_trust)}
+    to_hex = bignum.to_hex
+    return {
+        "path": list(rp.path),
+        "acc_trust": [to_hex(c.value) for c in rp.acc_trust],
+        "acc_trust_noise_bits": [c.noise_bits for c in rp.acc_trust],
+    }
 
 
 def rp_from_json(obj: dict) -> RouteReply:
-    """Decode a reply; ``ValueError`` on a missing or ill-typed field."""
-    path, hexes, bounds = json_fields(obj, _RP_KINDS, _RP_ELEMENTS)
-    return RouteReply(path=tuple(path), acc_trust=_accumulator(hexes, bounds))
+    """Decode a reply; ``ValueError`` on a missing or ill-typed field, a
+    count mismatch, a bad hex string or a negative noise bound."""
+    path, hexes, bounds = _RP_FIELDS(obj)
+    values = _ciphertext_values(hexes, bounds, [])
+    return RouteReply(path=tuple(path), acc_trust=_ciphertexts(values, bounds))

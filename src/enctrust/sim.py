@@ -36,7 +36,7 @@ from .protocol import (
     NodeState,
     Reply,
     RouteRequest,
-    json_fields,
+    JsonFields,
     make_node,
     process_rr,
     rp_from_json,
@@ -155,19 +155,19 @@ class Topology:
     def from_json(cls, obj: dict) -> "Topology":
         """Parse :meth:`to_json`'s form; ``ValueError`` on any malformed part.
 
-        As on the wire (:func:`protocol.json_fields`), an integer must be
+        As on the wire (:class:`protocol.JsonFields`), an integer must be
         exactly an ``int``: JSON ``true`` is no node id, endpoint or trust.
         A trust entry is an ``[a, b, score]`` triple, and an arc given twice
         is an error, not last-wins.
         """
-        node_list, edge_list, trust_list = json_fields(obj, _TOPOLOGY_KINDS, {})
+        node_list, edge_list, trust_list = _TOPOLOGY_FIELDS(obj)
         parts = _topology_parts(node_list, edge_list, trust_list)
         if parts is None:
             parts = _diagnose_topology_parts(node_list, edge_list, trust_list)
         return cls(*parts)
 
 
-_TOPOLOGY_KINDS = {"nodes": list, "edges": list, "trust": list}
+_TOPOLOGY_FIELDS = JsonFields({"nodes": list, "edges": list, "trust": list}, {})
 
 
 def _topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple | None:
@@ -629,12 +629,15 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
     keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
     per_node: list[tuple[NodeId, EvalStats]] = []
     hop = EvalStats()
-    # The sink looks ``hop`` up per event, so each hop's events land in its own stats.
-    with she.observe(lambda op, ct: hop.record(op, ct)):
+    # One tally is the sink; each updating hop takes a copy of it, then
+    # resets it.  Only an updating hop's events are kept: the hop that ends
+    # the walk in a Drop may have tallied some before it failed.
+    with she.observe(hop.record):
         for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode):
             if isinstance(decision, ForwardUpdated):
-                per_node.append((node_id, hop))
-            hop = EvalStats()
+                kept = EvalStats(hop.n_he_add, hop.n_he_mul, hop.max_noise_bits)
+                per_node.append((node_id, kept))
+                hop.n_he_add = hop.n_he_mul = hop.max_noise_bits = 0
     t2 = time.perf_counter()
 
     wall = {"keygen": t1 - t0, "discovery": t2 - t1, "finalize": 0.0}

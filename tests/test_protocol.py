@@ -27,7 +27,14 @@ from enctrust.protocol import (
     source_initiate,
 )
 from enctrust.she import SecurityParams, decrypt_value
-from enctrust.sim import build_nodes, chain_topology, hops, plaintext_oracle, required_eta
+from enctrust.sim import (
+    build_nodes,
+    chain_topology,
+    generate_topology,
+    hops,
+    plaintext_oracle,
+    required_eta,
+)
 
 
 def params_for(eta=200, lam=3):
@@ -85,6 +92,8 @@ def test_select_next_hop_matches_brute_force(trust_db, exclude):
     else:
         best = max(t for t, _ in candidates)
         assert got == min(nb for t, nb in candidates if t == best)
+    # process_rr excludes a request's path, a tuple, as it stands.
+    assert select_next_hop(node, tuple(exclude)) == got
 
 
 def test_source_initiate_builds_first_rr():
@@ -274,6 +283,23 @@ def test_full_two_update_chain_with_wraparound():
     assert outcome.path == (0, 1, 2, 4)
     assert outcome.trust == (9 + 8 + 7) % 16
     assert outcome.trusted
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_forwarded_requests_pass_the_checks_they_skip(star_mode):
+    # process_rr builds the request it forwards without RouteRequest's
+    # checks; dataclasses.replace runs them again on every one.
+    forwarded = 0
+    for seed in range(8):
+        topo = generate_topology(24, 3, seed=seed)
+        nodes = build_nodes(topo)
+        rng = random.Random(seed)
+        _, rr = source_initiate(nodes[0], 23, params_for(), rng)
+        for _, _, decision in hops(nodes, rr, rng, star_mode):
+            if isinstance(decision, ForwardUpdated):
+                assert dataclasses.replace(decision.rr) == decision.rr
+                forwarded += 1
+    assert forwarded >= 16
 
 
 def test_intermediates_and_destination_never_decrypt(monkeypatch):
@@ -576,6 +602,129 @@ def test_wire_decoders_reject_a_negative_noise_bound(message):
     obj["acc_trust_noise_bits"][1] = -1
     with pytest.raises(ValueError, match="noise_bits cannot be negative: -1"):
         decode(obj)
+
+
+def _set_item(field, index, value):
+    """A mutation that sets ``obj[field][index]`` (``obj[field]`` if ``index`` is None)."""
+
+    def mutate(obj):
+        if index is None:
+            obj[field] = value
+        else:
+            obj[field][index] = value
+
+    return mutate
+
+
+def _both(first, second):
+    return lambda obj: (first(obj), second(obj))
+
+
+# Each malformed message: its mutation, and the exact ValueError it decodes to.
+# The source's request of ``chain_fixture([7, 5])``: lam 3, eta 200, so pk is
+# 203 bits (51 hex digits), a fresh ciphertext at most 214 bits, 4
+# accumulator bits and 8 zeros.
+REQUEST_ERRORS = {
+    "missing-field": (lambda obj: obj.pop("eta"), "missing field 'eta'"),
+    "lambda-true": (
+        _set_item("lambda", None, True), "field 'lambda' has the wrong JSON type: bool"
+    ),
+    "path-string": (_set_item("path", 0, "0"), "field 'path' has the wrong JSON type: str"),
+    "acc-int": (_set_item("acc_trust", 1, 5), "field 'acc_trust' has the wrong JSON type: int"),
+    "negative-2nd": (_set_item("acc_trust_noise_bits", 1, -2), "noise_bits cannot be negative: -2"),
+    "negative-4th": (_set_item("acc_trust_noise_bits", 3, -5), "noise_bits cannot be negative: -5"),
+    # The first in wire order, not the least.
+    "negative-2nd-and-4th": (
+        lambda obj: obj["acc_trust_noise_bits"].__setitem__(slice(1, 4, 2), [-2, -9]),
+        "noise_bits cannot be negative: -2",
+    ),
+    "bound-count": (
+        lambda obj: obj["acc_trust_noise_bits"].pop(),
+        "4 ciphertexts under 'acc_trust' but 3 noise bounds",
+    ),
+    "three-zeros": (
+        lambda obj: obj.update(zeros=obj["zeros"][:3]),
+        "3 zeros for 4 accumulator bits, expected none or two per bit",
+    ),
+    "pk-even": (
+        lambda obj: obj.update(pk=format(int(obj["pk"], 16) - 1, "x")),
+        "public key must be odd and 203 bits wide",
+    ),
+    "pk-one-bit-short": (
+        lambda obj: obj.update(pk=format(int(obj["pk"], 16) >> 1 | 1, "x")),
+        "public key must be odd and 203 bits wide",
+    ),
+    "pk-too-many-digits": (_set_item("pk", None, "1" + "0" * 51), "public key wider than 203 bits"),
+    "ct-one-bit-over": (
+        _set_item("acc_trust", 2, format(1 << 214, "x")), "ciphertext wider than 214 bits"
+    ),
+    "zero-one-bit-over": (
+        _set_item("zeros", 7, format(1 << 214, "x")), "ciphertext wider than 214 bits"
+    ),
+    "non-hex": (_set_item("acc_trust", 2, "12g4"), "invalid hex string: '12g4'"),
+    "non-ascii-digit": (_set_item("zeros", 0, "1٣"), "invalid hex string: '1٣'"),
+    "empty-hex": (_set_item("zeros", 5, ""), "invalid hex string: ''"),
+    # A bad ciphertext and a bad bound: the first in wire order is named.
+    "non-hex-before-negative": (
+        _both(_set_item("acc_trust", 0, "x"), _set_item("acc_trust_noise_bits", 2, -1)),
+        "invalid hex string: 'x'",
+    ),
+    "negative-before-non-hex": (
+        _both(_set_item("acc_trust", 3, "x"), _set_item("acc_trust_noise_bits", 1, -1)),
+        "noise_bits cannot be negative: -1",
+    ),
+    "negative-before-bad-zero": (
+        _both(_set_item("zeros", 0, "x"), _set_item("acc_trust_noise_bits", 3, -1)),
+        "noise_bits cannot be negative: -1",
+    ),
+    "path-revisits": (_set_item("path", None, [0, 1, 0]), "path revisits a node: (0, 1, 0)"),
+    "source-is-destination": (
+        _set_item("destination", None, 0), "source and destination coincide: 0"
+    ),
+}
+REPLY_ERRORS = {
+    "missing-field": (lambda obj: obj.pop("path"), "missing field 'path'"),
+    "path-string": (_set_item("path", 1, "2"), "field 'path' has the wrong JSON type: str"),
+    "acc-int": (_set_item("acc_trust", 0, 5), "field 'acc_trust' has the wrong JSON type: int"),
+    "negative-2nd": (_set_item("acc_trust_noise_bits", 1, -2), "noise_bits cannot be negative: -2"),
+    "negative-4th": (_set_item("acc_trust_noise_bits", 3, -5), "noise_bits cannot be negative: -5"),
+    "bound-count": (
+        lambda obj: obj["acc_trust_noise_bits"].append(5),
+        "4 ciphertexts under 'acc_trust' but 5 noise bounds",
+    ),
+    "non-hex": (_set_item("acc_trust", 3, "0x1"), "invalid hex string: '0x1'"),
+    "empty-hex": (_set_item("acc_trust", 1, ""), "invalid hex string: ''"),
+}
+
+
+@pytest.mark.parametrize(
+    "message, mutate, expected",
+    [("rr", *case) for case in REQUEST_ERRORS.values()]
+    + [("rp", *case) for case in REPLY_ERRORS.values()],
+    ids=[f"rr-{name}" for name in REQUEST_ERRORS] + [f"rp-{name}" for name in REPLY_ERRORS],
+)
+def test_wire_decoders_name_the_first_fault_exactly(message, mutate, expected):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    if message == "rr":
+        obj, decode = rr_to_json(rr), rr_from_json
+    else:
+        obj, decode = rp_to_json(destination_reply(rr)), rp_from_json
+    mutate(obj)
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        decode(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("field", ["acc_trust", "zeros"])
+def test_rr_from_json_accepts_odd_length_uppercase_hex(field):
+    params, rng, nodes = chain_fixture([7, 5])
+    keys, rr = source_initiate(nodes[0], 2, params, rng)
+    obj = rr_to_json(rr)
+    obj[field][0] = "ABCDE"
+    decoded = rr_from_json(obj)
+    first = decoded.acc_trust[0] if field == "acc_trust" else decoded.zeros[0][0]
+    assert first == she.Ciphertext(0xABCDE, first.noise_bits)
+    assert rp_from_json(rp_to_json(destination_reply(decoded))) == destination_reply(decoded)
 
 
 def _field_paths(obj, prefix=()):

@@ -4,6 +4,7 @@ import functools
 import gc
 import hashlib
 import json
+import pathlib
 import random
 import time
 import weakref
@@ -17,7 +18,6 @@ from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
     ForwardUpdated,
-    json_fields,
     make_node,
     process_rr,
     rr_from_json,
@@ -367,7 +367,7 @@ def test_mutated_topology_loads_or_raises_value_error(data):
         topo = Topology.from_json(obj)
     except ValueError:
         return
-    fields = json_fields(obj, sim._TOPOLOGY_KINDS, {})
+    fields = sim._TOPOLOGY_FIELDS(obj)
     parts = sim._topology_parts(*fields)
     assert parts is not None
     # The element-by-element loader is the reference: same nodes, edges,
@@ -602,6 +602,29 @@ def test_certified_rows_and_their_reference_share_one_clock(monkeypatch):
     for r in rows:
         assert r["reference_s"] > 0
         assert r["total_min_s"] <= r["total_s"] <= r["total_max_s"]
+
+
+BENCH_FILES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+
+
+def test_committed_bench_files_hold_only_certified_rows():
+    # A row timed at an undersized eta is not a performance number, so every
+    # committed bench file must be certified, and each row trusted, correct
+    # and at the planner's eta for its width, update count, lam and mode.
+    assert BENCH_FILES
+    for path in BENCH_FILES:
+        doc = json.loads(path.read_text())
+        assert doc["certified"] is True, path.name
+        runs = [run for side in doc["runs"].values() for run in side]
+        assert runs, path.name
+        for run in runs:
+            assert run["rows"], path.name
+            for row in run["rows"]:
+                where = f"{path.name}: {row['mode']} lam {row['lambda']}, {row['updates']} updates"
+                assert row["trusted"] is True and row["correct"] is True, where
+                star_mode = row["mode"] == "star"
+                planned = required_eta(run["width"], row["updates"], row["lambda"], star_mode)
+                assert row["eta"] == planned, where
 
 
 def test_a_topology_with_built_nodes_dies_with_its_last_name():

@@ -42,14 +42,15 @@ hop reads; a decoder accepts none or two per bit.  No message carries op
 counts or an adder interface: a simulation counts each hop's operations
 through ``she.observe``.
 
-A decoder checks each field and list of a message once, with whole-list
-operations: one key getter and one type comparison for the fields
-(:class:`JsonFields`), one ``set(map(type, ...))`` per element type, one
-comprehension that parses every hex string with no Python call per string
-(``bignum.hex_values``), one ``min`` over the noise bounds and one ``max``
-over the values for the width check.  Only a message that fails pays for
-the element-by-element diagnosis, which raises the ``ValueError`` of its
-first fault in wire order.
+A decoder checks a message in one pass, in wire order (:func:`json_fields`):
+each field's exact JSON type, and each list's elements with one
+``set(map(type, ...))``, raising the ``ValueError`` of the first fault it
+meets.  Then one comprehension parses every hex string with no Python call
+per string (``bignum.hex_values``), one ``min`` checks the noise bounds and
+one ``max`` over the values checks the width.  Only when a hex string or a
+bound fails are they walked again, one by one, to name the first in wire
+order.  The decoders build ciphertexts with ``tuple.__new__``, as ``she``'s
+producers do.
 ``process_rr`` builds the request it forwards without re-running
 ``RouteRequest``'s checks: they hold by construction, since the path grows
 only by the hop itself, which the revisit test has just shown is not on it.
@@ -58,11 +59,10 @@ only by the hop itself, which the revisit test has just shown is not on it.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Collection, NoReturn
+from typing import Collection
 
 from . import bignum, she
 from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
@@ -345,69 +345,31 @@ def source_finalize(
 # JSON wire formats.  Ciphertexts serialize as canonical hex; the accumulator's
 # noise bounds travel in a parallel field.
 
-class JsonFields:
-    """A message kind's fields, and the decoder of their values.
+def json_fields(obj: object, fields: tuple[tuple[str, type, set[type] | None], ...]) -> list:
+    """The values of ``fields`` in ``obj``, in table order, else ``ValueError``
+    naming the first fault in that order.
 
-    ``kinds`` names two or more fields with their exact JSON types, and
-    ``elements`` gives the exact element type of each list field among them.
-    The key getter, the tuple of types and the element-type groups are
-    built once, here, so a call makes one lookup of all the fields, one
-    comparison of their types and one ``set(map(type, ...))`` per element
-    type over every list of that type together.  The exact-type tests keep
-    JSON booleans (Python ``bool``, a subclass of ``int``) out of every int
-    field.  Any other field is ignored.
+    ``fields`` lists ``(key, JSON type, element types or None)`` in wire
+    order.  Each type test is exact, which keeps JSON booleans (Python
+    ``bool``, a subclass of ``int``) out of every int field, and a list's
+    elements are checked with one ``set(map(type, ...))``.  Any other field
+    is ignored.
     """
-
-    def __init__(self, kinds: dict[str, type], elements: dict[str, type]) -> None:
-        if len(kinds) < 2:
-            raise ValueError("a message kind names at least two fields")
-        self.kinds = kinds
-        self.elements = elements
-        self._get = operator.itemgetter(*kinds)
-        self._types = tuple(kinds.values())
-        # Per element type: a getter of the tuple of its lists, and the type.
-        lists = []
-        for element in dict.fromkeys(elements.values()):
-            at = [i for i, key in enumerate(kinds) if elements.get(key) is element]
-            # A slice, so that one list also comes back in a tuple.
-            get = operator.itemgetter(*at if len(at) > 1 else [slice(at[0], at[0] + 1)])
-            lists.append((get, {element}))
-        self._lists = tuple(lists)
-
-    def __call__(self, obj: object) -> tuple:
-        """The values in ``kinds`` order, else ``ValueError`` naming the first bad field."""
-        try:
-            values = self._get(obj)
-        except (KeyError, TypeError):
-            pass
-        else:
-            if tuple(map(type, values)) == self._types:
-                for lists, kind in self._lists:
-                    if not set(map(type, chain.from_iterable(lists(values)))) <= kind:
-                        break
-                else:
-                    return values
-        _diagnose_fields(obj, self.kinds, self.elements)
-
-
-def _diagnose_fields(obj: object, kinds: dict[str, type], elements: dict[str, type]) -> NoReturn:
-    """The ``ValueError`` of a message :class:`JsonFields` refused: only a
-    failing message pays for naming its first bad field."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for key, kind in kinds.items():
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-        value = obj[key]
+    values = []
+    for key, kind, elements in fields:
+        try:
+            value = obj[key]
+        except KeyError:
+            raise ValueError(f"missing field {key!r}") from None
         if type(value) is not kind:
-            bad = type(value)
-        elif key in elements:
-            bad = next((type(v) for v in value if type(v) is not elements[key]), None)
-        else:
-            continue
-        if bad is not None:
+            raise ValueError(f"field {key!r} has the wrong JSON type: {type(value).__name__}")
+        if elements is not None and not set(map(type, value)) <= elements:
+            bad = next(type(v) for v in value if type(v) not in elements)
             raise ValueError(f"field {key!r} has the wrong JSON type: {bad.__name__}")
-    raise ValueError("malformed message")
+        values.append(value)
+    return values
 
 
 def _ciphertext_values(
@@ -441,25 +403,23 @@ def _ciphertexts(values, bounds) -> tuple[Ciphertext, ...]:
     return tuple(map(_tuple_new, repeat(Ciphertext), zip(values, bounds)))
 
 
-# The fields a decoder reads, with their JSON types, and each list's element type.
-_RR_FIELDS = JsonFields(
-    {
-        "pk": str,
-        "lambda": int,
-        "eta": int,
-        "source": int,
-        "destination": int,
-        "next_hop": int,
-        "path": list,
-        "acc_trust": list,
-        "acc_trust_noise_bits": list,
-        "zeros": list,
-    },
-    {"path": int, "acc_trust": str, "acc_trust_noise_bits": int, "zeros": str},
+# The fields a decoder reads, in wire order: key, JSON type, element types.
+_RR_FIELDS = (
+    ("pk", str, None),
+    ("lambda", int, None),
+    ("eta", int, None),
+    ("source", int, None),
+    ("destination", int, None),
+    ("next_hop", int, None),
+    ("path", list, {int}),
+    ("acc_trust", list, {str}),
+    ("acc_trust_noise_bits", list, {int}),
+    ("zeros", list, {str}),
 )
-_RP_FIELDS = JsonFields(
-    {"path": list, "acc_trust": list, "acc_trust_noise_bits": list},
-    {"path": int, "acc_trust": str, "acc_trust_noise_bits": int},
+_RP_FIELDS = (
+    ("path", list, {int}),
+    ("acc_trust", list, {str}),
+    ("acc_trust_noise_bits", list, {int}),
 )
 
 
@@ -496,7 +456,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     it fresh; any other field, such as an older request's ``stats``, is ignored.
     """
     pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
-        _RR_FIELDS(obj)
+        json_fields(obj, _RR_FIELDS)
     )
     params = SecurityParams.from_lambda(lam, eta)
     pk_bits = params.pk_bits
@@ -546,6 +506,6 @@ def rp_to_json(rp: RouteReply) -> dict:
 def rp_from_json(obj: dict) -> RouteReply:
     """Decode a reply; ``ValueError`` on a missing or ill-typed field, a
     count mismatch, a bad hex string or a negative noise bound."""
-    path, hexes, bounds = _RP_FIELDS(obj)
+    path, hexes, bounds = json_fields(obj, _RP_FIELDS)
     values = _ciphertext_values(hexes, bounds, [])
     return RouteReply(path=tuple(path), acc_trust=_ciphertexts(values, bounds))

@@ -8,12 +8,14 @@ computes AND, as long as the accumulated noise ``(c mod sk)`` stays below
 bound, so validity is decidable without the secret key.
 
 Keys and ciphertext values are plain ``int``s, and a :class:`Ciphertext` is
-an immutable ``(value, noise_bits)`` tuple.  Its public constructor checks the
-bound, for every caller that brings outside values, such as a wire decoder.
-The producers, :func:`encrypt_bit`, :func:`he_add` and :func:`he_mul`, build
-the tuple directly: a plaintext bit is checked to be the int 0 or 1, and a
-result's bound comes from the noise rules over operands that were already
-checked, so it cannot be negative.  Every multiplication of
+an immutable ``(value, noise_bits)`` tuple.  Its public constructor refuses a
+negative bound, for callers that bring outside values.  The producers,
+:func:`encrypt_bit`, :func:`he_add` and :func:`he_mul`, build the tuple
+directly: a plaintext bit is checked to be the int 0 or 1, and a result's
+bound comes from the noise rules over operands that were already checked, so
+it cannot be negative.  The wire decoders build it directly too, after one
+``min`` over a message's bounds; only a rejected message's fallback calls
+the constructor, to name the first bad bound.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
@@ -114,8 +116,9 @@ class Ciphertext(_CiphertextFields):
 
     An immutable ``(value, noise_bits)`` tuple: every he-op builds one, and a
     tuple is cheaper to construct than a frozen dataclass.  The constructor
-    refuses a negative bound.  The producers in this module skip it and build
-    the tuple from operands that were already checked (module docstring).
+    refuses a negative bound.  The producers in this module and the wire
+    decoders skip it and build the tuple from values that were already
+    checked (module docstring).
     """
 
     __slots__ = ()

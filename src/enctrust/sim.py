@@ -36,7 +36,7 @@ from .protocol import (
     NodeState,
     Reply,
     RouteRequest,
-    JsonFields,
+    json_fields,
     make_node,
     process_rr,
     rp_from_json,
@@ -155,73 +155,59 @@ class Topology:
     def from_json(cls, obj: dict) -> "Topology":
         """Parse :meth:`to_json`'s form; ``ValueError`` on any malformed part.
 
-        As on the wire (:class:`protocol.JsonFields`), an integer must be
+        As on the wire (:func:`protocol.json_fields`), an integer must be
         exactly an ``int``: JSON ``true`` is no node id, endpoint or trust.
         A trust entry is an ``[a, b, score]`` triple, and an arc given twice
         is an error, not last-wins.
         """
-        node_list, edge_list, trust_list = _TOPOLOGY_FIELDS(obj)
-        parts = _topology_parts(node_list, edge_list, trust_list)
-        if parts is None:
-            parts = _diagnose_topology_parts(node_list, edge_list, trust_list)
-        return cls(*parts)
+        node_list, edge_list, trust_list = json_fields(obj, _TOPOLOGY_FIELDS)
+        return cls(*_topology_parts(node_list, edge_list, trust_list))
 
 
-_TOPOLOGY_FIELDS = JsonFields({"nodes": list, "edges": list, "trust": list}, {})
+_TOPOLOGY_FIELDS = (("nodes", list, None), ("edges", list, None), ("trust", list, None))
 
 
-def _topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple | None:
-    """``(nodes, edges, trust)`` of a well-formed document, else ``None``.
+def _topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple:
+    """``(nodes, edges, trust)`` of a document, else ``ValueError`` naming its
+    first bad node, edge or trust entry, in list order.
 
-    Each type check is one C-level ``set(map(type, ...))`` over a whole
-    list: the ids, the pairs and triples, their lengths, and the integers in
-    them.  An arc given twice leaves the trust dict short, which fails.
+    Each list is checked whole, with one C-level ``set(map(type, ...))``
+    per check: the ids, the pairs and triples, their lengths, and the
+    integers in them.  Only a list that fails is walked, to find its first
+    fault.  An arc given twice leaves the trust dict short, and one walk
+    names whichever comes first, a malformed entry or a repeated arc.  An
+    arc on a non-edge passes here, and ``Topology`` names it.
     """
-    if not (
-        set(map(type, node_list)) <= {int}
-        and set(map(type, edge_list)) <= {list}
-        and set(map(type, trust_list)) <= {list}
-        and set(map(len, edge_list)) <= {2}
-        and set(map(len, trust_list)) <= {3}
-        and set(map(type, itertools.chain.from_iterable(edge_list))) <= {int}
-        and set(map(type, itertools.chain.from_iterable(trust_list))) <= {int}
-    ):
-        return None
+    if not set(map(type, node_list)) <= {int}:
+        i, node = next((i, v) for i, v in enumerate(node_list) if type(v) is not int)
+        raise ValueError(f"nodes[{i}] must be an integer id, got {node!r}")
+    if not _int_lists(edge_list, 2):
+        i, pair = next((i, v) for i, v in enumerate(edge_list) if not _int_lists((v,), 2))
+        raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
     edges = tuple([(a, b) if a < b else (b, a) for a, b in edge_list])
-    trust = {(a, b): score for a, b, score in trust_list}
+    trust = {}
+    if _int_lists(trust_list, 3):
+        trust = {(a, b): score for a, b, score in trust_list}
     if len(trust) != len(trust_list):
-        return None
+        trust = {}
+        for i, entry in enumerate(trust_list):
+            if not _int_lists((entry,), 3):
+                raise ValueError(f"trust[{i}] must be a triple of integers, got {entry!r}")
+            a, b, score = entry
+            if (a, b) in trust:
+                raise ValueError(f"trust[{i}] repeats arc {(a, b)}")
+            trust[(a, b)] = score
     return tuple(node_list), edges, trust
 
 
-def _diagnose_topology_parts(node_list: list, edge_list: list, trust_list: list) -> tuple:
-    """:func:`_topology_parts` element by element, raising on the first bad one.
-
-    An arc on a non-edge passes here, and ``Topology`` names it.
-    """
-    for i, node in enumerate(node_list):
-        if type(node) is not int:
-            raise ValueError(f"nodes[{i}] must be an integer id, got {node!r}")
-    edges = []
-    for i, pair in enumerate(edge_list):
-        if not _ints(pair, 2):
-            raise ValueError(f"edges[{i}] must be a pair of integers, got {pair!r}")
-        a, b = pair
-        edges.append((min(a, b), max(a, b)))
-    trust = {}
-    for i, entry in enumerate(trust_list):
-        if not _ints(entry, 3):
-            raise ValueError(f"trust[{i}] must be a triple of integers, got {entry!r}")
-        a, b, score = entry
-        if (a, b) in trust:
-            raise ValueError(f"trust[{i}] repeats arc {(a, b)}")
-        trust[(a, b)] = score
-    return tuple(node_list), tuple(edges), trust
-
-
-def _ints(entry: object, size: int) -> bool:
-    """Whether ``entry`` is a JSON list of exactly ``size`` integers."""
-    return type(entry) is list and len(entry) == size and set(map(type, entry)) <= {int}
+def _int_lists(lists: list, size: int) -> bool:
+    """Whether every element of ``lists`` is a JSON list of exactly ``size``
+    integers, in three whole passes."""
+    return (
+        set(map(type, lists)) <= {list}
+        and set(map(len, lists)) <= {size}
+        and set(map(type, itertools.chain.from_iterable(lists))) <= {int}
+    )
 
 
 def save_topology(t: Topology, path: str) -> None:

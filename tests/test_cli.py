@@ -48,7 +48,7 @@ def test_gen_is_deterministic(tmp_path):
     b = str(tmp_path / "b.json")
     main(["gen", "--nodes", "6", "--degree", "2.5", "--seed", "3", "--out", a])
     main(["gen", "--nodes", "6", "--degree", "2.5", "--seed", "3", "--out", b])
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_oracle_delivered(topo_file, capsys):
@@ -77,7 +77,7 @@ def test_route_auto_eta(topo_file, tmp_path, capsys):
     assert code == 0
     assert "status: DELIVERED" in out
     assert "trusted: True" in out
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     assert report["status"] == "DELIVERED"
     assert report["decrypted_trust"] == report["oracle_trust"]
     assert report["trusted"] is True
@@ -127,7 +127,7 @@ def test_bench_table(tmp_path, capsys):
         "uncertified: the paper's eta = lambda**2 reproduction, not certified performance"
     )
     assert header.split()[0] == "lambda"
-    obj = json.load(open(out_path))
+    obj = json.loads(Path(out_path).read_text())
     assert obj["certified"] is False
     assert [row["lambda"] for row in obj["rows"]] == [3, 5, 8, 10]
 

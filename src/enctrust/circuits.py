@@ -12,17 +12,14 @@ circuit compiled to universal gates carries encrypted flags: it reveals the
 topology but not which gates are which.
 
 :func:`update` is a hop's whole accumulator update, written once: the plain
-adder, or in star mode the compile, the identity gates and the compiled adder.
-A hop runs it on ciphertexts and the planner that sizes a key runs it on noise
-bounds, so the planner's bound is the hops' tracked bound by construction.
+adder, or in star mode the compile and the compiled adder.  A hop runs it on
+ciphertexts and the planner that sizes a key runs it on noise bounds, so the
+planner's bound is the hops' tracked bound by construction.
 
-In star mode a hop first fires the identity universal gate
-``(acc_i, Enc(0), Enc(0))`` on each accumulator bit, to rerandomize it, then
-binds its own local inputs; every evaluator's inputs are the accumulator
-block, then its local block.  The hop draws each gate's ``Enc(0)`` pair
-itself with the ``encrypt`` that draws its flags, so the pairs are fresh by
-construction and never travel.  :func:`adapt` draws one set for the source's
-request, which no hop reads.
+Every evaluator's inputs are the accumulator block, then the hop's local
+block.  Unlike the paper's, a star hop fires no identity gates before its
+adder: every adder output already mixes in fresh local bits and flags.
+:func:`adapt` draws the zero pairs of the source's request, which no hop reads.
 """
 
 from __future__ import annotations
@@ -263,8 +260,8 @@ ZeroPairs = tuple[tuple[Ciphertext, Ciphertext], ...]
 def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) -> ZeroPairs:
     """Draw ``acc_bits`` pairs of ``(Enc(0), Enc(0))`` under ``pk``, in full form.
 
-    The source sends one set in its request.  No hop reads it: a star hop
-    draws its identity gates' pairs itself, in :func:`update`.
+    The source sends one set in its request, the paper's identity-gate
+    zeros.  No hop reads it: a star hop fires no identity gates.
     """
     return tuple(
         (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))
@@ -273,23 +270,13 @@ def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) ->
 
 
 def bind_and_continue(
-    zeros: Sequence[tuple],
-    acc: Sequence,
-    local_bits: Sequence,
-    star_circuit: StarCircuit,
-    xor: Callable,
-    and_: Callable,
+    acc: Sequence, local_bits: Sequence, star_circuit: StarCircuit, xor: Callable, and_: Callable
 ) -> tuple:
-    """Fire each accumulator bit's identity gate with its own zero pair, bind, evaluate.
+    """Bind the local block after the accumulator and evaluate the compiled circuit.
 
-    Firing ``(acc_i, Enc(0), Enc(0))`` computes acc_i xor 0 with a zero flag:
-    the bit is kept and the wire rerandomized by the fresh encryptions.
-    ``ValueError`` if the accumulator and the pairs differ in length, or the
-    circuit takes another number of inputs; a longer accumulator is refused
-    after as many gates as there are pairs.
+    ``ValueError`` if the circuit takes another number of inputs.
     """
-    recovered = [universal(xor, and_, a, b, flag) for a, (b, flag) in zip(acc, zeros, strict=True)]
-    return eval_star(star_circuit, (*recovered, *local_bits), xor, and_)
+    return eval_star(star_circuit, (*acc, *local_bits), xor, and_)
 
 
 def update(
@@ -303,16 +290,13 @@ def update(
 ) -> tuple:
     """One hop's accumulator update: the adder's outputs on ``(*acc, *local)``.
 
-    Star mode compiles the adder with flags from ``encrypt``, then draws from
-    it one ``(Enc(0), Enc(0))`` pair per accumulator input of the adder and
-    first passes each accumulator bit through its identity gate; plain mode
-    draws nothing.  Hops run it on ciphertexts, the planner on bounds.
+    Star mode compiles the adder with flags from ``encrypt`` and evaluates
+    it; plain mode draws nothing.  Hops run it on ciphertexts, the planner
+    on bounds.
     """
     if not star_mode:
         return eval_plain(circuit, (*acc, *local), xor, and_)
-    star_circuit = compile_to_star(circuit, encrypt)
-    zeros = [(encrypt(0), encrypt(0)) for _ in range(circuit.num_inputs - len(local))]
-    return bind_and_continue(zeros, acc, local, star_circuit, xor, and_)
+    return bind_and_continue(acc, local, compile_to_star(circuit, encrypt), xor, and_)
 
 
 # The serialized star circuit: wire indices and encrypted flags, no gate kinds.

@@ -13,21 +13,20 @@ so any node on the path can read the running total; see README
 "Limitations".)
 
 Intermediate evaluation runs in one of two modes: plain homomorphic XOR/AND
-gates reading the accumulator ciphertexts directly, or the universal-gate
-pipeline in which the node fires an identity gate ``(acc_i, Enc(0), Enc(0))``
-on each accumulator ciphertext, then evaluates its adder compiled to
-flag-configured universal gates.  Both run through ``circuits.update``, which
-the planner runs on noise bounds.  The hop compiles its own, public adder and
-encrypts the flags and the identity gates' zeros itself, so star mode
-reproduces the paper's gates but hides no gate kind from the hop that
-evaluates it.  Each accumulator ciphertext travels once, in ``acc_trust``;
-every hop's adder inputs are the accumulator block, then its local block.
+gates, or the node's adder compiled to flag-configured universal gates.  Both
+read the accumulator ciphertexts directly, without the paper's identity gates
+before a star adder, and both run through ``circuits.update``, which the
+planner runs on noise bounds.  The hop compiles its own, public adder and
+encrypts the flags itself, so star mode reproduces the paper's universal
+gates but hides no gate kind from the hop that evaluates it.  Each
+accumulator ciphertext travels once, in ``acc_trust``; every hop's adder
+inputs are the accumulator block, then its local block.
 
 One rule fixes each ciphertext's form (``she``): a ciphertext that never
 leaves its hop is ``m + 2r``, a wire ciphertext is ``m + 2r + pk*Q``, and
 every homomorphic result is reduced mod ``pk``.  So a hop's local trust
-bits, star flags and zeros are ``m + 2r`` (``residue=True``), and the
-source's accumulator and zeros keep their ``pk*Q`` term.
+bits and star flags are ``m + 2r`` (``residue=True``), and the source's
+accumulator and zeros keep their ``pk*Q`` term.
 
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
@@ -306,7 +305,7 @@ def process_rr(
     pk = rr.pk
     params = rr.params
     try:
-        # The local bits, star flags and zeros never leave this hop: born as residues.
+        # The local bits and star flags never leave this hop: born as residues.
         local = she.encrypt_value(
             pk, node.trust_db[next_hop], node.width, params, rng, residue=True
         )
@@ -459,7 +458,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
         json_fields(obj, _RR_FIELDS)
     )
     params = SecurityParams.from_lambda(lam, eta)
-    pk_bits = params.pk_bits
+    pk_bits, max_bits = she.wire_bits(lam, eta)
     if len(pk_hex) > _hex_digits(pk_bits):
         raise ValueError(f"public key wider than {pk_bits} bits")
     pk = bignum.from_hex(pk_hex)
@@ -470,7 +469,6 @@ def rr_from_json(obj: dict) -> RouteRequest:
         raise ValueError(
             f"{len(zero_hexes)} zeros for {n} accumulator bits, expected none or two per bit"
         )
-    max_bits = params.fresh_ct_bits
     if max(map(len, chain(hexes, zero_hexes)), default=0) > _hex_digits(max_bits):
         raise ValueError(f"ciphertext wider than {max_bits} bits")
     values = _ciphertext_values(hexes, bounds, zero_hexes)

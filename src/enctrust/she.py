@@ -96,6 +96,20 @@ class SecurityParams:
         return self.pk_bits + self.q_bits + 2
 
 
+@functools.lru_cache(maxsize=128)
+def wire_bits(lam: int, eta: int) -> tuple[int, int]:
+    """``(pk_bits, fresh_ct_bits)`` of the schedule at ``lam`` and ``eta``.
+
+    A decoder checks each request's key and ciphertext widths against them,
+    so they are computed once per pair, not once per request.  Kept off
+    :class:`SecurityParams`, which holds ``lam`` and ``eta`` alone, and
+    bounded like :meth:`SecurityParams.from_lambda`'s cache; a pair that
+    schedule refuses raises and caches nothing.
+    """
+    params = SecurityParams.from_lambda(lam, eta)
+    return params.pk_bits, params.fresh_ct_bits
+
+
 @dataclass(frozen=True, slots=True)
 class KeyPair:
     sk: int

@@ -144,12 +144,19 @@ class Topology:
         return self._adjacency.get(node, frozenset())
 
     def to_json(self) -> dict:
-        """``{"nodes": [id, ...], "edges": [[a, b], ...], "trust": [[a, b, score], ...]}``, sorted."""
-        return {
-            "nodes": sorted(self.nodes),
-            "edges": [list(e) for e in sorted(self.edges)],
-            "trust": [[a, b, v] for (a, b), v in sorted(self.trust.items())],
-        }
+        """``{"nodes": [id, ...], "edges": [[a, b], ...], "trust": [[a, b, score], ...]}``, sorted.
+
+        ``ValueError``, with :meth:`from_json`'s message, for an id that is
+        not exactly an ``int``: ``True == 1`` and ``1.0 == 1`` pass the
+        constructor, but JSON would write them as ``true`` and ``1.0``,
+        which :meth:`from_json` refuses.
+        """
+        nodes = sorted(self.nodes)
+        edges = [list(e) for e in sorted(self.edges)]
+        trust = [[a, b, v] for (a, b), v in sorted(self.trust.items())]
+        if not (set(map(type, nodes)) <= {int} and _int_lists(edges, 2) and _int_lists(trust, 3)):
+            _topology_parts(nodes, edges, trust)  # raises for the first fault
+        return {"nodes": nodes, "edges": edges, "trust": trust}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Topology":
@@ -435,8 +442,8 @@ def _check_endpoints(t: Topology, source: NodeId, destination: NodeId) -> None:
 def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> int | str:
     """Secret-key bits needed to certify ``hops`` accumulator updates.
 
-    Runs each hop's :func:`circuits.update` on noise bounds: every local bit,
-    zero and gate flag is fresh, and the accumulator starts fresh from the
+    Runs each hop's :func:`circuits.update` on noise bounds: every local bit
+    and gate flag is fresh, and the accumulator starts fresh from the
     source.  Every adder gate feeds an output and no gate's bound is below
     its operands', so the outputs' largest bound covers every wire.  Returns
     :data:`TOO_DEEP` once any bound exceeds :data:`NOISE_CEILING`.
@@ -453,6 +460,18 @@ def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> in
         if max(acc) > NOISE_CEILING:
             return TOO_DEEP
     return max(acc) + 2
+
+
+def planner_digest() -> str:
+    """A short sha256 of :func:`required_eta` over a fixed grid of widths, update
+    counts, lams and modes: it names the noise rule that plans a run's etas."""
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that every process importing this module would otherwise carry.
+    import hashlib
+
+    grid = itertools.product((1, 4, 8), (0, 1, 2, 7, 17), CERTIFIED_LAMBDAS, (False, True))
+    etas = json.dumps([required_eta(*shape) for shape in grid])
+    return hashlib.sha256(etas.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -906,9 +925,11 @@ def certified_benchmark(
 
 
 def certified_benchmark_to_json(rows: Sequence[dict], seed: int) -> dict:
-    """The rows as JSON, marked ``"certified": true``, with the Python version and the host."""
+    """The rows as JSON, marked ``"certified": true``, with the planner digest,
+    the Python version and the host."""
     return {
         "certified": True,
+        "planner": planner_digest(),
         "seed": seed,
         "width": DEFAULT_WIDTH,
         "python": f"{platform.python_implementation()} {platform.python_version()}",

@@ -54,10 +54,10 @@ def test_certbench_untraced_run_reports_the_end_to_end_metrics(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_certbench_traced_run(workload):
     metrics = run_certbench(workload, trace=1)["metrics"]
-    # Each adder update is 9 XOR and 5 AND he-ops; star mode fires 4 identity
-    # and 14 universal gates of 5 he-ops each.  A walker that skips or
+    # Each adder update is 9 XOR and 5 AND he-ops; star mode fires its 14
+    # gates as universal gates of 5 he-ops each.  A walker that skips or
     # double-counts an op, or hides one from the tracer, moves this.
-    expected_ops = 90 if workload == "star-chain" else 14
+    expected_ops = 70 if workload == "star-chain" else 14
     assert metrics["circuits.he_ops_per_update"]["value"] == expected_ops
     assert metrics["circuits.max_noise_over_eta"]["value"] < 1
     if workload == "sim-route":

@@ -1,4 +1,5 @@
 import collections
+import functools
 import operator
 import random
 
@@ -257,7 +258,7 @@ def test_symbolic_noise_matches_actual_eval():
 def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
     # update on BOUND_OPS, as required_eta runs it, gives after each of three
     # chained updates exactly the bounds update tracks on ciphertexts, star
-    # identity gates included, and required_eta's answer is their maximum + 2.
+    # flags included, and required_eta's answer is their maximum + 2.
     lam, width = 3, 4
     circuit = build_ripple_adder(width)
     eta = required_eta(width, 3, lam, star_mode)
@@ -357,55 +358,69 @@ def test_adapt_identity_recovery():
             assert not set(pair) & set(cts)
 
 
-def test_adapt_arity_mismatch():
+def test_bind_and_continue_arity_mismatch():
     params, keys, rng = make(seed=6)
-    cts = encrypt_value(keys.pk, 3, 2, params, rng)
-    zeros = adapt(4, keys.pk, params, rng)
-    local = encrypt_value(keys.pk, 1, 4, params, rng)
     sc = compile_to_star(build_ripple_adder(4), encryptor(keys, params, rng))
     ops = he_ops(keys.pk, params)
-    with pytest.raises(ValueError):
-        bind_and_continue(zeros, cts, local, sc, *ops)
-    # As many pairs as accumulator bits, but too few inputs for the adder.
-    with pytest.raises(ValueError):
-        bind_and_continue(zeros[:2], cts, local, sc, *ops)
+    four = encrypt_value(keys.pk, 3, 4, params, rng)
+    two = encrypt_value(keys.pk, 1, 2, params, rng)
+    # An accumulator or a local block too short for the adder's 8 inputs.
+    with pytest.raises(ValueError, match="expected 8 inputs, got 6"):
+        bind_and_continue(two, four, sc, *ops)
+    with pytest.raises(ValueError, match="expected 8 inputs, got 6"):
+        bind_and_continue(four, two, sc, *ops)
 
 
 def test_bind_and_continue_single_hop():
     params, keys, rng = make(seed=7)
     c = build_ripple_adder(4)
     acc = encrypt_value(keys.pk, 9, 4, params, rng)
-    zeros = adapt(4, keys.pk, params, rng)
     local = encrypt_value(keys.pk, 4, 4, params, rng)
     sc = compile_to_star(c, encryptor(keys, params, rng))
-    outs, ops = observed(bind_and_continue, zeros, acc, local, sc, *he_ops(keys.pk, params))
+    outs, ops = observed(bind_and_continue, acc, local, sc, *he_ops(keys.pk, params))
     assert decrypt_value(keys.sk, outs) == 13
-    # 4 recovery gates + 14 circuit gates, each 2 muls and 3 adds
-    assert ops == {"mul": 36, "add": 54}
+    # Each of the adder's gates fires as one universal gate: 2 muls, 3 adds.
+    assert ops == {"mul": 2 * len(c.gates), "add": 3 * len(c.gates)}
 
 
 def test_bind_and_continue_two_hop_chain():
-    # A full chain: source adapts its accumulator, each hop recovers, binds
-    # its local value, evaluates the compiled adder, and re-adapts.
+    # A full chain: the source encrypts its accumulator, and each hop binds
+    # its local value after it and evaluates its compiled adder.
     lam = 3
     width = 4
     c = build_ripple_adder(width)
     eta = required_eta(width, 2, lam, star_mode=True)
-    assert eta == 823
+    assert eta == 523
     params, keys, rng = make(lam=lam, eta=eta, seed=8)
     acc = encrypt_value(keys.pk, 9, width, params, rng)
-    zeros = adapt(width, keys.pk, params, rng)
     total = collections.Counter()
     for local_value in (4, 2):
         local = encrypt_value(keys.pk, local_value, width, params, rng)
         sc = compile_to_star(c, encryptor(keys, params, rng))
-        acc, ops = observed(bind_and_continue, zeros, acc, local, sc, *he_ops(keys.pk, params))
-        zeros = adapt(width, keys.pk, params, rng)
+        acc, ops = observed(bind_and_continue, acc, local, sc, *he_ops(keys.pk, params))
         total += ops
     final = acc
     assert decrypt_value(keys.sk, final) == (9 + 4 + 2) % 16
     assert all(she.noise_ok(ct, params) for ct in final)
-    assert total == {"mul": 72, "add": 108}
+    assert total == {"mul": 2 * 2 * len(c.gates), "add": 2 * 3 * len(c.gates)}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("local_value", [0, 7])
+def test_star_update_rerandomizes_every_accumulator_bit(seed, local_value):
+    # The adder alone re-randomizes: every output mixes in fresh local bits
+    # and flags, so no ciphertext a star hop forwards is one it received,
+    # even when it adds 0.  The inputs are residues, as every accumulator
+    # after the source's is, so a value match would be a real repeat.
+    params, keys, rng = make(eta=required_eta(4, 2, 3, star_mode=True), seed=seed)
+    acc = encrypt_value(keys.pk, 11, 4, params, rng, residue=True)
+    for hop in range(2):
+        local = encrypt_value(keys.pk, local_value, 4, params, rng, residue=True)
+        encrypt = functools.partial(encrypt_bit, keys.pk, params=params, rng=rng, residue=True)
+        outs = update(build_ripple_adder(4), acc, local, True, encrypt, *he_ops(keys.pk, params))
+        assert not {ct.value for ct in outs} & {ct.value for ct in acc}, (seed, hop)
+        assert decrypt_value(keys.sk, outs) == (11 + (hop + 1) * local_value) % 16
+        acc = outs
 
 
 def test_star_circuit_json_roundtrip_hides_gate_kinds():

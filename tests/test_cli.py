@@ -9,7 +9,7 @@ import pytest
 
 import enctrust
 from enctrust.cli import main
-from enctrust.sim import Topology, load_topology, save_topology
+from enctrust.sim import Topology, load_topology, planner_digest, save_topology
 
 
 @pytest.fixture
@@ -143,6 +143,7 @@ def test_certified_bench_quick_tier(tmp_path, capsys):
     assert header.split()[:3] == ["mode", "lambda", "updates"]
     obj = json.loads(out_path.read_text())
     assert obj["certified"] is True
+    assert obj["planner"] == planner_digest()
     assert obj["python"] and obj["host"]["cpus"]
     rows = obj["rows"]
     assert [(r["mode"], r["lambda"]) for r in rows] == [
@@ -153,7 +154,7 @@ def test_certified_bench_quick_tier(tmp_path, capsys):
         assert (r["updates"], r["repeats"]) == (7, 1)
         assert r["total_s"] == pytest.approx(r["keygen_s"] + r["hops_s"] + r["finalize_s"])
         assert r["reference_s"] > 0
-    assert [r["eta"] for r in rows if r["lambda"] == 3] == [81, 25123]
+    assert [r["eta"] for r in rows if r["lambda"] == 3] == [81, 14623]
 
 
 def test_certified_bench_refuses_a_wrong_row(tmp_path, capsys, monkeypatch):
@@ -175,7 +176,7 @@ def test_plan_outputs_eta(capsys):
     assert main(["plan", "--width", "4", "--hops", "2", "--lambda", "3"]) == 0
     assert "eta: 47" in capsys.readouterr().out
     assert main(["plan", "--width", "4", "--hops", "2", "--lambda", "3", "--star"]) == 0
-    assert "eta: 823" in capsys.readouterr().out
+    assert "eta: 523" in capsys.readouterr().out
 
 
 def test_plan_too_deep(capsys):

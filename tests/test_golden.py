@@ -45,6 +45,17 @@ and ``REPLY``, were re-pinned in both modes then.  The source still draws
 ``Q`` for its accumulator and zeros, so request 0 holds in both modes.
 ``ROUTE`` and ``REPORT_DIGESTS`` hold too, so the keys, routes, decrypted
 totals, per-hop op counts and largest noise bounds did not move.
+
+When star hops stopped firing an identity gate ``(acc_i, Enc(0), Enc(0))``
+on each accumulator bit before their adder, a star update shed 20 of its 90
+he-ops and 8 of its 26 encryptions, and the planner, which runs the same
+update, sized this chain's star eta 14,623 instead of 25,123.  A new eta is
+a new key, so every star digest was re-pinned then: ``GOLDEN`` and
+``SAME_CIPHERTEXTS`` from request 0 on, ``REPLY``, ``ROUTE`` and the star
+``REPORT_DIGESTS``.  At the old eta, passed explicitly, the star ``ROUTE``
+holds unedited (``ROUTE_AT_IDENTITY_GATE_ETA``): the keys, paths and every
+decrypted running total are those of the hops with identity gates.  Every
+plain digest holds.
 """
 
 import hashlib
@@ -81,15 +92,17 @@ def _wire(msg, to_json, from_json):
     return obj
 
 
-def _discover(n: int, star_mode: bool):
+def _discover(n: int, star_mode: bool, eta: int | None = None):
     """Hop-by-hop discovery from 0 to n-1 on a chain, every message checked against the codec.
 
-    Returns the JSON of each request sent, the JSON of the reply, the oracle,
-    the source's outcome and its keys.
+    ``eta`` defaults to the planner's.  Returns the JSON of each request
+    sent, the JSON of the reply, the oracle, the source's outcome and its
+    keys.
     """
     t = chain_topology(n, seed=SEED)
     oracle = plaintext_oracle(t, 0, n - 1)
-    eta = required_eta(4, len(oracle.path) - 2, LAM, star_mode)
+    if eta is None:
+        eta = required_eta(4, len(oracle.path) - 2, LAM, star_mode)
     params = SecurityParams.from_lambda(LAM, eta=eta)
     nodes = build_nodes(t)
     rng = random.Random(SEED)
@@ -116,14 +129,14 @@ GOLDEN = {
         "84ec5d7bdab94bca7a68f2d5e198b153c8323a29492f3ee910053a480f07ece0",
     ],
     True: [
-        "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
-        "6e0c53bdab770707929f6712f001a9e4c7c39f4a0e64f367e4fd7f273133f606",
-        "5cdd07e89fd660d978b2f146a8ec30db942709798aaed6d01fc169c745a2731f",
-        "edf5ad494cce45e6606918ece213791863fafad1af5e996a3eb8ce6d05cb1c76",
-        "2581d49d9df2666aa04e42c4da1ef82c078309b35c2bac5539cffc75668bb321",
-        "b75c29184608c275411af8c98128e6b7f032a34e08fbe3113134a7c45694b4c9",
-        "f6570b6192a4d03bf8883976799243230bd10ef53ee2d40d0b211b49027e6ffc",
-        "e786e4a7fbfa99cfafe2ec12e3c6b8988338ebae2c27625840f30e73fca21b9a",
+        "9b29875fe49b5dc94fa1f4de438369cb337a5d1842185f87d8c2f3bd6e0c63ef",
+        "96f908b678dcc542eab67cdc33656153b672a29632ed7159c62a3a883f1a0051",
+        "0ef009267957148bcb6c3951586c1649172d4c8bc6fda6c568c33bb107c92c1f",
+        "d4388fb8973fa7d366b2ecae9b3bb2e30e1752fd73ec9e6c2ca2a15acf7cf27d",
+        "45af94680b7f4debd164e3ee0eb4e946ac8e97c243706725d43dd428baabc182",
+        "af485ac71cf30045c78ed1fe2e3d62b3b7fc5bba24b5358720aa1e00047a6c2e",
+        "c9edcae81f558073b485a5d2e03c70f2ef3fd97247bb8659875cc5911c280d5d",
+        "07c4674947bdbf66cba20729a2fdf8e25564bcbce8a2fdbd754446060e430a06",
     ],
 }
 PROJECTION = (
@@ -142,19 +155,19 @@ SAME_CIPHERTEXTS = {
         "84ec5d7bdab94bca7a68f2d5e198b153c8323a29492f3ee910053a480f07ece0",
     ],
     True: [
-        "c60f050d80a73221cc846604f9a9adee89ec415f67ea622363495ddb64974bc5",
-        "6e0c53bdab770707929f6712f001a9e4c7c39f4a0e64f367e4fd7f273133f606",
-        "5cdd07e89fd660d978b2f146a8ec30db942709798aaed6d01fc169c745a2731f",
-        "edf5ad494cce45e6606918ece213791863fafad1af5e996a3eb8ce6d05cb1c76",
-        "2581d49d9df2666aa04e42c4da1ef82c078309b35c2bac5539cffc75668bb321",
-        "b75c29184608c275411af8c98128e6b7f032a34e08fbe3113134a7c45694b4c9",
-        "f6570b6192a4d03bf8883976799243230bd10ef53ee2d40d0b211b49027e6ffc",
-        "e786e4a7fbfa99cfafe2ec12e3c6b8988338ebae2c27625840f30e73fca21b9a",
+        "9b29875fe49b5dc94fa1f4de438369cb337a5d1842185f87d8c2f3bd6e0c63ef",
+        "96f908b678dcc542eab67cdc33656153b672a29632ed7159c62a3a883f1a0051",
+        "0ef009267957148bcb6c3951586c1649172d4c8bc6fda6c568c33bb107c92c1f",
+        "d4388fb8973fa7d366b2ecae9b3bb2e30e1752fd73ec9e6c2ca2a15acf7cf27d",
+        "45af94680b7f4debd164e3ee0eb4e946ac8e97c243706725d43dd428baabc182",
+        "af485ac71cf30045c78ed1fe2e3d62b3b7fc5bba24b5358720aa1e00047a6c2e",
+        "c9edcae81f558073b485a5d2e03c70f2ef3fd97247bb8659875cc5911c280d5d",
+        "07c4674947bdbf66cba20729a2fdf8e25564bcbce8a2fdbd754446060e430a06",
     ],
 }
 REPLY = {
     False: "490fdc0d889357927cf7ed7f9c71c43ff80b871e9c1bf09300f287b8c118b393",
-    True: "2153db32917449e05af3ab8328cb1a54f91df3a3b3887f3ecfd7ebb8ae5c262d",
+    True: "d2b2eecd5982b85056a3b43b574e2e6e22eb9461a7bc63d18e2ebd1f255d819b",
 }
 
 
@@ -173,15 +186,13 @@ def test_rr_to_json_pinned_across_backends(star_mode):
 ROUTE_FIELDS = ("pk", "lambda", "eta", "source", "destination", "next_hop", "path")
 ROUTE = {
     False: "c36df70a8c4f509eb6567d0a445d9e54542554d0abaa0cc27ed5a94a9bef179a",
-    True: "11d1175db78b46abe109dfb1fb137287abbaa107b1e556024acd95cb97f4a5ab",
+    True: "dbbb53a574a0556b8d16032ae384efdb2a0419c9ae082027b693dac9431a7f07",
 }
 
 
-@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
-def test_route_and_running_totals_pinned(star_mode):
-    # No ciphertext enters this digest: each request's key, parameters,
-    # endpoints, next hop and path, and the total its accumulator decrypts to.
-    requests, _, _, _, keys = _discover(CHAIN_NODES, star_mode)
+def _route_digest(requests, keys) -> str:
+    """No ciphertext enters this digest: each request's key, parameters,
+    endpoints, next hop and path, and the total its accumulator decrypts to."""
     route = [
         {
             **{k: obj[k] for k in ROUTE_FIELDS},
@@ -189,4 +200,25 @@ def test_route_and_running_totals_pinned(star_mode):
         }
         for obj in requests
     ]
-    assert _sha256(route) == ROUTE[star_mode]
+    return _sha256(route)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_route_and_running_totals_pinned(star_mode):
+    requests, _, _, _, keys = _discover(CHAIN_NODES, star_mode)
+    assert _route_digest(requests, keys) == ROUTE[star_mode]
+
+
+# The star ``ROUTE`` pinned while star hops fired identity gates, at the eta
+# the planner then sized for this chain (module docstring).
+ROUTE_AT_IDENTITY_GATE_ETA = (
+    25_123,
+    "11d1175db78b46abe109dfb1fb137287abbaa107b1e556024acd95cb97f4a5ab",
+)
+
+
+def test_star_route_holds_at_the_eta_planned_with_identity_gates():
+    eta, digest = ROUTE_AT_IDENTITY_GATE_ETA
+    requests, _, oracle, outcome, keys = _discover(CHAIN_NODES, True, eta=eta)
+    assert outcome.trusted and outcome.trust == oracle.trust == TRUST
+    assert _route_digest(requests, keys) == digest

@@ -206,18 +206,35 @@ def test_update_star_mode_matches_plain():
         decision = process_rr(nodes[1], rr, rng, star_mode=True)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 12
-    # 4 recovery gates + 14 adder gates, each universal gate is 2 muls 3 adds;
-    # 4 local bits, 14 flags and 4 zero pairs encrypted
-    assert ops == {"mul": 36, "add": 54, "encrypt": 26}
+    assert ops == star_hop_ops(4)
+
+
+def star_hop_ops(width):
+    """A star hop's op counts, from its adder: each gate fires as one universal
+    gate of 2 muls and 3 adds, and the hop encrypts one flag per gate and its
+    ``width`` local bits."""
+    gates = len(build_ripple_adder(width).gates)
+    return {"mul": 2 * gates, "add": 3 * gates, "encrypt": gates + width}
+
+
+@pytest.mark.parametrize("width", [5, 8])
+def test_star_hop_counts_follow_the_adder_at_other_widths(width):
+    params, rng, nodes = chain_fixture([7, 5, 4, 6], width=width, eta=300)
+    keys, rr = source_initiate(nodes[0], 4, params, rng)
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        decision = process_rr(nodes[1], rr, rng, star_mode=True)
+    assert decrypt_value(keys.sk, decision.rr.acc_trust) == 12
+    assert ops == star_hop_ops(width)
 
 
 @pytest.mark.parametrize(
-    "star_mode, local", [(False, 4), (True, 4 + 14 + 8)], ids=["plain", "star"]
+    "star_mode, local", [(False, 4), (True, 4 + 14)], ids=["plain", "star"]
 )
 def test_hop_local_encryptions_are_residues_and_wire_zeros_are_full(star_mode, local):
-    # The local bits, star flags and identity-gate zeros never leave the hop,
-    # so they are born reduced mod pk and the hop forwards no zeros; the
-    # source's zeros cross the wire whole.
+    # The local bits and star flags never leave the hop, so they are born
+    # reduced mod pk and the hop forwards no zeros; the source's zeros cross
+    # the wire whole.
     params, rng, nodes = chain_fixture([7, 5, 4, 6], eta=300)
     keys, rr = source_initiate(nodes[0], 4, params, rng)
     fresh = []
@@ -489,7 +506,7 @@ def test_rr_from_json_rejects_wrong_zero_count(count):
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_request_without_zeros_decodes_and_a_hop_updates_it(star_mode):
-    # No hop forwards zeros, and a star hop draws its identity gates' own.
+    # No hop forwards zeros, and no hop reads the source's.
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
@@ -504,8 +521,8 @@ def test_request_without_zeros_decodes_and_a_hop_updates_it(star_mode):
 
 def test_oversized_accumulator_costs_a_star_hop_at_most_its_own_width():
     # 64 accumulator bits with their 128 zeros decode, since the decoder does
-    # not know the hop's width.  The hop fires one identity gate per input of
-    # its own adder's accumulator block, 4, before it refuses the rest.
+    # not know the hop's width.  The hop's adder refuses its 68 inputs before
+    # any gate fires.
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
@@ -518,7 +535,7 @@ def test_oversized_accumulator_costs_a_star_hop_at_most_its_own_width():
         decision = process_rr(nodes[1], decoded, rng, star_mode=True)
     assert isinstance(decision, Drop)
     assert decision.reason.startswith("malformed payload: ")
-    assert ops["mul"] <= 8 and ops["add"] <= 12
+    assert ops["mul"] == ops["add"] == 0
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])

@@ -112,6 +112,35 @@ def test_topology_file_roundtrip(tmp_path):
     assert load_topology(path) == t
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [((0, True), ((0, True),)), ((0.0, 1), ((0.0, 1),)), ((0, 1), ((0, 1.0),))],
+    ids=["true-node", "float-node", "float-in-edge"],
+)
+def test_saving_an_id_that_is_not_an_int_fails_at_save(tmp_path, nodes, edges):
+    # True == 1 and 1.0 == 1, so the constructor takes them; written as-is,
+    # JSON's true and 1.0 would make a file that load_topology refuses.
+    # Saving refuses them first, with the message loading would give.
+    a, b = edges[0]
+    t = Topology(nodes=nodes, edges=edges, trust={(a, b): 5, (b, a): 7})
+    raw = json.loads(
+        json.dumps(
+            {
+                "nodes": sorted(t.nodes),
+                "edges": [list(e) for e in t.edges],
+                "trust": [[a, b, v] for (a, b), v in sorted(t.trust.items())],
+            }
+        )
+    )
+    with pytest.raises(ValueError) as loading:
+        Topology.from_json(raw)
+    path = tmp_path / "topo.json"
+    with pytest.raises(ValueError) as saving:
+        save_topology(t, str(path))
+    assert str(saving.value) == str(loading.value)
+    assert not path.exists()
+
+
 def test_saved_topology_is_compact_and_indented_files_still_load(tmp_path):
     t = generate_topology(8, 3, seed=5)
     path = tmp_path / "topo.json"
@@ -639,9 +668,14 @@ BENCH_FILES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("BENCH_
 
 def test_committed_bench_files_hold_only_certified_rows():
     # A row timed at an undersized eta is not a performance number, so every
-    # committed bench file must be certified, and each row trusted, correct
-    # and at the planner's eta for its width, update count, lam and mode.
+    # committed bench file must be certified, and each row trusted and
+    # correct.  A run whose planner digest is today's must also sit at
+    # today's planned eta for its width, update count, lam and mode; a run
+    # planned by an earlier noise rule, or one that names none, was
+    # certified at that rule's eta.  Some committed run must be today's.
     assert BENCH_FILES
+    today = sim.planner_digest()
+    current = 0
     for path in BENCH_FILES:
         doc = json.loads(path.read_text())
         assert doc["certified"] is True, path.name
@@ -649,12 +683,28 @@ def test_committed_bench_files_hold_only_certified_rows():
         assert runs, path.name
         for run in runs:
             assert run["rows"], path.name
+            planned_today = run.get("planner") == today
+            current += planned_today
             for row in run["rows"]:
                 where = f"{path.name}: {row['mode']} lam {row['lambda']}, {row['updates']} updates"
                 assert row["trusted"] is True and row["correct"] is True, where
-                star_mode = row["mode"] == "star"
-                planned = required_eta(run["width"], row["updates"], row["lambda"], star_mode)
-                assert row["eta"] == planned, where
+                if planned_today:
+                    star_mode = row["mode"] == "star"
+                    planned = required_eta(run["width"], row["updates"], row["lambda"], star_mode)
+                    assert row["eta"] == planned, where
+    assert current, f"no committed bench run carries today's planner digest {today}"
+
+
+def test_planner_digest_names_the_noise_rule(monkeypatch):
+    digest = sim.planner_digest()
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert sim.planner_digest() == digest
+    # A planner that answers one shape differently has another digest.
+    real = sim.required_eta
+    monkeypatch.setattr(
+        sim, "required_eta", lambda *shape: 1 if shape == (4, 17, 3, True) else real(*shape)
+    )
+    assert sim.planner_digest() != digest
 
 
 def test_a_topology_with_built_nodes_dies_with_its_last_name():
@@ -725,9 +775,10 @@ def test_required_eta_pinned_values():
     assert required_eta(4, 0, 3) == 7
     assert required_eta(4, 1, 3) == 27
     assert required_eta(4, 2, 3) == 47
-    assert required_eta(4, 1, 3, star_mode=True) == 211
-    assert required_eta(4, 2, 3, star_mode=True) == 823
-    assert required_eta(4, 50, 3, star_mode=True) == TOO_DEEP
+    assert required_eta(4, 1, 3, star_mode=True) == 139
+    assert required_eta(4, 2, 3, star_mode=True) == 523
+    assert required_eta(4, 51, 3, star_mode=True) != TOO_DEEP
+    assert required_eta(4, 52, 3, star_mode=True) == TOO_DEEP
 
 
 def test_required_eta_monotone_in_hops():
@@ -752,13 +803,13 @@ def test_required_eta_plans_each_shape_once(monkeypatch):
     updates = []
     real_update = sim.update
     monkeypatch.setattr(sim, "update", lambda *args: updates.append(args) or real_update(*args))
-    assert required_eta(4, 2, 3, star_mode=True) == 823
+    assert required_eta(4, 2, 3, star_mode=True) == 523
     assert len(updates) == 2
-    assert required_eta(4, 50, 3, star_mode=True) == TOO_DEEP
+    assert required_eta(4, 52, 3, star_mode=True) == TOO_DEEP
     planned = len(updates)
     for _ in range(3):
-        assert required_eta(4, 2, 3, star_mode=True) == 823
-        assert required_eta(4, 50, 3, star_mode=True) == TOO_DEEP
+        assert required_eta(4, 2, 3, star_mode=True) == 523
+        assert required_eta(4, 52, 3, star_mode=True) == TOO_DEEP
     assert len(updates) == planned  # no repeated call ran an update
     # Another shape is planned on its own.
     assert required_eta(4, 2, 3) == 47
@@ -803,7 +854,7 @@ def test_run_discovery_star_mode_matches_oracle():
     assert report.trusted
     assert report.decrypted_trust == oracle.trust
     assert report.eta == required_eta(4, 2, 3, star_mode=True)
-    assert (report.stats.n_he_add, report.stats.n_he_mul) == (108, 72)
+    assert (report.stats.n_he_add, report.stats.n_he_mul) == (84, 56)
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
@@ -924,7 +975,7 @@ def test_forged_stats_in_a_request_change_nothing(star_mode):
         counts.append(ops)
     assert isinstance(decisions[0], ForwardUpdated)
     assert decisions[0] == decisions[1]  # the forwarded request
-    adds, muls = (54, 36) if star_mode else (9, 5)
+    adds, muls = (42, 28) if star_mode else (9, 5)
     assert counts[0] == counts[1]
     assert (counts[0]["add"], counts[0]["mul"]) == (adds, muls)
 
@@ -949,7 +1000,7 @@ def test_stats_record_merge_and_json():
 # per-hop tally the simulator now takes from ``she.observe`` is the same.
 REPORT_DIGESTS = {
     False: "17f7fc81ffbedc972058bffe14d8b0296125047063344ba5cd222647888fe1ed",
-    True: "42b2a8a38eda00a33ec241c55860a7e502f5806c1aa0de174afea94aa2c6cf01",
+    True: "e3127b9bd6d6b0d50b0bceff878479f3a64cba20802608354bff3049b473d48d",
 }
 
 
@@ -1021,8 +1072,8 @@ def test_caller_observing_run_discovery_sees_every_ciphertext(star_mode, made_ke
     assert (ops["add"], ops["mul"]) == (report.stats.n_he_add, report.stats.n_he_mul)
     # The source encrypts 4 bits and 4 zero pairs.  Each of the 2 updates
     # encrypts 4 local bits and runs 14 gates; a star hop also encrypts 14
-    # flags and 4 zero pairs, and its 18 universal gates are 90 ops.
-    assert len(produced) == (244 if star_mode else 48)
+    # flags, and its 14 universal gates are 70 ops.
+    assert len(produced) == (188 if star_mode else 48)
     sk = made_keys[0].sk
     for ct in produced:
         assert (ct.value % sk).bit_length() <= ct.noise_bits
@@ -1056,14 +1107,15 @@ def test_certified_star_run_seven_updates(seed, made_keys):
 def test_certified_star_run_seventeen_updates(made_keys):
     # The planner's eta for 17 star updates at lam 3 (README "Performance notes").
     report = certified_star_chain(17, lam=3, seed=4, made_keys=made_keys)
-    assert report.eta == 515_923
+    assert report.eta == 281_323
 
 
 def test_star_run_multiplies_a_wide_factor_only_by_a_hop_residue(monkeypatch, made_keys):
     # he_mul does not reduce its operands.  The only factor wider than pk is
-    # a bit of the source's full-form accumulator, at the first updating hop,
-    # and each one meets an identity gate's fresh residue zero, so every
-    # division after a product stays short.
+    # a bit of the source's full-form accumulator, at the first updating hop.
+    # Each meets the hop's fresh residue local bit in the AND of a universal
+    # gate on an accumulator input, 7 of the adder's gates, so every division
+    # after a product stays short.
     factors = []
     mul = bignum.mul
 
@@ -1076,7 +1128,7 @@ def test_star_run_multiplies_a_wide_factor_only_by_a_hop_residue(monkeypatch, ma
     pk_bits = SecurityParams.from_lambda(10, eta=report.eta).pk_bits
     assert len(factors) > 100
     assert all(wide <= pk_bits or narrow <= 10 + 2 for narrow, wide in factors)
-    assert sum(wide > pk_bits for _, wide in factors) == 4
+    assert sum(wide > pk_bits for _, wide in factors) == 7
 
 
 def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeypatch):
@@ -1092,9 +1144,10 @@ def test_run_discovery_rejects_trusted_answer_that_disagrees_with_oracle(monkeyp
 
 
 def test_run_discovery_too_deep_raises():
-    t = chain_topology(53, seed=0)
+    # 52 star updates at lam 3 is the shallowest chain past NOISE_CEILING.
+    t = chain_topology(55, seed=0)
     with pytest.raises(NoiseBudgetError, match="star_mode=True"):
-        run_discovery(t, 0, 52, RunConfig(lam=3, star_mode=True))
+        run_discovery(t, 0, 54, RunConfig(lam=3, star_mode=True))
 
 
 def test_run_discovery_endpoint_validation():
@@ -1136,7 +1189,7 @@ def test_benchmark_counts_and_shape():
     row = rows[0]
     assert row.lam == 3
     assert (row.he_adds, row.he_muls) == (153, 85)
-    assert (row.star_he_adds, row.star_he_muls) == (17 * 54, 17 * 36)
+    assert (row.star_he_adds, row.star_he_muls) == (17 * 42, 17 * 28)
     assert row.updates == 17
     assert row.path_len == 19
     assert row.seconds > 0

@@ -110,6 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """The ``--out`` file: ``doc`` as JSON, indented, keys sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     t = generate_topology(args.nodes, args.degree, args.seed)
     save_topology(t, args.out)
@@ -152,9 +159,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     )
     print(f"wall: {' '.join(f'{k}={v:.4f}s' for k, v in report.wall.items())}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report.to_json())
         print(f"report written to {args.out}")
     return 0 if report.status == DELIVERED else 2
 
@@ -166,9 +171,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print("uncertified: the paper's eta = lambda**2 reproduction, not certified performance")
     print(format_benchmark_table(rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(benchmark_to_json(rows, seed=args.seed), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, benchmark_to_json(rows, seed=args.seed))
         print(f"benchmark written to {args.out}")
     return 0
 
@@ -181,10 +184,7 @@ def _cmd_certified_bench(args: argparse.Namespace) -> int:
     print("certified: planner-sized eta, JSON wire, every row trusted and correct")
     print(format_certified_table(rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            doc = certified_benchmark_to_json(rows, seed=args.seed)
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, certified_benchmark_to_json(rows, seed=args.seed))
         print(f"benchmark written to {args.out}")
     return 0
 

@@ -34,12 +34,13 @@ later hop forwards unchanged to a neighboring destination.  The oracle
 follows the same rule.
 
 A request carries only what the next hop cannot work out for itself: the
-key and parameters, the endpoints, the path and the accumulator with its
-noise bounds.  Its ``zeros`` list is empty except in the source's request,
-which carries one ``circuits.adapt`` set, two per accumulator bit, that no
-hop reads; a decoder accepts none or two per bit.  No message carries op
-counts or an adder interface: a simulation counts each hop's operations
-through ``she.observe``.
+key and parameters, the destination, the next hop, the path, whose first
+node is the source, and the accumulator with its noise bounds.  Its
+``zeros`` list is empty except in the source's request, which carries one
+``circuits.adapt`` set, two per accumulator bit, that no hop reads; a
+decoder accepts none or two per bit.  No message carries op counts or an
+adder interface: a simulation counts each hop's operations through
+``she.observe``.
 
 A decoder checks a message in one pass, in wire order (:func:`json_fields`):
 each field's exact JSON type, and each list's elements with one
@@ -50,9 +51,14 @@ one ``max`` over the values checks the width.  Only when a hex string or a
 bound fails are they walked again, one by one, to name the first in wire
 order.  The decoders build ciphertexts with ``tuple.__new__``, as ``she``'s
 producers do.
-``process_rr`` builds the request it forwards without re-running
-``RouteRequest``'s checks: they hold by construction, since the path grows
-only by the hop itself, which the revisit test has just shown is not on it.
+
+``RouteRequest`` is a plain tuple whose one constructor checks nothing.  A
+route that arrives from outside is checked once, in :func:`rr_from_json`
+(:func:`_check_route`): the path is not empty, repeats no node and does not
+hold the destination.  ``source_initiate`` and ``process_rr`` build valid
+requests by construction: the source's path is its own id alone, and a hop
+extends the path only by itself, after its tests have shown that it is
+neither on the path nor the destination.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from . import bignum, she
 from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
@@ -137,57 +143,39 @@ def make_node(
     )
 
 
-@dataclass(frozen=True)
-class RouteRequest:
+class RouteRequest(NamedTuple):
+    """A route request: an immutable tuple whose constructor checks nothing.
+
+    The path's first node is the source, so the source is not stored.
+    :func:`rr_from_json` checks a route that arrives from outside with
+    :func:`_check_route`; the package's own builders make valid requests by
+    construction (module docstring).
+    """
+
     pk: int
     params: SecurityParams
-    source: NodeId
     destination: NodeId
     next_hop: NodeId
     path: tuple[NodeId, ...]
     acc_trust: tuple[Ciphertext, ...]
     zeros: ZeroPairs
 
-    def __post_init__(self) -> None:
-        _check_route(self.source, self.destination, self.path)
+    @property
+    def source(self) -> NodeId:
+        return self.path[0]
 
 
-def _check_route(source: NodeId, destination: NodeId, path: tuple[NodeId, ...]) -> None:
-    """``RouteRequest``'s checks: the path starts at the source and repeats no
-    node, and the source is not the destination."""
-    if not path or path[0] != source:
-        raise ValueError(f"path must start at the source {source}, got {path}")
+def _check_route(destination: NodeId, path: tuple[NodeId, ...]) -> None:
+    """``ValueError`` unless ``path`` is not empty, repeats no node and does
+    not hold ``destination``."""
+    if not path:
+        raise ValueError("path is empty")
     if len(set(path)) != len(path):
         raise ValueError(f"path revisits a node: {path}")
-    if source == destination:
-        raise ValueError(f"source and destination coincide: {source}")
-
-
-def _request(
-    pk: int,
-    params: SecurityParams,
-    source: NodeId,
-    destination: NodeId,
-    next_hop: NodeId,
-    path: tuple[NodeId, ...],
-    acc_trust: tuple[Ciphertext, ...],
-    zeros: ZeroPairs,
-) -> RouteRequest:
-    """A ``RouteRequest`` filled in without ``__post_init__`` or the frozen
-    dataclass's ``object.__setattr__`` per field, for a caller whose fields
-    already pass :func:`_check_route`."""
-    rr = object.__new__(RouteRequest)
-    rr.__dict__.update(
-        pk=pk,
-        params=params,
-        source=source,
-        destination=destination,
-        next_hop=next_hop,
-        path=path,
-        acc_trust=acc_trust,
-        zeros=zeros,
-    )
-    return rr
+    if destination in path:
+        if destination == path[0]:
+            raise ValueError(f"source and destination coincide: {destination}")
+        raise ValueError(f"destination {destination} is already on the path: {path}")
 
 
 @dataclass(frozen=True)
@@ -259,17 +247,7 @@ def source_initiate(
     keys = _keys if _keys is not None else she.keygen(params, rng)
     acc = she.encrypt_value(keys.pk, node.trust_db[next_hop], node.width, params, rng)
     zeros = adapt(node.width, keys.pk, params, rng)
-    rr = RouteRequest(
-        pk=keys.pk,
-        params=params,
-        source=node.id,
-        destination=destination,
-        next_hop=next_hop,
-        path=(node.id,),
-        acc_trust=acc,
-        zeros=zeros,
-    )
-    return keys, rr
+    return keys, RouteRequest(keys.pk, params, destination, next_hop, (node.id,), acc, zeros)
 
 
 def process_rr(
@@ -289,21 +267,19 @@ def process_rr(
     step 10b deletes it.
     """
     node_id = node.id
-    if node_id == rr.destination:
+    pk, params, destination, addressee, path, acc, _ = rr
+    if node_id == destination:
         return Reply(destination_reply(rr))
-    if rr.next_hop != node_id:
-        return Drop(f"misdelivered: request addressed to {rr.next_hop}, not {node_id}")
-    path = rr.path
+    if addressee != node_id:
+        return Drop(f"misdelivered: request addressed to {addressee}, not {node_id}")
     if node_id in path:
         return Drop(f"revisit: node {node_id} already on path {list(path)}")
-    if rr.destination in node.neighbors:
-        return ForwardUnchanged(next_hop=rr.destination)
+    if destination in node.neighbors:
+        return ForwardUnchanged(next_hop=destination)
     # The node is not its own neighbor, so the path alone is what it excludes.
     next_hop = select_next_hop(node, path)
     if next_hop is None:
         return Drop(f"no trusted next hop: node {node_id} exhausted its neighbors")
-    pk = rr.pk
-    params = rr.params
     try:
         # The local bits and star flags never leave this hop: born as residues.
         local = she.encrypt_value(
@@ -314,12 +290,13 @@ def process_rr(
             if star_mode
             else None
         )
-        outputs = update(node.circuit, rr.acc_trust, local, star_mode, encrypt, *he_ops(pk, params))
+        outputs = update(node.circuit, acc, local, star_mode, encrypt, *he_ops(pk, params))
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
-    # Valid by construction: the path gains this node, which it does not hold.
+    # Valid by construction: the path gains this node, which neither is on
+    # it nor is the destination.
     return ForwardUpdated(
-        _request(pk, params, rr.source, rr.destination, next_hop, path + (node_id,), outputs, ())
+        RouteRequest(pk, params, destination, next_hop, path + (node_id,), outputs, ())
     )
 
 
@@ -388,7 +365,10 @@ def _ciphertext_values(
     values = bignum.hex_values(hexes + zero_hexes)
     if values is None or min(bounds, default=0) < 0:
         # Only a failing message pays for naming its first fault.
-        tuple(map(Ciphertext, map(bignum.from_hex, hexes), bounds))
+        for text, bound in zip(hexes, bounds):
+            bignum.from_hex(text)
+            if bound < 0:
+                raise ValueError(f"noise_bits cannot be negative: {bound}")
         list(map(bignum.from_hex, zero_hexes))
     return values
 
@@ -407,7 +387,6 @@ _RR_FIELDS = (
     ("pk", str, None),
     ("lambda", int, None),
     ("eta", int, None),
-    ("source", int, None),
     ("destination", int, None),
     ("next_hop", int, None),
     ("path", list, {int}),
@@ -424,41 +403,41 @@ _RP_FIELDS = (
 
 def rr_to_json(rr: RouteRequest) -> dict:
     to_hex = bignum.to_hex
-    acc = rr.acc_trust
+    pk, params, destination, next_hop, path, acc, zeros = rr
     return {
-        "pk": to_hex(rr.pk),
-        "lambda": rr.params.lam,
-        "eta": rr.params.eta,
-        "source": rr.source,
-        "destination": rr.destination,
-        "next_hop": rr.next_hop,
-        "path": list(rr.path),
+        "pk": to_hex(pk),
+        "lambda": params.lam,
+        "eta": params.eta,
+        "destination": destination,
+        "next_hop": next_hop,
+        "path": list(path),
         "acc_trust": [to_hex(c.value) for c in acc],
         "acc_trust_noise_bits": [c.noise_bits for c in acc],
         # Flat: accumulator bit i's pair is zeros[2i], zeros[2i+1].
-        "zeros": [to_hex(z.value) for pair in rr.zeros for z in pair],
+        "zeros": [to_hex(z.value) for pair in zeros for z in pair],
     }
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
     key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), a
-    zero count other than none or twice the accumulator's, or a path that
-    ``RouteRequest`` refuses.  Only the source's request carries zeros, and
-    no hop reads them.
+    zero count other than none or twice the accumulator's, or a route that
+    :func:`_check_route` refuses.  Only the source's request carries zeros,
+    and no hop reads them.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
     A hex string with more digits than its bound allows is rejected before it
     is parsed, so an oversized value costs its length check and nothing more.
     Each zero gets the fresh noise bound, since ``circuits.adapt`` encrypted
-    it fresh; any other field, such as an older request's ``stats``, is ignored.
+    it fresh.  Any other field is ignored, such as an older request's
+    ``stats``, or its ``source``, which is the path's first node.
     """
-    pk_hex, lam, eta, source, destination, next_hop, path, hexes, bounds, zero_hexes = (
+    pk_hex, lam, eta, destination, next_hop, path, hexes, bounds, zero_hexes = (
         json_fields(obj, _RR_FIELDS)
     )
     params = SecurityParams.from_lambda(lam, eta)
-    pk_bits, max_bits = she.wire_bits(lam, eta)
+    pk_bits, max_bits = params.pk_bits, params.fresh_ct_bits
     if len(pk_hex) > _hex_digits(pk_bits):
         raise ValueError(f"public key wider than {pk_bits} bits")
     pk = bignum.from_hex(pk_hex)
@@ -477,13 +456,13 @@ def rr_from_json(obj: dict) -> RouteRequest:
     if max(values, default=0).bit_length() > max_bits:
         raise ValueError(f"ciphertext wider than {max_bits} bits")
     path = tuple(path)
-    _check_route(source, destination, path)
+    _check_route(destination, path)
     pairs = ()
     if zero_hexes:
         zeros = _ciphertexts(values[n:], repeat(she.fresh_noise_bits(params)))
         pairs = tuple(zip(zeros[0::2], zeros[1::2]))
-    return _request(
-        pk, params, source, destination, next_hop, path, _ciphertexts(values[:n], bounds), pairs
+    return RouteRequest(
+        pk, params, destination, next_hop, path, _ciphertexts(values[:n], bounds), pairs
     )
 
 

@@ -8,14 +8,13 @@ computes AND, as long as the accumulated noise ``(c mod sk)`` stays below
 bound, so validity is decidable without the secret key.
 
 Keys and ciphertext values are plain ``int``s, and a :class:`Ciphertext` is
-an immutable ``(value, noise_bits)`` tuple.  Its public constructor refuses a
-negative bound, for callers that bring outside values.  The producers,
-:func:`encrypt_bit`, :func:`he_add` and :func:`he_mul`, build the tuple
-directly: a plaintext bit is checked to be the int 0 or 1, and a result's
-bound comes from the noise rules over operands that were already checked, so
-it cannot be negative.  The wire decoders build it directly too, after one
-``min`` over a message's bounds; only a rejected message's fallback calls
-the constructor, to name the first bad bound.  Every multiplication of
+an immutable ``(value, noise_bits)`` tuple that checks nothing.  Its bound is
+what :func:`noise_ok` judges: it refuses a negative one, so no bound that was
+never checked is trusted.  The producers, :func:`encrypt_bit`,
+:func:`he_add` and :func:`he_mul`, build the tuple with ``tuple.__new__``:
+a plaintext bit is checked to be the int 0 or 1, and a result's bound comes
+from the noise rules over its operands.  The wire decoders build it the same
+way, after one ``min`` over a message's bounds.  Every multiplication of
 ciphertexts or keys goes through :func:`bignum.mul` and every reduction
 through :func:`bignum.mod`.  Homomorphic results are always reduced modulo
 ``pk``: since ``pk`` is a multiple of ``sk``, this bounds ciphertext size
@@ -47,11 +46,18 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from . import bignum
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SecurityParams:
     """Size schedule for one instance of the scheme, fixed by the two values the
     wire carries: pk ``lam**3`` bits (``eta + lam`` if that is wider), r ``lam``
-    bits, Q ``lam**2`` bits."""
+    bits, Q ``lam**2`` bits.
+
+    ``lam`` and ``eta`` are its only fields, so they alone make its equality,
+    hash and repr.  Its widths, ``r_bits``, ``q_bits``, ``pk_bits`` and
+    ``fresh_ct_bits``, are computed once, when it is built, and stored as
+    plain attributes: a decoder checks every request against the last two,
+    and every encryption reads the first two.
+    """
 
     lam: int
     eta: int
@@ -65,6 +71,16 @@ class SecurityParams:
             raise ValueError(f"lam must be at least 2, got {self.lam}")
         if self.eta < self.lam + 2:
             raise ValueError(f"eta must be at least lam + 2, got eta={self.eta} lam={self.lam}")
+        # Set as the fields are, so they stay in the instance's inline
+        # values: a ``functools.cached_property`` writes ``__dict__``, and
+        # every later attribute read, ``lam`` and ``eta`` too, gets slower.
+        pk_bits = max(self.lam**3, self.eta + self.lam)
+        q_bits = self.lam * self.lam
+        object.__setattr__(self, "r_bits", self.lam)
+        object.__setattr__(self, "q_bits", q_bits)
+        object.__setattr__(self, "pk_bits", pk_bits)
+        # Upper bound on a fresh ciphertext's bit length.
+        object.__setattr__(self, "fresh_ct_bits", pk_bits + q_bits + 2)
 
     # Memoized: a schedule is immutable, so each ``(lam, eta)`` is built once
     # rather than once per decoded request.  The pair comes off the wire, so
@@ -78,37 +94,6 @@ class SecurityParams:
         """The schedule at ``lam``, with ``eta`` defaulting to ``lam**2``."""
         return cls(lam=lam, eta=lam * lam if eta is None else eta)
 
-    @property
-    def pk_bits(self) -> int:
-        return max(self.lam**3, self.eta + self.lam)
-
-    @property
-    def r_bits(self) -> int:
-        return self.lam
-
-    @property
-    def q_bits(self) -> int:
-        return self.lam * self.lam
-
-    @property
-    def fresh_ct_bits(self) -> int:
-        """Upper bound on a fresh ciphertext's bit length."""
-        return self.pk_bits + self.q_bits + 2
-
-
-@functools.lru_cache(maxsize=128)
-def wire_bits(lam: int, eta: int) -> tuple[int, int]:
-    """``(pk_bits, fresh_ct_bits)`` of the schedule at ``lam`` and ``eta``.
-
-    A decoder checks each request's key and ciphertext widths against them,
-    so they are computed once per pair, not once per request.  Kept off
-    :class:`SecurityParams`, which holds ``lam`` and ``eta`` alone, and
-    bounded like :meth:`SecurityParams.from_lambda`'s cache; a pair that
-    schedule refuses raises and caches nothing.
-    """
-    params = SecurityParams.from_lambda(lam, eta)
-    return params.pk_bits, params.fresh_ct_bits
-
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
@@ -120,32 +105,18 @@ class KeyPair:
 _tuple_new = tuple.__new__
 
 
-class _CiphertextFields(NamedTuple):
-    value: int
-    noise_bits: int
-
-
-class Ciphertext(_CiphertextFields):
+class Ciphertext(NamedTuple):
     """An encrypted bit plus a key-free upper bound on its noise bit length.
 
     An immutable ``(value, noise_bits)`` tuple: every he-op builds one, and a
-    tuple is cheaper to construct than a frozen dataclass.  The constructor
-    refuses a negative bound.  The producers in this module and the wire
-    decoders skip it and build the tuple from values that were already
-    checked (module docstring).
+    tuple is cheaper to construct than a frozen dataclass.  It checks
+    nothing; :func:`noise_ok` refuses a negative bound.  The producers in
+    this module and the wire decoders build it with ``tuple.__new__``, the
+    same constructor without the Python frame of the generated one.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, value: int, noise_bits: int) -> "Ciphertext":
-        if noise_bits < 0:
-            raise ValueError(f"noise_bits cannot be negative: {noise_bits}")
-        return _tuple_new(cls, (value, noise_bits))
-
-    @classmethod
-    def _make(cls, iterable) -> "Ciphertext":
-        # ``_replace`` builds through ``_make``, which would skip the check.
-        return cls(*iterable)
+    value: int
+    noise_bits: int
 
 
 def fresh_noise_bits(params: SecurityParams) -> int:
@@ -168,9 +139,14 @@ def noise_ok(ct: Ciphertext, params: SecurityParams) -> bool:
 
     The bound holds only for values the scheme produces, and none of those is
     wider than a fresh ciphertext (``params.fresh_ct_bits``); a wider value
-    carries no guarantee whatever bound travels with it.
+    carries no guarantee whatever bound travels with it.  No noise rule yields
+    a negative bound, so a negative one was never checked and guarantees
+    nothing either.
     """
-    return ct.noise_bits <= params.eta - 1 and ct.value.bit_length() <= params.fresh_ct_bits
+    return (
+        0 <= ct.noise_bits <= params.eta - 1
+        and ct.value.bit_length() <= params.fresh_ct_bits
+    )
 
 
 def keygen(params: SecurityParams, rng: random.Random) -> KeyPair:

@@ -7,7 +7,6 @@ hide nothing from it; and each attack in
 ``ATTACKS`` gets the source to report a wrong total as ``trusted``.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -112,7 +111,7 @@ def _substitute_fourth_accumulator(call, rr, decision, rng, oracle_trust):
         return decision
     assert isinstance(decision, ForwardUpdated)
     acc = encrypt_value(rr.pk, (oracle_trust + 5) % 16, 4, rr.params, rng)
-    return ForwardUpdated(dataclasses.replace(decision.rr, acc_trust=acc))
+    return ForwardUpdated(decision.rr._replace(acc_trust=acc))
 
 
 def _honest(call, rr, decision, rng, oracle_trust):

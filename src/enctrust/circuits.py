@@ -19,7 +19,8 @@ planner's bound is the hops' tracked bound by construction.
 Every evaluator's inputs are the accumulator block, then the hop's local
 block.  Unlike the paper's, a star hop fires no identity gates before its
 adder: every adder output already mixes in fresh local bits and flags.
-:func:`adapt` draws the zero pairs of the source's request, which no hop reads.
+:func:`adapt` draws the paper's identity-gate zero pairs, which the source
+draws and discards: no request carries them.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ ZeroPairs = tuple[tuple[Ciphertext, Ciphertext], ...]
 def adapt(acc_bits: int, pk: int, params: SecurityParams, rng: random.Random) -> ZeroPairs:
     """Draw ``acc_bits`` pairs of ``(Enc(0), Enc(0))`` under ``pk``, in full form.
 
-    The source sends one set in its request, the paper's identity-gate
-    zeros.  No hop reads it: a star hop fires no identity gates.
+    These are the paper's identity-gate zeros.  The source draws one set per
+    request and sends none of it, since no hop fires identity gates
+    (``protocol.source_initiate``).
     """
     return tuple(
         (she.encrypt_bit(pk, 0, params, rng), she.encrypt_bit(pk, 0, params, rng))

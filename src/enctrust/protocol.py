@@ -26,20 +26,20 @@ One rule fixes each ciphertext's form (``she``): a ciphertext that never
 leaves its hop is ``m + 2r``, a wire ciphertext is ``m + 2r + pk*Q``, and
 every homomorphic result is reduced mod ``pk``.  So a hop's local trust
 bits and star flags are ``m + 2r`` (``residue=True``), and the source's
-accumulator and zeros keep their ``pk*Q`` term.
+accumulator keeps its ``pk*Q`` term.
 
 The source itself never shortcuts: it hands the request to its most trusted
 neighbor even when the destination is another of its neighbors, and only a
 later hop forwards unchanged to a neighboring destination.  The oracle
 follows the same rule.
 
-A request carries only what the next hop cannot work out for itself: the
-key and parameters, the destination, the next hop, the path, whose first
-node is the source, and the accumulator with its noise bounds.  Its
-``zeros`` list is empty except in the source's request, which carries one
-``circuits.adapt`` set, two per accumulator bit, that no hop reads; a
-decoder accepts none or two per bit.  No message carries op counts or an
-adder interface: a simulation counts each hop's operations through
+A request carries only what the next hop reads: the key and parameters,
+the destination, the next hop, the path, whose first node is the source,
+and the accumulator with its noise bounds, so each request carries exactly
+its accumulator's ciphertexts.  The source still draws one
+``circuits.adapt`` set of the paper's identity-gate zeros and sends none of
+it (:func:`source_initiate`).  No message carries op counts or an adder
+interface: a simulation counts each hop's operations through
 ``she.observe``.
 
 A decoder checks a message in one pass, in wire order (:func:`json_fields`):
@@ -58,7 +58,9 @@ route that arrives from outside is checked once, in :func:`rr_from_json`
 hold the destination.  ``source_initiate`` and ``process_rr`` build valid
 requests by construction: the source's path is its own id alone, and a hop
 extends the path only by itself, after its tests have shown that it is
-neither on the path nor the destination.
+neither on the path nor the destination.  A reply's path is checked in
+:func:`rp_from_json`: it holds a source and a destination and repeats no
+node.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Collection, NamedTuple
 
 from . import bignum, she
-from .circuits import Circuit, ZeroPairs, adapt, build_ripple_adder, he_ops, update
+from .circuits import Circuit, adapt, build_ripple_adder, he_ops, update
 from .she import Ciphertext, KeyPair, SecurityParams, check_width
 
 NodeId = int
@@ -158,7 +160,6 @@ class RouteRequest(NamedTuple):
     next_hop: NodeId
     path: tuple[NodeId, ...]
     acc_trust: tuple[Ciphertext, ...]
-    zeros: ZeroPairs
 
     @property
     def source(self) -> NodeId:
@@ -233,11 +234,11 @@ def source_initiate(
 ) -> tuple[KeyPair, RouteRequest]:
     """Generate keys, encrypt the best neighbor's trust, and build the first RR.
 
-    The request carries one ``circuits.adapt`` set of zeros, sized by the
-    source's own width.  ``iface_lookup`` is unused; ROADMAP step 10b
-    deletes it.  ``_keys`` lets a caller that wants to time key generation
-    separately pass a pre-generated pair; the result is identical to
-    generating here.
+    The source draws one ``circuits.adapt`` set of zeros, sized by its own
+    width, and discards it: the request carries the accumulator alone.
+    ``iface_lookup`` is unused; ROADMAP step 10b deletes it.  ``_keys`` lets
+    a caller that wants to time key generation separately pass a
+    pre-generated pair; the result is identical to generating here.
     """
     if destination == node.id:
         raise ValueError(f"node {node.id} cannot discover a route to itself")
@@ -246,8 +247,9 @@ def source_initiate(
         raise ValueError(f"source {node.id} has no trusted neighbor to forward to")
     keys = _keys if _keys is not None else she.keygen(params, rng)
     acc = she.encrypt_value(keys.pk, node.trust_db[next_hop], node.width, params, rng)
-    zeros = adapt(node.width, keys.pk, params, rng)
-    return keys, RouteRequest(keys.pk, params, destination, next_hop, (node.id,), acc, zeros)
+    # Unsent: certbench traces its span (ROADMAP item 3); its draws keep each hop's ciphertexts.
+    adapt(node.width, keys.pk, params, rng)
+    return keys, RouteRequest(keys.pk, params, destination, next_hop, (node.id,), acc)
 
 
 def process_rr(
@@ -262,12 +264,11 @@ def process_rr(
     Decision order: deliver if this node is the destination; drop requests
     addressed elsewhere or revisiting this node; forward unchanged when the
     destination is a direct neighbor; otherwise accumulate local trust toward
-    the greedily chosen next hop and forward the updated request.  The
-    updated request carries no zeros.  ``iface_lookup`` is unused; ROADMAP
-    step 10b deletes it.
+    the greedily chosen next hop and forward the updated request.
+    ``iface_lookup`` is unused; ROADMAP step 10b deletes it.
     """
     node_id = node.id
-    pk, params, destination, addressee, path, acc, _ = rr
+    pk, params, destination, addressee, path, acc = rr
     if node_id == destination:
         return Reply(destination_reply(rr))
     if addressee != node_id:
@@ -296,7 +297,7 @@ def process_rr(
     # Valid by construction: the path gains this node, which neither is on
     # it nor is the destination.
     return ForwardUpdated(
-        RouteRequest(pk, params, destination, next_hop, path + (node_id,), outputs, ())
+        RouteRequest(pk, params, destination, next_hop, path + (node_id,), outputs)
     )
 
 
@@ -348,11 +349,9 @@ def json_fields(obj: object, fields: tuple[tuple[str, type, set[type] | None], .
     return values
 
 
-def _ciphertext_values(
-    hexes: list[str], bounds: list[int], zero_hexes: list[str]
-) -> list[int]:
-    """The values of ``hexes``, then of ``zero_hexes``: one pass over all
-    their digits, and one ``min`` over the noise bounds.
+def _ciphertext_values(hexes: list[str], bounds: list[int]) -> list[int]:
+    """The values of ``hexes``: one pass over all their digits, and one
+    ``min`` over the noise bounds.
 
     ``ValueError`` if ``hexes`` and ``bounds`` differ in length, else for
     the first bad hex string or negative bound in wire order, the one that
@@ -362,14 +361,13 @@ def _ciphertext_values(
         raise ValueError(
             f"{len(hexes)} ciphertexts under 'acc_trust' but {len(bounds)} noise bounds"
         )
-    values = bignum.hex_values(hexes + zero_hexes)
+    values = bignum.hex_values(hexes)
     if values is None or min(bounds, default=0) < 0:
         # Only a failing message pays for naming its first fault.
         for text, bound in zip(hexes, bounds):
             bignum.from_hex(text)
             if bound < 0:
                 raise ValueError(f"noise_bits cannot be negative: {bound}")
-        list(map(bignum.from_hex, zero_hexes))
     return values
 
 
@@ -392,7 +390,6 @@ _RR_FIELDS = (
     ("path", list, {int}),
     ("acc_trust", list, {str}),
     ("acc_trust_noise_bits", list, {int}),
-    ("zeros", list, {str}),
 )
 _RP_FIELDS = (
     ("path", list, {int}),
@@ -403,7 +400,7 @@ _RP_FIELDS = (
 
 def rr_to_json(rr: RouteRequest) -> dict:
     to_hex = bignum.to_hex
-    pk, params, destination, next_hop, path, acc, zeros = rr
+    pk, params, destination, next_hop, path, acc = rr
     return {
         "pk": to_hex(pk),
         "lambda": params.lam,
@@ -413,29 +410,23 @@ def rr_to_json(rr: RouteRequest) -> dict:
         "path": list(path),
         "acc_trust": [to_hex(c.value) for c in acc],
         "acc_trust_noise_bits": [c.noise_bits for c in acc],
-        # Flat: accumulator bit i's pair is zeros[2i], zeros[2i+1].
-        "zeros": [to_hex(z.value) for pair in zeros for z in pair],
     }
 
 
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
-    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), a
-    zero count other than none or twice the accumulator's, or a route that
-    :func:`_check_route` refuses.  Only the source's request carries zeros,
-    and no hop reads them.
+    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
+    route that :func:`_check_route` refuses.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
     A hex string with more digits than its bound allows is rejected before it
     is parsed, so an oversized value costs its length check and nothing more.
-    Each zero gets the fresh noise bound, since ``circuits.adapt`` encrypted
-    it fresh.  Any other field is ignored, such as an older request's
-    ``stats``, or its ``source``, which is the path's first node.
+    Any other field is ignored, such as an older request's ``stats``, its
+    ``source``, which is the path's first node, or its ``zeros``, which no
+    hop read.
     """
-    pk_hex, lam, eta, destination, next_hop, path, hexes, bounds, zero_hexes = (
-        json_fields(obj, _RR_FIELDS)
-    )
+    pk_hex, lam, eta, destination, next_hop, path, hexes, bounds = json_fields(obj, _RR_FIELDS)
     params = SecurityParams.from_lambda(lam, eta)
     pk_bits, max_bits = params.pk_bits, params.fresh_ct_bits
     if len(pk_hex) > _hex_digits(pk_bits):
@@ -443,27 +434,16 @@ def rr_from_json(obj: dict) -> RouteRequest:
     pk = bignum.from_hex(pk_hex)
     if pk % 2 == 0 or pk.bit_length() != pk_bits:
         raise ValueError(f"public key must be odd and {pk_bits} bits wide")
-    n = len(hexes)
-    if len(zero_hexes) not in (0, 2 * n):
-        raise ValueError(
-            f"{len(zero_hexes)} zeros for {n} accumulator bits, expected none or two per bit"
-        )
-    if max(map(len, chain(hexes, zero_hexes)), default=0) > _hex_digits(max_bits):
+    if max(map(len, hexes), default=0) > _hex_digits(max_bits):
         raise ValueError(f"ciphertext wider than {max_bits} bits")
-    values = _ciphertext_values(hexes, bounds, zero_hexes)
+    values = _ciphertext_values(hexes, bounds)
     # The digit count alone admits up to 3 bits more than the bound.  No
     # value is negative, so the largest is the widest.
     if max(values, default=0).bit_length() > max_bits:
         raise ValueError(f"ciphertext wider than {max_bits} bits")
     path = tuple(path)
     _check_route(destination, path)
-    pairs = ()
-    if zero_hexes:
-        zeros = _ciphertexts(values[n:], repeat(she.fresh_noise_bits(params)))
-        pairs = tuple(zip(zeros[0::2], zeros[1::2]))
-    return RouteRequest(
-        pk, params, destination, next_hop, path, _ciphertexts(values[:n], bounds), pairs
-    )
+    return RouteRequest(pk, params, destination, next_hop, path, _ciphertexts(values, bounds))
 
 
 def _hex_digits(bits: int) -> int:
@@ -482,7 +462,17 @@ def rp_to_json(rp: RouteReply) -> dict:
 
 def rp_from_json(obj: dict) -> RouteReply:
     """Decode a reply; ``ValueError`` on a missing or ill-typed field, a
-    count mismatch, a bad hex string or a negative noise bound."""
+    count mismatch, a bad hex string, a negative noise bound, or a path
+    shorter than a source and a destination or that repeats a node.
+
+    Neither the decoder nor :func:`source_finalize` checks that the path
+    starts at the source or that the accumulator has the source's width
+    (README "Limitations")."""
     path, hexes, bounds = json_fields(obj, _RP_FIELDS)
-    values = _ciphertext_values(hexes, bounds, [])
-    return RouteReply(path=tuple(path), acc_trust=_ciphertexts(values, bounds))
+    values = _ciphertext_values(hexes, bounds)
+    path = tuple(path)
+    if len(path) < 2:
+        raise ValueError(f"path needs a source and a destination: {path}")
+    if len(set(path)) != len(path):
+        raise ValueError(f"path revisits a node: {path}")
+    return RouteReply(path=path, acc_trust=_ciphertexts(values, bounds))

@@ -25,7 +25,9 @@ hop is ``m + 2r`` (:func:`encrypt_bit` with ``residue=True``), a ciphertext
 that crosses the wire is ``m + 2r + pk * Q``, and every homomorphic result is
 reduced mod ``pk``.  Since ``(x + pk * Q) mod pk = x mod pk``, a hop's own bits
 give every result the full form would.  That residue being the noise itself
-is also why ``pk`` decrypts (README "Limitations").
+is also why ``pk`` decrypts (README "Limitations").  The one exception is
+``circuits.adapt``'s zeros: the source draws them in full form and sends
+none, so that every later draw from its seed stays where it was.
 
 Parameters follow a single security knob ``lam``: the public key is
 ``lam**3`` bits, fresh noise ``r`` is ``lam`` bits, and the multiplier ``Q``

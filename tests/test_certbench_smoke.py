@@ -66,7 +66,6 @@ def test_certbench_traced_run(workload):
         # Each accumulator ciphertext goes on the wire once; what repeats is
         # only a chance collision of small fresh encryptions at low lam.
         assert metrics["protocol.duplicate_ciphertexts_per_request"]["value"] < 1
-    if workload == "plain-mesh":
-        # 4 accumulator ciphertexts per request; only the source's request
-        # adds its 8 zeros, which no plain hop reads or forwards.
-        assert metrics["protocol.ciphertexts_per_request"]["value"] < 5
+        # Each request carries exactly its 4 accumulator ciphertexts: the
+        # source's zeros, which no hop reads, stay off the wire.
+        assert metrics["protocol.ciphertexts_per_request"]["value"] == 4

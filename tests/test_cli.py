@@ -258,12 +258,31 @@ def test_package_root_binds_only_its_version_and_submodules():
     assert all(isinstance(getattr(enctrust, name), types.ModuleType) for name in public)
 
 
-def test_console_script_entry_point(tmp_path):
-    # The child imports the same enctrust as this process, also from an
-    # uninstalled checkout where only pytest's pythonpath makes it importable.
+def _child_env() -> dict:
+    """An environment in which a child imports the same enctrust as this
+    process, also from an uninstalled checkout where only pytest's
+    pythonpath makes it importable."""
     package_root = str(Path(enctrust.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # hashlib loads OpenSSL, about 3.6 MB resident, which certbench's
+    # peak_rss_mb would count in every workload; only the planner digest
+    # imports it, when called.  A child process, so that pytest's own
+    # imports do not count.
+    probe = "import sys, enctrust.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_console_script_entry_point(tmp_path):
+    env = _child_env()
     t = str(tmp_path / "t.json")
     result = subprocess.run(
         [sys.executable, "-m", "enctrust.cli", "gen", "--nodes", "5", "--degree", "2",

@@ -8,7 +8,8 @@ compact separators):
   field, so a backend or wire change that alters any of them fails here.
 - ``SAME_CIPHERTEXTS`` pins each request projected to ``PROJECTION``: the
   key, parameters, endpoints, path, accumulator with its bounds, and the
-  adapter's zeros as one flat list.  These digests were computed at the
+  adapter's zeros as one flat list, which is empty since requests stopped
+  carrying them.  These digests were computed at the
   commit before requests lost their ``stats`` and ``payload`` fields,
   reading the zeros from ``payload["zeros"]``, so they show that every
   ciphertext survived that format change.  A request no longer carries
@@ -63,6 +64,16 @@ When requests stopped writing ``source``, the path's first node, every
 request.  ``SAME_CIPHERTEXTS``, ``REPLY``, ``ROUTE`` and
 ``ROUTE_AT_IDENTITY_GATE_ETA`` hold unedited, each reading ``source`` as
 ``path[0]``: no key, route, ciphertext or bound moved.
+
+When requests stopped carrying the source's ``circuits.adapt`` zeros, which
+no hop read, every ``GOLDEN`` digest was re-pinned in both modes, since each
+request lost its ``zeros`` field.  The source still draws the zeros and
+discards them, so the rng draws what it drew before and no other ciphertext
+moved.  ``SAME_CIPHERTEXTS`` reads a missing ``zeros`` as ``[]``, so requests
+1 to 7, which carried none, hold unedited; request 0 was re-pinned after its
+digest at the commit before, with its zeros projected as ``[]``, was shown to
+equal the new one.  ``REPLY``, ``ROUTE``, ``ROUTE_AT_IDENTITY_GATE_ETA`` and
+``REPORT_DIGESTS`` hold unedited.
 """
 
 import hashlib
@@ -93,8 +104,11 @@ def _sha256(obj) -> str:
 
 
 def _field(obj: dict, key: str):
-    """``obj[key]``; ``source``, which requests no longer write, is ``path[0]``."""
-    return obj["path"][0] if key == "source" else obj[key]
+    """``obj[key]``; of the fields requests no longer write, ``source`` is
+    ``path[0]`` and ``zeros`` is ``[]``."""
+    if key == "source":
+        return obj["path"][0]
+    return obj.get(key, []) if key == "zeros" else obj[key]
 
 
 def _wire(msg, to_json, from_json):
@@ -131,24 +145,24 @@ CHAIN_NODES = 10  # 7 accumulator updates
 TRUST = 13
 GOLDEN = {
     False: [
-        "365e34dc25a456cdd97f8a7fbe4d58b1570c6e6b5ddde45098ae3f117d55fb5b",
-        "5d1caaa5ff7fcfb4c1adb8bf7c035fc7e27619be61d9b6a4c68c5fc381104057",
-        "fb9b8833329fbb860d7cf61ccc9c2e0ebee719c85b5672abc196244fba07f1d2",
-        "012b5f3c3bb9b4623412f9476aae9deecea514f0e8bd94475f21910a4d49cac3",
-        "72d7746c050a64690be7dc07e93b04069a49ceee013f60ddf0483ca2a9718920",
-        "1a5b76621f02142c0500941ec930333916550499974ff1c5ad749146dce897c5",
-        "369a9aadf1c76e14f7232eb1cc32c3687c2d8c60253794455babb6d2277a85e9",
-        "05df0c85a0ebe3dd65115b5a899b8bd8a9e3fb0b2085788228601d45c418e430",
+        "db5452402498c6d1628ebe0c4b5e71e265b0acefb3052ec09190f6d99dac918b",
+        "ff603c85ab694990a3aeb689e5bae95d0e0592078c655430aa70f62ab80fd00c",
+        "9cc2c9242eb0994f2ad46d235374da67b11589e1f8ad73ba429789857f8df3fb",
+        "9c99e976c7da3453adfeb380fb20f8e34606eb3b87b7f77f0929c214c5f8f84a",
+        "9bb012a1e96ff9630a4b90e56ebd0e7a6365751459da0db67f61cbd7f6564aac",
+        "12c23077686902a893682c4b15dfafe1367f981bfd29203006b01f1b5ab8701c",
+        "fdfce25b16a8af7236b743c858e0f72dda81945ef04df590577fa52505793579",
+        "cddeaea3ba7c2085447dafb37b2d15b61cfbcbd2974b8adce702b0010e69977c",
     ],
     True: [
-        "dbd2efea2745a09e3792216565c3f8bd76dc3edaa314075b47f2320a05727c73",
-        "3b0037c823ce74aa15bca40ff9cca8289d40f7d9137534a85b396b98ef8bc465",
-        "eaab5a77ef5a37fb68b0584ab0b8509873081b8decf28e1844456f90e8e84dd3",
-        "217ade735de05bc17dd78ff029b0b7825b564445c7bbf837fd0141dcb1577867",
-        "36ee0c3317670db0d71ab9a8eee72c0db80bd808624239733fb99d5866183d23",
-        "2167ea5a2bf3cfaab6644a074fd2248f990b85a8a9721817748477af6b67fedf",
-        "abf77e5633f5251128ea5e4b75005efb485279ee36f8af700653ed63f033997d",
-        "edc7cae9e724402660c1b4ff51012cd881a3d2db2296b2750e1fbfdf27509bf9",
+        "4f6772b2041f73ebd269f9f6540ddf03b02789454b423dbf7fbf5fefad8b656c",
+        "74647ae72fbdc9022a5b7c5bfc713ef2b017d67de621cf3678381c066a021281",
+        "1480450486ae87ce19e6497720a0db3b7624f8099eb9767a8428a9fedcb2abd4",
+        "37f2878184aa1d86c8f1d5f821f033b22de31534c1cfeac9b0ff5f88c5623c33",
+        "c5beb0491c67f8c76ceb2401ef648930fdcc26025efc699dfa08e9037af46f20",
+        "d4dd76e401fa52bdf5c204bf84c28ea8a0d5dddcc994f361d999977fe58aa0a5",
+        "19a198b56f4694fa3c5b9a7f1943d49a554a715b6ac5ef28e58bea225c988959",
+        "0aa1efbd7a12ab58e156662ae63e95f7d031e9d921a551a20a86232c746cf049",
     ],
 }
 PROJECTION = (
@@ -157,7 +171,7 @@ PROJECTION = (
 )
 SAME_CIPHERTEXTS = {
     False: [
-        "04788ebe3fa7f224d3fcaf708eea44280544468a4493d0abca6c0f5075d32d03",
+        "2124c2f57d99648cad6249f84e1ae9f588b703df3c9cf5dce6934cd01b11ecce",
         "7b2cca537651b5c5ba067697b4642a22378f94b07f4bea381eeecbefc05a172b",
         "6a0036829100bafeb807b90c6b9e3968541453499faeb5c205d146941b9505c6",
         "a67ee10341f4d45d45803936de2d77671dec01676a9fdc557fd12e7fb2caa511",
@@ -167,7 +181,7 @@ SAME_CIPHERTEXTS = {
         "84ec5d7bdab94bca7a68f2d5e198b153c8323a29492f3ee910053a480f07ece0",
     ],
     True: [
-        "9b29875fe49b5dc94fa1f4de438369cb337a5d1842185f87d8c2f3bd6e0c63ef",
+        "3e86351cdc1c8987b3249da7c9c406cb0fe19d7b96d83fd1525df64c019ba825",
         "96f908b678dcc542eab67cdc33656153b672a29632ed7159c62a3a883f1a0051",
         "0ef009267957148bcb6c3951586c1649172d4c8bc6fda6c568c33bb107c92c1f",
         "d4388fb8973fa7d366b2ecae9b3bb2e30e1752fd73ec9e6c2ca2a15acf7cf27d",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enctrust import bignum, she
-from enctrust.circuits import build_ripple_adder, he_ops, universal
+from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     Drop,
     ForwardUnchanged,
@@ -107,11 +107,6 @@ def test_source_initiate_builds_first_rr():
     assert rr.next_hop == 7
     assert rr.path == (5,)
     assert decrypt_value(keys.sk, rr.acc_trust) == 9
-    recovered = [
-        universal(*he_ops(keys.pk, params), a, b, f)
-        for a, (b, f) in zip(rr.acc_trust, rr.zeros, strict=True)
-    ]
-    assert decrypt_value(keys.sk, recovered) == 9
 
 
 def test_source_initiate_errors():
@@ -196,7 +191,6 @@ def test_update_accumulates_and_appends_path():
     # the adder's 9 XOR and 5 AND; only the 4 local bits encrypted, since a
     # plain hop draws no zero pairs for its successor
     assert ops == {"add": 9, "mul": 5, "encrypt": 4}
-    assert rr2.zeros == ()
 
 
 def test_update_star_mode_matches_plain():
@@ -232,21 +226,19 @@ def test_star_hop_counts_follow_the_adder_at_other_widths(width):
 @pytest.mark.parametrize(
     "star_mode, local", [(False, 4), (True, 4 + 14)], ids=["plain", "star"]
 )
-def test_hop_local_encryptions_are_residues_and_wire_zeros_are_full(star_mode, local):
+def test_hop_local_encryptions_are_residues_and_wire_ciphertexts_are_full(star_mode, local):
     # The local bits and star flags never leave the hop, so they are born
-    # reduced mod pk and the hop forwards no zeros; the source's zeros cross
-    # the wire whole.
+    # reduced mod pk; the source's accumulator crosses the wire whole.
     params, rng, nodes = chain_fixture([7, 5, 4, 6], eta=300)
     keys, rr = source_initiate(nodes[0], 4, params, rng)
     fresh = []
     with she.observe(lambda op, ct: fresh.append(ct.value) if op == "encrypt" else None):
         decision = process_rr(nodes[1], rr, rng, star_mode)
     assert isinstance(decision, ForwardUpdated)
-    assert decision.rr.zeros == ()
     assert len(fresh) == local
     assert all(value < keys.pk for value in fresh)
-    sent = [z.value for pair in rr.zeros for z in pair]
-    assert len(sent) == 8
+    sent = [c.value for c in rr.acc_trust]
+    assert len(sent) == 4
     assert all(keys.pk <= value for value in sent)
     assert all(value.bit_length() <= params.fresh_ct_bits for value in sent)
 
@@ -409,17 +401,14 @@ def test_same_seed_discoveries_serialize_byte_identical():
     # the source's request, one per update, the unchanged forward, the reply
     assert len(first) == 5
     assert first == wire_texts()
-    # Every field is one the receiver cannot work out: no op counts, no
-    # interface, no noise bound of a fresh zero, and no clock reading.
+    # Every field is one the receiver reads: no op counts, no interface, no
+    # zeros and no clock reading.
     request_keys = {
         "pk", "lambda", "eta", "destination", "next_hop", "path",
-        "acc_trust", "acc_trust_noise_bits", "zeros",
+        "acc_trust", "acc_trust_noise_bits",
     }
     requests = [json.loads(text) for text in first[:-1]]
     assert all(set(obj) == request_keys for obj in requests)
-    # No hop reads zero pairs, and no hop forwards any: only the source's
-    # request carries them.
-    assert [len(obj["zeros"]) for obj in requests] == [8, 0, 0, 0]
     assert set(json.loads(first[-1])) == {"path", "acc_trust", "acc_trust_noise_bits"}
 
 
@@ -445,7 +434,7 @@ def test_rr_from_json_rejects_non_hex_ciphertext(text):
         rr_from_json(obj)
 
 
-@pytest.mark.parametrize("field", ["acc_trust", "zeros"])
+@pytest.mark.parametrize("field", ["acc_trust"])
 def test_rr_from_json_rejects_oversized_ciphertext(field):
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
@@ -460,7 +449,7 @@ def test_rr_from_json_rejects_oversized_ciphertext(field):
         rr_from_json(obj)
 
 
-@pytest.mark.parametrize("field", ["pk", "acc_trust", "zeros"])
+@pytest.mark.parametrize("field", ["pk", "acc_trust"])
 def test_rr_from_json_rejects_overlong_hex_unparsed(field, monkeypatch):
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
@@ -479,61 +468,36 @@ def test_rr_from_json_rejects_overlong_hex_unparsed(field, monkeypatch):
     assert overlong not in parsed
 
 
-def test_zero_bounds_come_from_the_receiver():
-    params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
-    keys, rr = source_initiate(nodes[0], 3, params, rng)
-    clean = rr_to_json(rr)
-    fresh = she.fresh_noise_bits(params)
-    decoded = rr_from_json(clean)
-    assert len(decoded.zeros) == len(decoded.acc_trust)
-    assert all(z.noise_bits == fresh for pair in decoded.zeros for z in pair)
-    # Older requests carried the zeros' bounds; a forged one changes nothing.
-    old = {**clean, "zeros_noise_bits": [1] * len(clean["zeros"])}
-    outputs = [
-        process_rr(nodes[1], rr_from_json(obj), random.Random(2), star_mode=True).rr.acc_trust
-        for obj in (clean, old)
-    ]
-    assert outputs[0] == outputs[1]  # the same values and the same noise bounds
-
-
-@pytest.mark.parametrize("count", [7, 9, 6, 10])
-def test_rr_from_json_rejects_wrong_zero_count(count):
-    # None, or two zeros per accumulator bit: 8 for a width-4 accumulator.
-    params, rng, nodes = chain_fixture([7, 5])
-    keys, rr = source_initiate(nodes[0], 2, params, rng)
-    obj = rr_to_json(rr)
-    assert len(obj["zeros"]) == 8
-    obj["zeros"] = (obj["zeros"] * 2)[:count]
-    with pytest.raises(ValueError, match="zeros"):
-        rr_from_json(obj)
-
-
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_request_without_zeros_decodes_and_a_hop_updates_it(star_mode):
-    # No hop forwards zeros, and no hop reads the source's.
+    # No request carries zeros, since no hop reads them.  Older source
+    # requests carried 8, two per accumulator bit, with their bounds; the
+    # decoder ignores them, whatever their count or content.
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
-    obj["zeros"] = []
-    decoded = rr_from_json(obj)
-    assert decoded.zeros == ()
-    assert decoded.acc_trust == rr.acc_trust
+    assert "zeros" not in obj
+    assert rr_from_json(obj) == rr
+    old_zeros = ([format(7 + 2 * i, "x") for i in range(8)], ["1", "2", "3"], ["12g4"])
+    for zeros in old_zeros:
+        old = {**obj, "zeros": zeros, "zeros_noise_bits": [1] * len(zeros)}
+        assert rr_from_json(old) == rr
+    decoded = rr_from_json({**obj, "zeros": old_zeros[0]})
     decision = process_rr(nodes[1], decoded, rng, star_mode)
     assert isinstance(decision, ForwardUpdated)
     assert decrypt_value(keys.sk, decision.rr.acc_trust) == 7 + 5
 
 
 def test_oversized_accumulator_costs_a_star_hop_at_most_its_own_width():
-    # 64 accumulator bits with their 128 zeros decode, since the decoder does
-    # not know the hop's width.  The hop's adder refuses its 68 inputs before
-    # any gate fires.
+    # 64 accumulator bits decode, since the decoder does not know the hop's
+    # width.  The hop's adder refuses its 68 inputs before any gate fires.
     params, rng, nodes = chain_fixture([7, 5, 4], eta=300)
     keys, rr = source_initiate(nodes[0], 3, params, rng)
     obj = rr_to_json(rr)
-    for key in ("acc_trust", "acc_trust_noise_bits", "zeros"):
+    for key in ("acc_trust", "acc_trust_noise_bits"):
         obj[key] = obj[key] * 16
     decoded = rr_from_json(obj)
-    assert (len(decoded.acc_trust), len(decoded.zeros)) == (64, 64)
+    assert len(decoded.acc_trust) == 64
     ops = collections.Counter()
     with she.observe(lambda op, ct: ops.update((op,))):
         decision = process_rr(nodes[1], decoded, rng, star_mode=True)
@@ -551,7 +515,7 @@ def test_wire_cannot_switch_reduction_off(star_mode):
     decision = process_rr(nodes[1], rr_from_json(obj), rng, star_mode)
     assert isinstance(decision, ForwardUpdated)
     out = decision.rr
-    # Every evaluated ciphertext is reduced; the adapter's fresh Enc(0)s are not evaluated.
+    # Every evaluated ciphertext is reduced.
     cts = list(out.acc_trust)
     assert len(cts) == 4
     assert all(ct.value < keys.pk for ct in cts)
@@ -562,7 +526,7 @@ DELETE = object()
 # Each mutation: the path to one field of the message, and its new value.
 REQUEST_MUTATIONS = {
     "no-lambda": (["lambda"], DELETE),
-    "no-payload": (["zeros"], DELETE),
+    "no-payload": (["acc_trust"], DELETE),
     "lambda-string": (["lambda"], "3"),
     "noise-string": (["acc_trust_noise_bits", 0], "5"),
     "path-int": (["path"], 5),
@@ -572,7 +536,6 @@ REQUEST_MUTATIONS = {
     "path-bool": (["path", 0], True),
     "noise-bool": (["acc_trust_noise_bits", 0], True),
     "acc-int": (["acc_trust", 0], 5),
-    "zero-int": (["zeros", 0], 5),
 }
 REPLY_MUTATIONS = {
     "no-acc": (["acc_trust"], DELETE),
@@ -643,8 +606,8 @@ def _both(first, second):
 
 # Each malformed message: its mutation, and the exact ValueError it decodes to.
 # The source's request of ``chain_fixture([7, 5])``: lam 3, eta 200, so pk is
-# 203 bits (51 hex digits), a fresh ciphertext at most 214 bits, 4
-# accumulator bits and 8 zeros.
+# 203 bits (51 hex digits), a fresh ciphertext at most 214 bits, and 4
+# accumulator bits.
 REQUEST_ERRORS = {
     "missing-field": (lambda obj: obj.pop("eta"), "missing field 'eta'"),
     "lambda-true": (
@@ -663,10 +626,6 @@ REQUEST_ERRORS = {
         lambda obj: obj["acc_trust_noise_bits"].pop(),
         "4 ciphertexts under 'acc_trust' but 3 noise bounds",
     ),
-    "three-zeros": (
-        lambda obj: obj.update(zeros=obj["zeros"][:3]),
-        "3 zeros for 4 accumulator bits, expected none or two per bit",
-    ),
     "pk-even": (
         lambda obj: obj.update(pk=format(int(obj["pk"], 16) - 1, "x")),
         "public key must be odd and 203 bits wide",
@@ -679,12 +638,9 @@ REQUEST_ERRORS = {
     "ct-one-bit-over": (
         _set_item("acc_trust", 2, format(1 << 214, "x")), "ciphertext wider than 214 bits"
     ),
-    "zero-one-bit-over": (
-        _set_item("zeros", 7, format(1 << 214, "x")), "ciphertext wider than 214 bits"
-    ),
     "non-hex": (_set_item("acc_trust", 2, "12g4"), "invalid hex string: '12g4'"),
-    "non-ascii-digit": (_set_item("zeros", 0, "1٣"), "invalid hex string: '1٣'"),
-    "empty-hex": (_set_item("zeros", 5, ""), "invalid hex string: ''"),
+    "non-ascii-digit": (_set_item("acc_trust", 0, "1٣"), "invalid hex string: '1٣'"),
+    "empty-hex": (_set_item("acc_trust", 3, ""), "invalid hex string: ''"),
     # A bad ciphertext and a bad bound: the first in wire order is named.
     "non-hex-before-negative": (
         _both(_set_item("acc_trust", 0, "x"), _set_item("acc_trust_noise_bits", 2, -1)),
@@ -692,10 +648,6 @@ REQUEST_ERRORS = {
     ),
     "negative-before-non-hex": (
         _both(_set_item("acc_trust", 3, "x"), _set_item("acc_trust_noise_bits", 1, -1)),
-        "noise_bits cannot be negative: -1",
-    ),
-    "negative-before-bad-zero": (
-        _both(_set_item("zeros", 0, "x"), _set_item("acc_trust_noise_bits", 3, -1)),
         "noise_bits cannot be negative: -1",
     ),
     "path-empty": (_set_item("path", None, []), "path is empty"),
@@ -722,6 +674,14 @@ REPLY_ERRORS = {
     ),
     "non-hex": (_set_item("acc_trust", 3, "0x1"), "invalid hex string: '0x1'"),
     "empty-hex": (_set_item("acc_trust", 1, ""), "invalid hex string: ''"),
+    # The reply of ``chain_fixture([7, 5])`` has path (0, 2).
+    "path-empty": (_set_item("path", None, []), "path needs a source and a destination: ()"),
+    "path-one-node": (
+        _set_item("path", None, [0]), "path needs a source and a destination: (0,)"
+    ),
+    "path-revisit": (
+        _set_item("path", None, [0, 1, 1, 2]), "path revisits a node: (0, 1, 1, 2)"
+    ),
 }
 
 
@@ -743,14 +703,14 @@ def test_wire_decoders_name_the_first_fault_exactly(message, mutate, expected):
         decode(json.loads(json.dumps(obj)))
 
 
-@pytest.mark.parametrize("field", ["acc_trust", "zeros"])
+@pytest.mark.parametrize("field", ["acc_trust"])
 def test_rr_from_json_accepts_odd_length_uppercase_hex(field):
     params, rng, nodes = chain_fixture([7, 5])
     keys, rr = source_initiate(nodes[0], 2, params, rng)
     obj = rr_to_json(rr)
     obj[field][0] = "ABCDE"
     decoded = rr_from_json(obj)
-    first = decoded.acc_trust[0] if field == "acc_trust" else decoded.zeros[0][0]
+    first = decoded.acc_trust[0]
     assert first == she.Ciphertext(0xABCDE, first.noise_bits)
     assert rp_from_json(rp_to_json(destination_reply(decoded))) == destination_reply(decoded)
 

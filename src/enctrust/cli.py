@@ -157,7 +157,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         f"he_ops: {report.stats.n_he_add} adds, {report.stats.n_he_mul} muls, "
         f"max_noise_bits {report.stats.max_noise_bits}"
     )
-    print(f"wall: {' '.join(f'{k}={v:.4f}s' for k, v in report.wall.items())}")
+    print(f"cpu: {' '.join(f'{k}={v:.4f}s' for k, v in report.cpu.items())}")
     if args.out:
         _write_json(args.out, report.to_json())
         print(f"report written to {args.out}")

@@ -353,16 +353,20 @@ def _ciphertext_values(hexes: list[str], bounds: list[int]) -> list[int]:
     """The values of ``hexes``: one pass over all their digits, and one
     ``min`` over the noise bounds.
 
-    ``ValueError`` if ``hexes`` and ``bounds`` differ in length, else for
-    the first bad hex string or negative bound in wire order, the one that
-    decoding element by element would meet first.
+    ``ValueError`` if ``hexes`` and ``bounds`` differ in length or are
+    empty, since no accumulator is narrower than 1 bit
+    (:func:`she.check_width`), else for the first bad hex string or negative
+    bound in wire order, the one that decoding element by element would meet
+    first.
     """
     if len(hexes) != len(bounds):
         raise ValueError(
             f"{len(hexes)} ciphertexts under 'acc_trust' but {len(bounds)} noise bounds"
         )
+    if not hexes:
+        raise ValueError("field 'acc_trust' holds no ciphertext")
     values = bignum.hex_values(hexes)
-    if values is None or min(bounds, default=0) < 0:
+    if values is None or min(bounds) < 0:
         # Only a failing message pays for naming its first fault.
         for text, bound in zip(hexes, bounds):
             bignum.from_hex(text)
@@ -415,8 +419,8 @@ def rr_to_json(rr: RouteRequest) -> dict:
 
 def rr_from_json(obj: dict) -> RouteRequest:
     """Decode a request; ``ValueError`` on a missing or ill-typed field, a bad
-    key, a ciphertext wider than a fresh one (``params.fresh_ct_bits``), or a
-    route that :func:`_check_route` refuses.
+    key, an empty accumulator, a ciphertext wider than a fresh one
+    (``params.fresh_ct_bits``), or a route that :func:`_check_route` refuses.
 
     An honest sender writes no wider ciphertext: a fresh ``m + 2r + pk*Q`` is
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
@@ -439,7 +443,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     values = _ciphertext_values(hexes, bounds)
     # The digit count alone admits up to 3 bits more than the bound.  No
     # value is negative, so the largest is the widest.
-    if max(values, default=0).bit_length() > max_bits:
+    if max(values).bit_length() > max_bits:
         raise ValueError(f"ciphertext wider than {max_bits} bits")
     path = tuple(path)
     _check_route(destination, path)
@@ -462,8 +466,9 @@ def rp_to_json(rp: RouteReply) -> dict:
 
 def rp_from_json(obj: dict) -> RouteReply:
     """Decode a reply; ``ValueError`` on a missing or ill-typed field, a
-    count mismatch, a bad hex string, a negative noise bound, or a path
-    shorter than a source and a destination or that repeats a node.
+    count mismatch, an empty accumulator, a bad hex string, a negative noise
+    bound, or a path shorter than a source and a destination or that repeats
+    a node.
 
     Neither the decoder nor :func:`source_finalize` checks that the path
     starts at the source or that the accumulator has the source's width

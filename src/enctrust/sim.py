@@ -28,13 +28,13 @@ from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
     MIN_TRUST,
-    DiscoveryOutcome,
     Drop,
     ForwardDecision,
     ForwardUpdated,
     NodeId,
     NodeState,
     Reply,
+    RouteReply,
     RouteRequest,
     json_fields,
     make_node,
@@ -519,6 +519,10 @@ class EvalStats:
 
 @dataclass(frozen=True)
 class RunReport:
+    """One discovery's outcome beside the oracle's, its parameters, its
+    operation tallies, and the CPU seconds of keygen, discovery and finalize
+    in ``cpu``: the only field that differs between two runs of one seed."""
+
     status: str
     path: tuple[NodeId, ...]
     decrypted_trust: int | None
@@ -532,7 +536,7 @@ class RunReport:
     seed: int
     stats: EvalStats
     per_node_stats: tuple[tuple[NodeId, EvalStats], ...]
-    wall: dict[str, float]
+    cpu: dict[str, float]
     drop_reason: str | None = None
     dropped_at: NodeId | None = None
 
@@ -551,7 +555,7 @@ class RunReport:
             "seed": self.seed,
             "stats": self.stats.to_json(),
             "per_node_stats": [[node, st.to_json()] for node, st in self.per_node_stats],
-            "wall": dict(self.wall),
+            "cpu": dict(self.cpu),
             "drop_reason": self.drop_reason,
             "dropped_at": self.dropped_at,
         }
@@ -570,8 +574,10 @@ def hops(
     call: a ``ForwardUnchanged`` hands the same request to its next hop, a
     ``ForwardUpdated`` hands on the updated one, and the walk stops after a
     ``Reply`` or a ``Drop``.  ``carry``, when given, takes each request to
-    the hop that receives it, such as across a wire.  A walk of more than
-    ``2 * len(nodes) + 2`` calls raises ``RuntimeError``.
+    the hop that receives it, such as across a wire: it is called once per
+    ``process_rr`` call, and the request it returns is the one yielded.  The
+    reply is left to the caller, as :func:`run_discovery` carries it.  A
+    walk of more than ``2 * len(nodes) + 2`` calls raises ``RuntimeError``.
     """
     current = rr.next_hop
     for _ in range(2 * len(nodes) + 2):
@@ -589,48 +595,44 @@ def hops(
     raise RuntimeError("discovery did not terminate; decision loop detected")
 
 
-def _plan(
+def run_discovery(
     t: Topology,
     source: NodeId,
     destination: NodeId,
-    width: int,
-    lam: int,
-    star_mode: bool,
-    eta: int | None = None,
-) -> tuple[_Walk, OracleResult, int]:
-    """The greedy walk, the oracle's answer, and the eta a discovery runs at.
-
-    A given ``eta`` is kept as is; otherwise :func:`required_eta` sizes it
-    for the walk's updates, and ``NoiseBudgetError`` refuses a walk too deep
-    to certify.
-    """
-    walk = _greedy_walk(t, source, destination)
-    oracle = _oracle_result(t, walk, width)
-    if eta is None:
-        eta = required_eta(width, walk.updates, lam, star_mode)
-        if eta == TOO_DEEP:
-            raise NoiseBudgetError(
-                f"cannot certify {walk.updates} updates at width {width}, "
-                f"lam {lam}, star_mode={star_mode}"
-            )
-    return walk, oracle, eta
-
-
-def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConfig) -> RunReport:
+    cfg: RunConfig,
+    carry: Callable[[RouteRequest | RouteReply], RouteRequest | RouteReply] | None = None,
+) -> RunReport:
     """Drive one encrypted discovery through :func:`hops` and compare it against the oracle.
 
-    One ``she.observe`` sink around the walk tallies each hop's operations
-    into that hop's ``EvalStats``; a caller that observes around this call
-    also receives every ciphertext of the run.
+    An ``eta`` of ``None`` in ``cfg`` is sized by :func:`required_eta` for
+    the oracle walk's updates, and ``NoiseBudgetError`` refuses a walk too
+    deep to certify.  ``carry``, when given, takes each request to the hop
+    that receives it, as in :func:`hops`, and then the reply back to the
+    source, such as across a wire.  One ``she.observe`` sink around the walk
+    tallies each hop's operations into that hop's ``EvalStats``; a caller
+    that observes around this call also receives every ciphertext of the
+    run.  ``RunReport.cpu`` holds the CPU seconds (``time.process_time``)
+    of keygen, of the discovery (the source's request through the carried
+    reply) and of finalize.  ``RuntimeError`` if the reply comes back
+    ``trusted`` with a total other than the oracle's.
     """
     _check_endpoints(t, source, destination)
-    walk, oracle, eta = _plan(t, source, destination, cfg.width, cfg.lam, cfg.star_mode, cfg.eta)
+    walk = _greedy_walk(t, source, destination)
+    oracle = _oracle_result(t, walk, cfg.width)
+    eta = cfg.eta
+    if eta is None:
+        eta = required_eta(cfg.width, walk.updates, cfg.lam, cfg.star_mode)
+        if eta == TOO_DEEP:
+            raise NoiseBudgetError(
+                f"cannot certify {walk.updates} updates at width {cfg.width}, "
+                f"lam {cfg.lam}, star_mode={cfg.star_mode}"
+            )
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
     rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     keys = she.keygen(params, rng)
-    t1 = time.perf_counter()
+    t1 = time.process_time()
     keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
     per_node: list[tuple[NodeId, EvalStats]] = []
     hop = EvalStats()
@@ -638,14 +640,20 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
     # resets it.  Only an updating hop's events are kept: the hop that ends
     # the walk in a Drop may have tallied some before it failed.
     with she.observe(hop.record):
-        for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode):
+        for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode, carry):
             if isinstance(decision, ForwardUpdated):
                 kept = EvalStats(hop.n_he_add, hop.n_he_mul, hop.max_noise_bits)
                 per_node.append((node_id, kept))
                 hop.n_he_add = hop.n_he_mul = hop.max_noise_bits = 0
-    t2 = time.perf_counter()
+    if isinstance(decision, Drop):
+        outcome = None
+        t2 = t3 = time.process_time()
+    else:
+        reply = decision.reply if carry is None else carry(decision.reply)
+        t2 = time.process_time()
+        outcome = source_finalize(keys, reply, params)
+        t3 = time.process_time()
 
-    wall = {"keygen": t1 - t0, "discovery": t2 - t1, "finalize": 0.0}
     common = dict(
         oracle_path=oracle.path,
         oracle_trust=oracle.trust,
@@ -656,21 +664,18 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
         seed=cfg.seed,
         per_node_stats=tuple(per_node),
         stats=functools.reduce(EvalStats.merge, (s for _, s in per_node), EvalStats()),
+        cpu={"keygen": t1 - t0, "discovery": t2 - t1, "finalize": t3 - t2},
     )
-    if isinstance(decision, Drop):
+    if outcome is None:
         return RunReport(
             status=DROPPED,
             path=rr.path,
             decrypted_trust=None,
             trusted=False,
-            wall=wall,
             drop_reason=decision.reason,
             dropped_at=node_id,
             **common,
         )
-    t3 = time.perf_counter()
-    outcome = source_finalize(keys, decision.reply, params)
-    wall["finalize"] = time.perf_counter() - t3
     if outcome.trusted and outcome.trust != oracle.trust:
         raise RuntimeError(
             f"certified run disagrees with oracle: {outcome.trust} != {oracle.trust}"
@@ -680,7 +685,6 @@ def run_discovery(t: Topology, source: NodeId, destination: NodeId, cfg: RunConf
         path=outcome.path,
         decrypted_trust=outcome.trust,
         trusted=outcome.trusted,
-        wall=wall,
         **common,
     )
 
@@ -749,10 +753,10 @@ def benchmark(
         rows.append(
             BenchRow(
                 lam=lam,
-                seconds=plain.wall["discovery"],
+                seconds=plain.cpu["discovery"],
                 he_adds=plain.stats.n_he_add,
                 he_muls=plain.stats.n_he_mul,
-                star_seconds=star.wall["discovery"],
+                star_seconds=star.cpu["discovery"],
                 star_he_adds=star.stats.n_he_add,
                 star_he_muls=star.stats.n_he_mul,
                 path_len=len(plain.path),
@@ -791,45 +795,16 @@ def benchmark_to_json(
 _WIRE_SEPARATORS = (",", ":")
 
 
-def _wire_discovery(
-    t: Topology,
-    destination: NodeId,
-    params: SecurityParams,
-    star_mode: bool,
-    seed: int,
-) -> tuple[DiscoveryOutcome | None, int, tuple[float, float, float]]:
-    """One discovery from node 0 whose every message crosses the JSON wire.
-
-    Returns the source's outcome (``None`` if the walk dropped), the bytes of
-    every request a hop received and of the reply, and the CPU seconds of
-    keygen, hops (the source's request through the decoded reply) and
-    finalize.
-    """
-    nodes = build_nodes(t)
-    rng = random.Random(seed)
-    wire = 0
-
-    def carry(rr: RouteRequest) -> RouteRequest:
-        nonlocal wire
-        data = json.dumps(rr_to_json(rr), separators=_WIRE_SEPARATORS).encode()
-        wire += len(data)
-        return rr_from_json(json.loads(data))
-
-    t0 = time.process_time()
-    keys = she.keygen(params, rng)
-    t1 = time.process_time()
-    keys, rr = source_initiate(nodes[0], destination, params, rng, _keys=keys)
-    for _, _, decision in hops(nodes, rr, rng, star_mode, carry):
-        pass
-    if not isinstance(decision, Reply):
-        return None, wire, (t1 - t0, time.process_time() - t1, 0.0)
-    data = json.dumps(rp_to_json(decision.reply), separators=_WIRE_SEPARATORS).encode()
-    wire += len(data)
-    reply = rp_from_json(json.loads(data))
-    t2 = time.process_time()
-    outcome = source_finalize(keys, reply, params)
-    t3 = time.process_time()
-    return outcome, wire, (t1 - t0, t2 - t1, t3 - t2)
+def _over_json(msg: RouteRequest | RouteReply, sizes: list[int]) -> RouteRequest | RouteReply:
+    """``msg`` after a trip across the JSON wire: encoded to compact JSON, its
+    byte count appended to ``sizes``, and decoded again."""
+    if isinstance(msg, RouteRequest):
+        encode, decode = rr_to_json, rr_from_json
+    else:
+        encode, decode = rp_to_json, rp_from_json
+    data = json.dumps(encode(msg), separators=_WIRE_SEPARATORS).encode()
+    sizes.append(len(data))
+    return decode(json.loads(data))
 
 
 CERTIFIED_LAMBDAS = (3, 5, 8, 10)
@@ -850,7 +825,7 @@ def _reference_task() -> None:
 
 def _reference_s() -> float:
     """Median CPU seconds of 5 runs of :func:`_reference_task`, on the clock and
-    with the collector setting that :func:`_wire_discovery` times a row with."""
+    with the collector setting that :func:`run_discovery` times a row with."""
     times = []
     for _ in range(5):
         t0 = time.process_time()
@@ -867,8 +842,12 @@ def certified_benchmark(
     Each update count runs on ``chain_topology(updates + 3, seed)`` from node
     0 to the last node, at each of :data:`CERTIFIED_LAMBDAS` and
     ``DEFAULT_WIDTH``, at the planner's eta, ``repeats`` times from the same
-    seed.  Times are medians over the repeats of CPU seconds, split into
-    keygen, hops and finalize, with the total's min and max as its spread.
+    seed.  Each repetition is one :func:`run_discovery` whose ``carry`` puts
+    every request a hop receives, and the reply, across the JSON wire; a
+    row's ``wire_bytes`` counts them.  Times are medians over the repeats of
+    the report's CPU seconds, split into keygen, hops (its discovery window,
+    which includes the run's ``she.observe`` tally) and finalize, with the
+    total's min and max as its spread.
     Just before each row, :func:`_reference_task`, which calls nothing in
     the package, runs 5 times on the same clock, and the row records its
     median as ``reference_s``, so two runs compare row by row as
@@ -885,32 +864,39 @@ def certified_benchmark(
         for star_mode in (False, True):
             mode = "star" if star_mode else "plain"
             for lam in CERTIFIED_LAMBDAS:
-                walk, oracle, eta = _plan(t, 0, destination, DEFAULT_WIDTH, lam, star_mode)
-                params = SecurityParams.from_lambda(lam, eta=eta)
+                cfg = RunConfig(lam=lam, seed=seed, star_mode=star_mode)
+                row = f"the {mode} row at lam {lam}, {n_updates} updates"
                 reference_s = _reference_s()
                 phases = []
                 for _ in range(repeats):
-                    outcome, wire, times = _wire_discovery(t, destination, params, star_mode, seed)
-                    answer = None if outcome is None else (outcome.path, outcome.trust)
-                    correct = answer == (oracle.path, oracle.trust)
-                    if not (correct and outcome.trusted):
-                        raise RuntimeError(
-                            f"refusing the {mode} row at lam {lam}, {walk.updates} updates: "
-                            f"got {outcome}, oracle path {oracle.path} trust {oracle.trust}"
+                    sizes: list[int] = []
+                    try:
+                        report = run_discovery(
+                            t, 0, destination, cfg, lambda msg: _over_json(msg, sizes)
                         )
-                    phases.append(times)
+                    except RuntimeError as exc:
+                        raise RuntimeError(f"refusing {row}: {exc}") from exc
+                    answer = (report.status, report.path, report.decrypted_trust)
+                    correct = answer == (DELIVERED, report.oracle_path, report.oracle_trust)
+                    if not (correct and report.trusted):
+                        raise RuntimeError(
+                            f"refusing {row}: got {answer}, trusted {report.trusted}; "
+                            f"oracle path {report.oracle_path} trust {report.oracle_trust}"
+                        )
+                    cpu = report.cpu
+                    phases.append((cpu["keygen"], cpu["discovery"], cpu["finalize"]))
                 totals = [sum(p) for p in phases]
                 keygen_s, hops_s, finalize_s = (statistics.median(col) for col in zip(*phases))
                 rows.append(
                     {
                         "mode": mode,
                         "lambda": lam,
-                        "updates": walk.updates,
-                        "eta": eta,
-                        "trusted": outcome.trusted,
+                        "updates": n_updates,
+                        "eta": report.eta,
+                        "trusted": report.trusted,
                         "correct": correct,
-                        "trust": outcome.trust,
-                        "wire_bytes": wire,
+                        "trust": report.decrypted_trust,
+                        "wire_bytes": sum(sizes),
                         "repeats": repeats,
                         "total_s": statistics.median(totals),
                         "total_min_s": min(totals),

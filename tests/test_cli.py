@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -155,6 +157,10 @@ def test_certified_bench_quick_tier(tmp_path, capsys):
         assert r["total_s"] == pytest.approx(r["keygen_s"] + r["hops_s"] + r["finalize_s"])
         assert r["reference_s"] > 0
     assert [r["eta"] for r in rows if r["lambda"] == 3] == [81, 14623]
+    # Every request a hop receives, and the reply, as compact JSON.
+    assert [r["wire_bytes"] for r in rows] == [
+        1809, 2032, 3428, 5131, 60895, 83541, 117887, 140171
+    ]
 
 
 def test_certified_bench_refuses_a_wrong_row(tmp_path, capsys, monkeypatch):
@@ -170,6 +176,41 @@ def test_certified_bench_refuses_a_wrong_row(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--certified", "--quick", "--out", str(out_path)]) == 1
     assert "error: refusing the plain row at lam 3, 7 updates" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_transcripts() -> list[tuple[list[str], list[str]]]:
+    """Each ``$ enctrust ...`` command of README's ``sh`` blocks, as
+    arguments, with the lines shown after it up to a blank line."""
+    transcripts = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for chunk in block.split("\n\n"):
+            command, *shown = chunk.strip().splitlines() or [""]
+            if command.startswith("$ enctrust "):
+                transcripts.append((shlex.split(command)[2:], shown))
+    return transcripts
+
+
+def _untimed(line: str) -> str:
+    """The line with the figures of the route report's ``cpu:`` line blanked."""
+    return re.sub(r"=\d+\.\d+s", "=?s", line) if line.startswith("cpu: ") else line
+
+
+def test_readme_cli_transcripts_replay(tmp_path, capsys, monkeypatch):
+    # README's examples, run in an empty directory: every printed line must
+    # match, except the CPU seconds of the route's timing line.
+    monkeypatch.chdir(tmp_path)
+    replayed = []
+    for argv, shown in _readme_transcripts():
+        if argv[0] not in ("gen", "oracle", "route", "plan"):
+            continue  # the bench tables print times
+        assert main(argv) == 0, argv
+        printed = capsys.readouterr().out.splitlines()
+        assert list(map(_untimed, printed)) == list(map(_untimed, shown)), argv
+        replayed.append(argv[0])
+    assert replayed == ["gen", "oracle", "route", "plan", "plan"]
 
 
 def test_plan_outputs_eta(capsys):

@@ -626,6 +626,11 @@ REQUEST_ERRORS = {
         lambda obj: obj["acc_trust_noise_bits"].pop(),
         "4 ciphertexts under 'acc_trust' but 3 noise bounds",
     ),
+    # No width is below 1, so an empty accumulator is malformed in any run.
+    "acc-empty": (
+        lambda obj: obj.update(acc_trust=[], acc_trust_noise_bits=[]),
+        "field 'acc_trust' holds no ciphertext",
+    ),
     "pk-even": (
         lambda obj: obj.update(pk=format(int(obj["pk"], 16) - 1, "x")),
         "public key must be odd and 203 bits wide",
@@ -671,6 +676,11 @@ REPLY_ERRORS = {
     "bound-count": (
         lambda obj: obj["acc_trust_noise_bits"].append(5),
         "4 ciphertexts under 'acc_trust' but 5 noise bounds",
+    ),
+    # Decoded, it would decrypt to trust 0 and come back trusted.
+    "acc-empty": (
+        lambda obj: obj.update(acc_trust=[], acc_trust_noise_bits=[]),
+        "field 'acc_trust' holds no ciphertext",
     ),
     "non-hex": (_set_item("acc_trust", 3, "0x1"), "invalid hex string: '0x1'"),
     "empty-hex": (_set_item("acc_trust", 1, ""), "invalid hex string: ''"),

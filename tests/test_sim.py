@@ -18,8 +18,12 @@ from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
     ForwardUpdated,
+    RouteReply,
+    RouteRequest,
     make_node,
     process_rr,
+    rp_from_json,
+    rp_to_json,
     rr_from_json,
     rr_to_json,
     source_initiate,
@@ -554,7 +558,7 @@ def test_build_nodes_is_a_mapping_over_every_node():
         assert node == make_node(i, t.neighbors(i), trust, 4)
 
 
-# ``RunReport.to_json()`` without ``wall`` for the route below, hashed as in
+# ``RunReport.to_json()`` without ``cpu`` for the route below, hashed as in
 # ``test_report_digest_pinned``; computed when ``build_nodes`` built every node.
 LARGE_ROUTE_DIGEST = "30221f9fc36705bd8807f6e8f7a370c04ad1885f5485e09a5061d2dc9af58b51"
 
@@ -582,7 +586,7 @@ def test_run_discovery_builds_only_the_nodes_it_visits(monkeypatch):
     assert sorted(built) == sorted({0, *handled})
     assert len(built) <= len(handled) + 1
     obj = report.to_json()
-    del obj["wall"]
+    del obj["cpu"]
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_ROUTE_DIGEST
 
@@ -603,7 +607,7 @@ def test_discoveries_on_one_topology_share_its_nodes(monkeypatch):
     assert built == []
     assert (first.status, first.trusted) == (DELIVERED, True)
     one, two = first.to_json(), second.to_json()
-    del one["wall"], two["wall"]
+    del one["cpu"], two["cpu"]
     assert one == two
 
 
@@ -843,7 +847,7 @@ def test_run_discovery_chain_auto_eta():
     for _, stats in report.per_node_stats:
         assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
     assert (report.stats.n_he_add, report.stats.n_he_mul) == (18, 10)
-    assert set(report.wall) == {"keygen", "discovery", "finalize"}
+    assert set(report.cpu) == {"keygen", "discovery", "finalize"}
 
 
 def test_run_discovery_star_mode_matches_oracle():
@@ -994,7 +998,7 @@ def test_stats_record_merge_and_json():
     assert (b.n_he_add, b.n_he_mul, b.max_noise_bits) == (2, 5, 12)
 
 
-# ``RunReport.to_json()`` without ``wall`` for a 7-update chain, hashed with
+# ``RunReport.to_json()`` without ``cpu`` for a 7-update chain, hashed with
 # sorted keys and compact separators.  Computed at the commit where each hop
 # returned its own EvalStats from the evaluators, so they show that the
 # per-hop tally the simulator now takes from ``she.observe`` is the same.
@@ -1010,7 +1014,7 @@ def test_report_digest_pinned(star_mode):
     report = run_discovery(chain_topology(10, seed=7), 0, 9, cfg)
     assert len(report.per_node_stats) == 7
     obj = report.to_json()
-    del obj["wall"]
+    del obj["cpu"]
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[star_mode]
 
@@ -1042,15 +1046,54 @@ def test_run_discovery_two_nodes_direct():
     assert report.eta == required_eta(4, 0, 3)
 
 
-def test_run_discovery_deterministic_apart_from_wall():
+def test_run_discovery_deterministic_apart_from_cpu():
     t = generate_topology(9, 3, seed=11)
     def strip(report):
         obj = report.to_json()
-        obj.pop("wall")
+        obj.pop("cpu")
         return obj
     a = run_discovery(t, 0, 8, RunConfig(lam=3, seed=13))
     b = run_discovery(t, 0, 8, RunConfig(lam=3, seed=13))
     assert strip(a) == strip(b)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_run_discovery_carries_each_request_a_hop_receives_and_the_reply(star_mode, monkeypatch):
+    # The carry is called once per process_rr call and then once with the
+    # reply; what it returns is what that hop, and then the source, is
+    # handed.  A carry that round-trips the codec changes nothing else.
+    t = chain_topology(10, seed=21)
+    cfg = RunConfig(lam=3, seed=21, star_mode=star_mode)
+    uncarried = run_discovery(t, 0, 9, cfg).to_json()
+    received, finalized, carried = [], [], []
+    real_process_rr, real_finalize = sim.process_rr, sim.source_finalize
+
+    def recording_process_rr(node, rr, *args):
+        received.append(rr)
+        return real_process_rr(node, rr, *args)
+
+    def recording_finalize(keys, rp, params):
+        finalized.append(rp)
+        return real_finalize(keys, rp, params)
+
+    def carry(msg):
+        if isinstance(msg, RouteRequest):
+            out = rr_from_json(rr_to_json(msg))
+        else:
+            out = rp_from_json(rp_to_json(msg))
+        carried.append((msg, out))
+        return out
+
+    monkeypatch.setattr(sim, "process_rr", recording_process_rr)
+    monkeypatch.setattr(sim, "source_finalize", recording_finalize)
+    carried_run = run_discovery(t, 0, 9, cfg, carry).to_json()
+    assert len(received) == 9 and len(carried) == 10
+    assert all(isinstance(msg, RouteRequest) for msg, _ in carried[:-1])
+    assert all(got is out for got, (_, out) in zip(received, carried))
+    assert isinstance(carried[-1][0], RouteReply)
+    assert len(finalized) == 1 and finalized[0] is carried[-1][1]
+    del uncarried["cpu"], carried_run["cpu"]
+    assert carried_run == uncarried
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])

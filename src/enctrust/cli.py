@@ -24,10 +24,7 @@ from .sim import (
     RunConfig,
     benchmark,
     benchmark_to_json,
-    certified_benchmark,
-    certified_benchmark_to_json,
     format_benchmark_table,
-    format_certified_table,
     generate_topology,
     load_topology,
     plaintext_oracle,
@@ -165,26 +162,20 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.certified or args.quick:
-        return _cmd_certified_bench(args)
-    rows = benchmark(seed=args.seed)
-    print("uncertified: the paper's eta = lambda**2 reproduction, not certified performance")
+    certified = args.certified or args.quick
+    if args.quick:
+        rows = benchmark(seed=args.seed, updates=(7,), repeats=1)
+    elif certified:
+        rows = benchmark(seed=args.seed)
+    else:
+        rows = benchmark(seed=args.seed, updates=(17,), repeats=1, certified=False)
+    if certified:
+        print("certified: planner-sized eta, JSON wire, every row trusted and correct")
+    else:
+        print("uncertified: the paper's eta = lambda**2 reproduction, not certified performance")
     print(format_benchmark_table(rows))
     if args.out:
-        _write_json(args.out, benchmark_to_json(rows, seed=args.seed))
-        print(f"benchmark written to {args.out}")
-    return 0
-
-
-def _cmd_certified_bench(args: argparse.Namespace) -> int:
-    if args.quick:
-        rows = certified_benchmark(seed=args.seed, updates=(7,), repeats=1)
-    else:
-        rows = certified_benchmark(seed=args.seed)
-    print("certified: planner-sized eta, JSON wire, every row trusted and correct")
-    print(format_certified_table(rows))
-    if args.out:
-        _write_json(args.out, certified_benchmark_to_json(rows, seed=args.seed))
+        _write_json(args.out, benchmark_to_json(rows, seed=args.seed, certified=certified))
         print(f"benchmark written to {args.out}")
     return 0
 

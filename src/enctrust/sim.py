@@ -1,4 +1,4 @@
-"""Topologies, plaintext oracle, noise planner, run orchestration, benchmarks.
+"""Topologies, plaintext oracle, noise planner, run orchestration, the bench.
 
 The simulator drives the encrypted protocol over generated network topologies
 and checks it against :func:`plaintext_oracle`, an independent plaintext
@@ -22,7 +22,7 @@ import time
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from . import bignum, she
+from . import she
 from .circuits import BOUND_OPS, build_ripple_adder, update
 from .protocol import (
     DEFAULT_WIDTH,
@@ -689,109 +689,6 @@ def run_discovery(
     )
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    lam: int
-    seconds: float
-    he_adds: int
-    he_muls: int
-    star_seconds: float
-    star_he_adds: int
-    star_he_muls: int
-    path_len: int
-    updates: int
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "seconds": self.seconds,
-            "he_adds": self.he_adds,
-            "he_muls": self.he_muls,
-            "star_seconds": self.star_seconds,
-            "star_he_adds": self.star_he_adds,
-            "star_he_muls": self.star_he_muls,
-            "path_len": self.path_len,
-            "updates": self.updates,
-        }
-
-
-def measure_mul_throughput(bits: int = 243, iters: int = 2000, seed: int = 0) -> float:
-    """Multiplications per second on random operands of the given width."""
-    rng = random.Random(seed)
-    pairs = [
-        (bignum.random_bits(bits, rng), bignum.random_bits(bits, rng)) for _ in range(64)
-    ]
-    t0 = time.perf_counter()
-    for i in range(iters):
-        a, b = pairs[i % len(pairs)]
-        bignum.mul(a, b)
-    return iters / (time.perf_counter() - t0)
-
-
-def benchmark(
-    seed: int = 0, lambdas: Sequence[int] = (3, 5, 8, 10), n: int = 20, width: int = DEFAULT_WIDTH
-) -> list[BenchRow]:
-    """Time full discoveries over an n-node chain at each security level.
-
-    Per row: the plain-gate pipeline and the universal-gate pipeline, both at
-    the standard parameter schedule (eta = lam**2).  Reported seconds cover
-    source initiation through route reply; key generation and the final
-    decryption are excluded.
-    """
-    t = chain_topology(n, seed)
-    rows = []
-    for lam in lambdas:
-        plain = run_discovery(
-            t, 0, n - 1, RunConfig(lam=lam, eta=lam * lam, width=width, seed=seed)
-        )
-        star = run_discovery(
-            t,
-            0,
-            n - 1,
-            RunConfig(lam=lam, eta=lam * lam, width=width, seed=seed, star_mode=True),
-        )
-        rows.append(
-            BenchRow(
-                lam=lam,
-                seconds=plain.cpu["discovery"],
-                he_adds=plain.stats.n_he_add,
-                he_muls=plain.stats.n_he_mul,
-                star_seconds=star.cpu["discovery"],
-                star_he_adds=star.stats.n_he_add,
-                star_he_muls=star.stats.n_he_mul,
-                path_len=len(plain.path),
-                updates=len(plain.per_node_stats),
-            )
-        )
-    return rows
-
-
-def format_benchmark_table(rows: Sequence[BenchRow]) -> str:
-    header = f"{'lambda':>6} {'seconds':>9} {'adds':>6} {'muls':>6} {'star_s':>9} {'star_adds':>9} {'star_muls':>9} {'path':>5} {'updates':>7}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r.lam:>6} {r.seconds:>9.4f} {r.he_adds:>6} {r.he_muls:>6} "
-            f"{r.star_seconds:>9.4f} {r.star_he_adds:>9} {r.star_he_muls:>9} "
-            f"{r.path_len:>5} {r.updates:>7}"
-        )
-    return "\n".join(lines)
-
-
-def benchmark_to_json(
-    rows: Sequence[BenchRow], seed: int, n: int = 20, width: int = DEFAULT_WIDTH
-) -> dict:
-    """The rows as JSON, marked ``"certified": false``: they run at ``eta = lam**2``."""
-    return {
-        "certified": False,
-        "seed": seed,
-        "n": n,
-        "width": width,
-        "rows": [r.to_json() for r in rows],
-        "mul_243bit_per_sec": measure_mul_throughput(),
-    }
-
-
 _WIRE_SEPARATORS = (",", ":")
 
 
@@ -810,50 +707,29 @@ def _over_json(msg: RouteRequest | RouteReply, sizes: list[int]) -> RouteRequest
 CERTIFIED_LAMBDAS = (3, 5, 8, 10)
 
 
-def _reference_task() -> None:
-    """Fixed work of a discovery's kinds that calls nothing in the package:
-    big-integer multiply and reduce, small tuples, hex and a JSON round trip."""
-    rng = random.Random(0)
-    modulus = rng.getrandbits(2048) | 1
-    x = rng.getrandbits(2048)
-    items = []
-    for i in range(200):
-        x = x * (x | i) % modulus
-        items.append((i, format(x, "x")))
-    json.loads(json.dumps(items))
-
-
-def _reference_s() -> float:
-    """Median CPU seconds of 5 runs of :func:`_reference_task`, on the clock and
-    with the collector setting that :func:`run_discovery` times a row with."""
-    times = []
-    for _ in range(5):
-        t0 = time.process_time()
-        _reference_task()
-        times.append(time.process_time() - t0)
-    return statistics.median(times)
-
-
-def certified_benchmark(
-    seed: int = 0, updates: Sequence[int] = (7, 17), repeats: int = 7
+def benchmark(
+    seed: int = 0,
+    updates: Sequence[int] = (7, 17),
+    repeats: int = 7,
+    certified: bool = True,
 ) -> list[dict]:
-    """Certified wire discoveries in plain and star mode, one row per mode, lam and update count.
+    """Wire discoveries in plain and star mode, one row per update count, mode and lam.
 
     Each update count runs on ``chain_topology(updates + 3, seed)`` from node
     0 to the last node, at each of :data:`CERTIFIED_LAMBDAS` and
-    ``DEFAULT_WIDTH``, at the planner's eta, ``repeats`` times from the same
-    seed.  Each repetition is one :func:`run_discovery` whose ``carry`` puts
-    every request a hop receives, and the reply, across the JSON wire; a
-    row's ``wire_bytes`` counts them.  Times are medians over the repeats of
-    the report's CPU seconds, split into keygen, hops (its discovery window,
-    which includes the run's ``she.observe`` tally) and finalize, with the
+    ``DEFAULT_WIDTH``, ``repeats`` times from the same seed.  Each repetition
+    is one :func:`run_discovery` whose ``carry`` puts every request a hop
+    receives, and the reply, across the JSON wire; a row's ``wire_bytes``
+    counts them, and its ``adds`` and ``muls`` are the run's homomorphic
+    operations.  Times are medians over the repeats of the report's CPU
+    seconds, split into keygen, hops (its discovery window, which includes
+    the codec and the run's ``she.observe`` tally) and finalize, with the
     total's min and max as its spread.
-    Just before each row, :func:`_reference_task`, which calls nothing in
-    the package, runs 5 times on the same clock, and the row records its
-    median as ``reference_s``, so two runs compare row by row as
-    ``total_s / reference_s``.
-    ``RuntimeError`` instead of a row whose discovery is not delivered,
-    ``trusted`` and equal to the oracle's path and trust.
+
+    ``certified`` runs at the planner's eta and raises ``RuntimeError``
+    instead of a row whose discovery is not delivered, ``trusted`` and equal
+    to the oracle's path and trust.  Otherwise every row runs at the paper's
+    ``eta = lam**2`` and records its ``trusted`` and ``correct`` as they came.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -864,9 +740,9 @@ def certified_benchmark(
         for star_mode in (False, True):
             mode = "star" if star_mode else "plain"
             for lam in CERTIFIED_LAMBDAS:
-                cfg = RunConfig(lam=lam, seed=seed, star_mode=star_mode)
+                eta = None if certified else lam * lam
+                cfg = RunConfig(lam=lam, eta=eta, seed=seed, star_mode=star_mode)
                 row = f"the {mode} row at lam {lam}, {n_updates} updates"
-                reference_s = _reference_s()
                 phases = []
                 for _ in range(repeats):
                     sizes: list[int] = []
@@ -878,7 +754,7 @@ def certified_benchmark(
                         raise RuntimeError(f"refusing {row}: {exc}") from exc
                     answer = (report.status, report.path, report.decrypted_trust)
                     correct = answer == (DELIVERED, report.oracle_path, report.oracle_trust)
-                    if not (correct and report.trusted):
+                    if certified and not (correct and report.trusted):
                         raise RuntimeError(
                             f"refusing {row}: got {answer}, trusted {report.trusted}; "
                             f"oracle path {report.oracle_path} trust {report.oracle_trust}"
@@ -897,6 +773,8 @@ def certified_benchmark(
                         "correct": correct,
                         "trust": report.decrypted_trust,
                         "wire_bytes": sum(sizes),
+                        "adds": report.stats.n_he_add,
+                        "muls": report.stats.n_he_mul,
                         "repeats": repeats,
                         "total_s": statistics.median(totals),
                         "total_min_s": min(totals),
@@ -904,17 +782,16 @@ def certified_benchmark(
                         "keygen_s": keygen_s,
                         "hops_s": hops_s,
                         "finalize_s": finalize_s,
-                        "reference_s": reference_s,
                     }
                 )
     return rows
 
 
-def certified_benchmark_to_json(rows: Sequence[dict], seed: int) -> dict:
-    """The rows as JSON, marked ``"certified": true``, with the planner digest,
+def benchmark_to_json(rows: Sequence[dict], seed: int, certified: bool) -> dict:
+    """The rows as JSON, marked with ``certified``, with the planner digest,
     the Python version and the host."""
     return {
-        "certified": True,
+        "certified": certified,
         "planner": planner_digest(),
         "seed": seed,
         "width": DEFAULT_WIDTH,
@@ -928,16 +805,16 @@ def certified_benchmark_to_json(rows: Sequence[dict], seed: int) -> dict:
     }
 
 
-def format_certified_table(rows: Sequence[dict]) -> str:
+def format_benchmark_table(rows: Sequence[dict]) -> str:
     header = (
-        f"{'mode':>5} {'lambda':>6} {'updates':>7} {'eta':>8} {'wire':>9} {'total_s':>9} "
-        f"{'keygen_s':>9} {'hops_s':>9} {'final_s':>9}"
+        f"{'mode':>5} {'lambda':>6} {'updates':>7} {'eta':>8} {'wire':>9} {'adds':>5} "
+        f"{'muls':>5} {'total_s':>9} {'keygen_s':>9} {'hops_s':>9} {'final_s':>9}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r['mode']:>5} {r['lambda']:>6} {r['updates']:>7} {r['eta']:>8} "
-            f"{r['wire_bytes']:>9} {r['total_s']:>9.5f} {r['keygen_s']:>9.5f} "
-            f"{r['hops_s']:>9.5f} {r['finalize_s']:>9.5f}"
+            f"{r['wire_bytes']:>9} {r['adds']:>5} {r['muls']:>5} {r['total_s']:>9.5f} "
+            f"{r['keygen_s']:>9.5f} {r['hops_s']:>9.5f} {r['finalize_s']:>9.5f}"
         )
     return "\n".join(lines)

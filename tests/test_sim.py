@@ -45,7 +45,6 @@ from enctrust.sim import (
     generate_topology,
     hops,
     load_topology,
-    measure_mul_throughput,
     plaintext_oracle,
     required_eta,
     run_discovery,
@@ -653,17 +652,16 @@ def test_every_width_entry_point_refuses_a_width_that_is_not_a_positive_int():
                 call(width)
 
 
-def test_certified_rows_and_their_reference_share_one_clock(monkeypatch):
-    # total_s / reference_s cancels only the drift that both sides see, so
-    # both are CPU seconds; the wall clock also counts time descheduled.
+def test_certified_rows_read_one_clock(monkeypatch):
+    # A row's times are CPU seconds, as the run report records them; the
+    # wall clock also counts time descheduled.
     def wall_clock():
         raise AssertionError("the certified bench read the wall clock")
 
     monkeypatch.setattr(time, "perf_counter", wall_clock)
-    rows = sim.certified_benchmark(updates=(1,), repeats=2)
+    rows = sim.benchmark(updates=(1,), repeats=2)
     assert len(rows) == 8
     for r in rows:
-        assert r["reference_s"] > 0
         assert r["total_min_s"] <= r["total_s"] <= r["total_max_s"]
 
 
@@ -1227,22 +1225,19 @@ def test_oracle_agreement_on_random_topologies():
 
 
 def test_benchmark_counts_and_shape():
-    rows = benchmark(seed=0, lambdas=(3,), n=20)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.lam == 3
-    assert (row.he_adds, row.he_muls) == (153, 85)
-    assert (row.star_he_adds, row.star_he_muls) == (17 * 42, 17 * 28)
-    assert row.updates == 17
-    assert row.path_len == 19
-    assert row.seconds > 0
-    assert row.star_seconds > 0
+    rows = benchmark(seed=0, updates=(17,), repeats=1, certified=False)
+    assert [(r["mode"], r["lambda"]) for r in rows] == [
+        (mode, lam) for mode in ("plain", "star") for lam in (3, 5, 8, 10)
+    ]
+    for r in rows:
+        assert (r["updates"], r["eta"]) == (17, r["lambda"] ** 2)
+        if r["mode"] == "plain":
+            assert (r["adds"], r["muls"]) == (153, 85)
+        else:
+            assert (r["adds"], r["muls"]) == (17 * 42, 17 * 28)
+        assert r["hops_s"] > 0
     table = format_benchmark_table(rows)
-    assert "lambda" in table and "star_muls" in table
-    obj = benchmark_to_json(rows, seed=0)
-    assert obj["rows"][0]["he_adds"] == 153
-    assert obj["mul_243bit_per_sec"] > 0
-
-
-def test_measure_mul_throughput_positive():
-    assert measure_mul_throughput(bits=64, iters=200) > 0
+    assert "lambda" in table and "muls" in table
+    obj = benchmark_to_json(rows, seed=0, certified=False)
+    assert obj["certified"] is False
+    assert obj["rows"][0]["adds"] == 153

@@ -13,7 +13,7 @@ topology but not which gates are which.
 
 :func:`update` is a hop's whole accumulator update, written once: the plain
 adder, or in star mode the compile and the compiled adder.  A hop runs it on
-ciphertexts and the planner that sizes a key runs it on noise bounds, so the
+ciphertexts and :func:`required_eta`, the planner, on noise bounds, so the
 planner's bound is the hops' tracked bound by construction.
 
 Every evaluator's inputs are the accumulator block, then the hop's local
@@ -285,20 +285,52 @@ def update(
     circuit: Circuit,
     acc: Sequence,
     local: Sequence,
-    star_mode: bool,
-    encrypt: Callable,
+    encrypt: Callable | None,
     xor: Callable,
     and_: Callable,
 ) -> tuple:
     """One hop's accumulator update: the adder's outputs on ``(*acc, *local)``.
 
-    Star mode compiles the adder with flags from ``encrypt`` and evaluates
-    it; plain mode draws nothing.  Hops run it on ciphertexts, the planner
-    on bounds.
+    An ``encrypt`` of ``None`` is plain mode, which draws nothing; star mode
+    compiles the adder with flags from ``encrypt`` and evaluates it.  Hops
+    run it on ciphertexts, :func:`required_eta` on bounds.
     """
-    if not star_mode:
+    if encrypt is None:
         return eval_plain(circuit, (*acc, *local), xor, and_)
     return bind_and_continue(acc, local, compile_to_star(circuit, encrypt), xor, and_)
+
+
+# Planner result when the requested depth cannot be certified: some noise
+# bound would exceed NOISE_CEILING bits.
+TOO_DEEP = "TOO_DEEP"
+NOISE_CEILING = 1 << 24
+
+
+# Memoized: the answer depends on the four arguments alone, so a long-lived
+# source plans each route shape once.  ``typed`` keeps ``4.0`` and ``True``
+# from answering for ``4`` and ``1``; a call that raises caches nothing.
+@functools.lru_cache(maxsize=None, typed=True)
+def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> int | str:
+    """Secret-key bits needed to certify ``hops`` accumulator updates.
+
+    Runs each hop's :func:`update` on noise bounds: every local bit and gate
+    flag is fresh, and the accumulator starts fresh from the source.  Every
+    adder gate feeds an output and no gate's bound is below its operands',
+    so the outputs' largest bound covers every wire.  Returns
+    :data:`TOO_DEEP` once any bound exceeds :data:`NOISE_CEILING`.
+    """
+    she.check_width(width)
+    if hops < 0:
+        raise ValueError(f"hops cannot be negative, got {hops}")
+    fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
+    circuit = build_ripple_adder(width)
+    local = (fresh,) * width
+    acc = local
+    for _ in range(hops):
+        acc = update(circuit, acc, local, (lambda bit: fresh) if star_mode else None, *BOUND_OPS)
+        if max(acc) > NOISE_CEILING:
+            return TOO_DEEP
+    return max(acc) + 2
 
 
 # The serialized star circuit: wire indices and encrypted flags, no gate kinds.

@@ -17,10 +17,10 @@ import json
 import sys
 from typing import Sequence
 
+from .circuits import TOO_DEEP, required_eta
 from .protocol import DEFAULT_WIDTH
 from .sim import (
     DELIVERED,
-    TOO_DEEP,
     RunConfig,
     benchmark,
     benchmark_to_json,
@@ -28,7 +28,6 @@ from .sim import (
     generate_topology,
     load_topology,
     plaintext_oracle,
-    required_eta,
     run_discovery,
     save_topology,
 )

@@ -84,6 +84,9 @@ MAX_TRUST = 10
 TRUST_SCORES = frozenset(range(MIN_TRUST, MAX_TRUST + 1))
 DEFAULT_WIDTH = 4
 
+# A hop's drop reason, by node id, when it has no untried neighbor left.
+NO_NEXT_HOP = "no trusted next hop: node {} exhausted its neighbors"
+
 
 def trust_scores_ok(scores: Collection) -> bool:
     """Whether every score is exactly an ``int`` in TRUST_SCORES, in two whole passes.
@@ -95,8 +98,9 @@ def trust_scores_ok(scores: Collection) -> bool:
 
 @dataclass(frozen=True)
 class NodeState:
-    """One node's local view: neighbors, directed trust scores, and its adder width.
+    """One node's local view: its trust score for each neighbor, and its adder width.
 
+    Its neighbors are the keys of ``trust_db``, and it is not its own.
     Frozen, because :func:`sim.build_nodes` hands the same node to every
     discovery on a topology at one width.  ``trust_db`` is a plain ``dict``
     that nothing may mutate either.  Two fields follow from the others and
@@ -108,18 +112,14 @@ class NodeState:
     """
 
     id: NodeId
-    neighbors: frozenset[NodeId]
     trust_db: dict[NodeId, int]
     width: int
     circuit: Circuit = field(init=False, compare=False, repr=False)
     ranking: tuple[NodeId, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.id in self.neighbors:
+        if self.id in self.trust_db:
             raise ValueError(f"node {self.id} cannot neighbor itself")
-        unknown = set(self.trust_db) - set(self.neighbors)
-        if unknown:
-            raise ValueError(f"node {self.id} has trust for non-neighbors {sorted(unknown)}")
         if not trust_scores_ok(self.trust_db.values()):
             nb, t = next((nb, t) for nb, t in self.trust_db.items() if not trust_scores_ok((t,)))
             raise ValueError(
@@ -138,11 +138,9 @@ class NodeState:
 
 
 def make_node(
-    node_id: NodeId, neighbors, trust_db: dict[NodeId, int], width: int = DEFAULT_WIDTH
+    node_id: NodeId, trust_db: dict[NodeId, int], width: int = DEFAULT_WIDTH
 ) -> NodeState:
-    return NodeState(
-        id=node_id, neighbors=frozenset(neighbors), trust_db=dict(trust_db), width=width
-    )
+    return NodeState(id=node_id, trust_db=dict(trust_db), width=width)
 
 
 class RouteRequest(NamedTuple):
@@ -242,7 +240,7 @@ def source_initiate(
     """
     if destination == node.id:
         raise ValueError(f"node {node.id} cannot discover a route to itself")
-    next_hop = select_next_hop(node, {node.id})
+    next_hop = select_next_hop(node, ())
     if next_hop is None:
         raise ValueError(f"source {node.id} has no trusted neighbor to forward to")
     keys = _keys if _keys is not None else she.keygen(params, rng)
@@ -275,12 +273,12 @@ def process_rr(
         return Drop(f"misdelivered: request addressed to {addressee}, not {node_id}")
     if node_id in path:
         return Drop(f"revisit: node {node_id} already on path {list(path)}")
-    if destination in node.neighbors:
+    if destination in node.trust_db:
         return ForwardUnchanged(next_hop=destination)
-    # The node is not its own neighbor, so the path alone is what it excludes.
+    # The node never ranks itself, so the path alone is what it excludes.
     next_hop = select_next_hop(node, path)
     if next_hop is None:
-        return Drop(f"no trusted next hop: node {node_id} exhausted its neighbors")
+        return Drop(NO_NEXT_HOP.format(node_id))
     try:
         # The local bits and star flags never leave this hop: born as residues.
         local = she.encrypt_value(
@@ -291,7 +289,7 @@ def process_rr(
             if star_mode
             else None
         )
-        outputs = update(node.circuit, acc, local, star_mode, encrypt, *he_ops(pk, params))
+        outputs = update(node.circuit, acc, local, encrypt, *he_ops(pk, params))
     except ValueError as exc:
         return Drop(f"malformed payload: {exc}")
     # Valid by construction: the path gains this node, which neither is on
@@ -426,9 +424,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     under ``2**(pk_bits + q_bits + 1)`` and an evaluated one is below ``pk``.
     A hex string with more digits than its bound allows is rejected before it
     is parsed, so an oversized value costs its length check and nothing more.
-    Any other field is ignored, such as an older request's ``stats``, its
-    ``source``, which is the path's first node, or its ``zeros``, which no
-    hop read.
+    Any other field is ignored.
     """
     pk_hex, lam, eta, destination, next_hop, path, hexes, bounds = json_fields(obj, _RR_FIELDS)
     params = SecurityParams.from_lambda(lam, eta)

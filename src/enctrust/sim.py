@@ -1,11 +1,11 @@
-"""Topologies, plaintext oracle, noise planner, run orchestration, the bench.
+"""Topologies, plaintext oracle, run orchestration, the bench.
 
 The simulator drives the encrypted protocol over generated network topologies
 and checks it against :func:`plaintext_oracle`, an independent plaintext
-implementation of the same greedy walk.  :func:`required_eta` sizes the
-secret key for a target hop count by running the hop's own accumulator
-update, :func:`circuits.update`, on noise bounds, so automatically sized runs
-are certified correct by construction as long as the tracked bounds hold.
+implementation of the same greedy walk.  :func:`circuits.required_eta`
+sizes the secret key for the oracle path's updates by running the hops' own
+accumulator update on noise bounds, so automatically sized runs are
+certified correct by construction as long as the tracked bounds hold.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import she
-from .circuits import BOUND_OPS, build_ripple_adder, update
+from .circuits import TOO_DEEP, required_eta
 from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
     MIN_TRUST,
+    NO_NEXT_HOP,
     Drop,
     ForwardDecision,
     ForwardUpdated,
@@ -51,11 +52,6 @@ from .she import SecurityParams, check_width
 
 DELIVERED = "DELIVERED"
 DROPPED = "DROPPED"
-
-# Planner result when the requested depth cannot be certified: some noise
-# bound would exceed NOISE_CEILING bits.
-TOO_DEEP = "TOO_DEEP"
-NOISE_CEILING = 1 << 24
 
 
 class NoiseBudgetError(ValueError):
@@ -328,7 +324,7 @@ class _Nodes(Mapping[NodeId, NodeState]):
             pass
         nbs = self._t._adjacency[node]
         trust = self._t.trust
-        built = make_node(node, nbs, {nb: trust[(node, nb)] for nb in nbs}, self._width)
+        built = make_node(node, {nb: trust[(node, nb)] for nb in nbs}, self._width)
         self._built[node] = built
         return built
 
@@ -364,14 +360,6 @@ class OracleResult:
     status: str
 
 
-@dataclass(frozen=True)
-class _Walk:
-    status: str
-    path: tuple[NodeId, ...]
-    arcs: tuple[tuple[NodeId, NodeId], ...]
-    updates: int
-
-
 def _argmax_neighbor(t: Topology, node: NodeId, exclude: set[NodeId]) -> NodeId | None:
     best = None
     best_trust = MIN_TRUST - 1
@@ -383,32 +371,31 @@ def _argmax_neighbor(t: Topology, node: NodeId, exclude: set[NodeId]) -> NodeId 
     return best
 
 
-def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> _Walk:
+def _greedy_walk(t: Topology, source: NodeId, destination: NodeId) -> tuple:
     # Plaintext mirror of the protocol's decision rules, written directly
     # against the topology: greedy argmax next hop, path-based exclusion,
     # forward-unchanged shortcut when the destination is a neighbor.
+    # Returns the status, the path and the arcs whose trust is summed.
     first = _argmax_neighbor(t, source, {source})
     if first is None:
-        return _Walk(DROPPED, (source,), (), 0)
+        return DROPPED, (source,), ()
     path = [source]
     # The protocol's exclusion set: the path so far plus the current node.
     visited = {source}
     arcs = [(source, first)]
-    updates = 0
     current = first
     while True:
         if current == destination:
-            return _Walk(DELIVERED, tuple(path) + (destination,), tuple(arcs), updates)
+            return DELIVERED, tuple(path) + (destination,), tuple(arcs)
         if destination in t.neighbors(current):
             # forwarded unchanged: current joins neither the path nor the sum
-            return _Walk(DELIVERED, tuple(path) + (destination,), tuple(arcs), updates)
+            return DELIVERED, tuple(path) + (destination,), tuple(arcs)
         visited.add(current)
         nxt = _argmax_neighbor(t, current, visited)
         if nxt is None:
-            return _Walk(DROPPED, tuple(path), tuple(arcs), updates)
+            return DROPPED, tuple(path), tuple(arcs)
         arcs.append((current, nxt))
         path.append(current)
-        updates += 1
         current = nxt
 
 
@@ -416,50 +403,16 @@ def plaintext_oracle(
     t: Topology, source: NodeId, destination: NodeId, width: int = DEFAULT_WIDTH
 ) -> OracleResult:
     """Reference answer: the greedy path and its trust sum mod 2**width."""
-    _check_endpoints(t, source, destination)
-    return _oracle_result(t, _greedy_walk(t, source, destination), width)
-
-
-def _oracle_result(t: Topology, walk: _Walk, width: int) -> OracleResult:
-    check_width(width)
-    total = sum(t.trust[arc] for arc in walk.arcs) % (1 << width)
-    return OracleResult(path=walk.path, trust=total, status=walk.status)
-
-
-def _check_endpoints(t: Topology, source: NodeId, destination: NodeId) -> None:
     if source not in t._adjacency:
         raise ValueError(f"source {source} not in topology")
     if destination not in t._adjacency:
         raise ValueError(f"destination {destination} not in topology")
     if source == destination:
         raise ValueError(f"source and destination coincide: {source}")
-
-
-# Memoized: the answer depends on the four arguments alone, so a long-lived
-# source plans each route shape once.  ``typed`` keeps ``4.0`` and ``True``
-# from answering for ``4`` and ``1``; a call that raises caches nothing.
-@functools.lru_cache(maxsize=None, typed=True)
-def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> int | str:
-    """Secret-key bits needed to certify ``hops`` accumulator updates.
-
-    Runs each hop's :func:`circuits.update` on noise bounds: every local bit
-    and gate flag is fresh, and the accumulator starts fresh from the
-    source.  Every adder gate feeds an output and no gate's bound is below
-    its operands', so the outputs' largest bound covers every wire.  Returns
-    :data:`TOO_DEEP` once any bound exceeds :data:`NOISE_CEILING`.
-    """
+    status, path, arcs = _greedy_walk(t, source, destination)
     check_width(width)
-    if hops < 0:
-        raise ValueError(f"hops cannot be negative, got {hops}")
-    fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
-    circuit = build_ripple_adder(width)
-    local = (fresh,) * width
-    acc = local
-    for _ in range(hops):
-        acc = update(circuit, acc, local, star_mode, lambda bit: fresh, *BOUND_OPS)
-        if max(acc) > NOISE_CEILING:
-            return TOO_DEEP
-    return max(acc) + 2
+    total = sum(t.trust[arc] for arc in arcs) % (1 << width)
+    return OracleResult(path=path, trust=total, status=status)
 
 
 def planner_digest() -> str:
@@ -502,13 +455,6 @@ class EvalStats:
         if ct.noise_bits > self.max_noise_bits:
             self.max_noise_bits = ct.noise_bits
 
-    def merge(self, other: "EvalStats") -> "EvalStats":
-        return EvalStats(
-            n_he_add=self.n_he_add + other.n_he_add,
-            n_he_mul=self.n_he_mul + other.n_he_mul,
-            max_noise_bits=max(self.max_noise_bits, other.max_noise_bits),
-        )
-
     def to_json(self) -> dict:
         return {
             "adds": self.n_he_add,
@@ -519,9 +465,10 @@ class EvalStats:
 
 @dataclass(frozen=True)
 class RunReport:
-    """One discovery's outcome beside the oracle's, its parameters, its
-    operation tallies, and the CPU seconds of keygen, discovery and finalize
-    in ``cpu``: the only field that differs between two runs of one seed."""
+    """One discovery's outcome beside the oracle's, its parameters, each
+    updating hop's operation tally, and the CPU seconds of keygen, discovery
+    and finalize in ``cpu``: the only field that differs between two runs of
+    one seed."""
 
     status: str
     path: tuple[NodeId, ...]
@@ -534,11 +481,20 @@ class RunReport:
     width: int
     star_mode: bool
     seed: int
-    stats: EvalStats
     per_node_stats: tuple[tuple[NodeId, EvalStats], ...]
     cpu: dict[str, float]
     drop_reason: str | None = None
     dropped_at: NodeId | None = None
+
+    @property
+    def stats(self) -> EvalStats:
+        """The run's totals: the hops' operations summed, their largest noise bound."""
+        hops = [st for _, st in self.per_node_stats]
+        return EvalStats(
+            n_he_add=sum(st.n_he_add for st in hops),
+            n_he_mul=sum(st.n_he_mul for st in hops),
+            max_noise_bits=max((st.max_noise_bits for st in hops), default=0),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -605,30 +561,52 @@ def run_discovery(
     """Drive one encrypted discovery through :func:`hops` and compare it against the oracle.
 
     An ``eta`` of ``None`` in ``cfg`` is sized by :func:`required_eta` for
-    the oracle walk's updates, and ``NoiseBudgetError`` refuses a walk too
-    deep to certify.  ``carry``, when given, takes each request to the hop
-    that receives it, as in :func:`hops`, and then the reply back to the
-    source, such as across a wire.  One ``she.observe`` sink around the walk
-    tallies each hop's operations into that hop's ``EvalStats``; a caller
-    that observes around this call also receives every ciphertext of the
-    run.  ``RunReport.cpu`` holds the CPU seconds (``time.process_time``)
-    of keygen, of the discovery (the source's request through the carried
-    reply) and of finalize.  ``RuntimeError`` if the reply comes back
-    ``trusted`` with a total other than the oracle's.
+    the oracle path's updates, and ``NoiseBudgetError`` refuses a walk too
+    deep to certify.  A source with no neighbor is reported ``DROPPED`` at
+    the source, with no key drawn.  ``carry``, when given, takes each
+    request to the hop that receives it, as in :func:`hops`, and then the
+    reply back to the source, such as across a wire.  One ``she.observe``
+    sink around the walk tallies each hop's operations into that hop's
+    ``EvalStats``; a caller that observes around this call also receives
+    every ciphertext of the run.  ``RunReport.cpu`` holds the CPU seconds
+    (``time.process_time``) of keygen, of the discovery (the source's
+    request through the carried reply) and of finalize.  ``RuntimeError`` if
+    the reply comes back ``trusted`` with a total other than the oracle's.
     """
-    _check_endpoints(t, source, destination)
-    walk = _greedy_walk(t, source, destination)
-    oracle = _oracle_result(t, walk, cfg.width)
+    oracle = plaintext_oracle(t, source, destination, cfg.width)
     eta = cfg.eta
     if eta is None:
-        eta = required_eta(cfg.width, walk.updates, cfg.lam, cfg.star_mode)
+        # The path holds the source, each updating node and, if delivered, the destination.
+        updates = len(oracle.path) - (2 if oracle.status == DELIVERED else 1)
+        eta = required_eta(cfg.width, updates, cfg.lam, cfg.star_mode)
         if eta == TOO_DEEP:
             raise NoiseBudgetError(
-                f"cannot certify {walk.updates} updates at width {cfg.width}, "
+                f"cannot certify {updates} updates at width {cfg.width}, "
                 f"lam {cfg.lam}, star_mode={cfg.star_mode}"
             )
+    common = dict(
+        oracle_path=oracle.path,
+        oracle_trust=oracle.trust,
+        eta=eta,
+        lam=cfg.lam,
+        width=cfg.width,
+        star_mode=cfg.star_mode,
+        seed=cfg.seed,
+    )
     params = SecurityParams.from_lambda(cfg.lam, eta=eta)
     nodes = build_nodes(t, cfg.width)
+    if not nodes[source].trust_db:
+        return RunReport(
+            status=DROPPED,
+            path=(source,),
+            decrypted_trust=None,
+            trusted=False,
+            per_node_stats=(),
+            cpu={"keygen": 0.0, "discovery": 0.0, "finalize": 0.0},
+            drop_reason=NO_NEXT_HOP.format(source),
+            dropped_at=source,
+            **common,
+        )
     rng = random.Random(cfg.seed)
     t0 = time.process_time()
     keys = she.keygen(params, rng)
@@ -654,16 +632,8 @@ def run_discovery(
         outcome = source_finalize(keys, reply, params)
         t3 = time.process_time()
 
-    common = dict(
-        oracle_path=oracle.path,
-        oracle_trust=oracle.trust,
-        eta=eta,
-        lam=cfg.lam,
-        width=cfg.width,
-        star_mode=cfg.star_mode,
-        seed=cfg.seed,
+    common.update(
         per_node_stats=tuple(per_node),
-        stats=functools.reduce(EvalStats.merge, (s for _, s in per_node), EvalStats()),
         cpu={"keygen": t1 - t0, "discovery": t2 - t1, "finalize": t3 - t2},
     )
     if outcome is None:

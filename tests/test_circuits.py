@@ -270,10 +270,9 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
     for hops, value in enumerate((4, 2, 7), start=1):
         local = encrypt_value(keys.pk, value, width, params, rng)
         encrypt = encryptor(keys, params, rng)
-        acc = update(circuit, acc, local, star_mode, encrypt, *he_ops(keys.pk, params))
-        bounds = update(
-            circuit, bounds, (fresh,) * width, star_mode, lambda bit: fresh, *BOUND_OPS
-        )
+        acc = update(circuit, acc, local, encrypt if star_mode else None, *he_ops(keys.pk, params))
+        bound_flag = (lambda bit: fresh) if star_mode else None
+        bounds = update(circuit, bounds, (fresh,) * width, bound_flag, *BOUND_OPS)
         total = (total + value) % 16
         assert tuple(ct.noise_bits for ct in acc) == bounds
         assert max(bounds) + 2 == required_eta(width, hops, lam, star_mode)
@@ -305,7 +304,8 @@ def test_update_is_the_same_from_residue_local_bits_and_flags(
         residue_flags.append(encrypt_bit(keys.pk, bit, params, rng, residue=True))
         return residue_flags[-1]
 
-    residue_outputs = update(build_ripple_adder(4), acc, residue_local, star_mode, encrypt, *ops)
+    residue_encrypt = encrypt if star_mode else None
+    residue_outputs = update(build_ripple_adder(4), acc, residue_local, residue_encrypt, *ops)
     residue_fresh = residue_local + tuple(residue_flags)
 
     def full(ct):
@@ -320,7 +320,8 @@ def test_update_is_the_same_from_residue_local_bits_and_flags(
         assert decrypt_bit(keys.sk, ct) == bit
         return ct
 
-    full_outputs = update(build_ripple_adder(4), acc, full_fresh[:4], star_mode, replay, *ops)
+    full_replay = replay if star_mode else None
+    full_outputs = update(build_ripple_adder(4), acc, full_fresh[:4], full_replay, *ops)
     assert next(flags, None) is None
     assert all(ct.value < keys.pk < full_ct.value for ct, full_ct in zip(residue_fresh, full_fresh))
     assert all(she.noise_ok(ct, params) for ct in full_fresh)
@@ -417,7 +418,7 @@ def test_star_update_rerandomizes_every_accumulator_bit(seed, local_value):
     for hop in range(2):
         local = encrypt_value(keys.pk, local_value, 4, params, rng, residue=True)
         encrypt = functools.partial(encrypt_bit, keys.pk, params=params, rng=rng, residue=True)
-        outs = update(build_ripple_adder(4), acc, local, True, encrypt, *he_ops(keys.pk, params))
+        outs = update(build_ripple_adder(4), acc, local, encrypt, *he_ops(keys.pk, params))
         assert not {ct.value for ct in outs} & {ct.value for ct in acc}, (seed, hop)
         assert decrypt_value(keys.sk, outs) == (11 + (hop + 1) * local_value) % 16
         acc = outs

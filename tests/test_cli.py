@@ -119,6 +119,19 @@ def test_route_dropped_exit_code(tmp_path, capsys):
     assert "drop_reason: no trusted next hop" in out
 
 
+def test_oracle_and_route_drop_at_an_isolated_source(tmp_path, capsys):
+    # Node 2 has no edge: both walks end at the source, and both exit 2.
+    path = tmp_path / "isolated.json"
+    path.write_text('{"nodes":[0,1,2],"edges":[[0,1]],"trust":[[0,1,5],[1,0,3]]}')
+    for command in (["oracle"], ["route", "--lambda", "3"]):
+        code = main([*command, "--topology", str(path), "--source", "2", "--dest", "0"])
+        out = capsys.readouterr().out
+        assert code == 2, command
+        assert "status: DROPPED" in out
+        assert "path: 2\n" in out
+    assert "dropped_at: 2\ndrop_reason: no trusted next hop: node 2 exhausted" in out
+
+
 def test_bench_table(tmp_path, capsys):
     out_path = str(tmp_path / "bench.json")
     code = main(["bench", "--seed", "0", "--out", out_path])

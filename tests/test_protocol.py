@@ -44,37 +44,35 @@ def params_for(eta=200, lam=3):
 
 def test_node_validation():
     with pytest.raises(ValueError):
-        make_node(1, {1, 2}, {2: 5})
+        make_node(1, {1: 5, 2: 5})
     with pytest.raises(ValueError):
-        make_node(1, {2}, {3: 5})
+        make_node(1, {2: 11})
     with pytest.raises(ValueError):
-        make_node(1, {2}, {2: 11})
-    with pytest.raises(ValueError):
-        make_node(1, {2}, {2: 0})
+        make_node(1, {2: 0})
     with pytest.raises(ValueError, match="trust for 2 is 5.5"):
-        make_node(1, {2}, {2: 5.5})
+        make_node(1, {2: 5.5})
     # Equal to a score but not an int: 5.0 == 5 and True == 1.
     with pytest.raises(ValueError, match="trust for 2 is 5.0"):
-        make_node(1, {2}, {2: 5.0})
+        make_node(1, {2: 5.0})
     with pytest.raises(ValueError, match="trust for 2 is True"):
-        make_node(1, {2}, {2: True})
+        make_node(1, {2: True})
     # A width is exactly an int of at least 1: 4.0 == 4 and True == 1.
     for width, shown in ((0, "0"), (4.0, "4.0"), ("4", "'4'"), (True, "True")):
         with pytest.raises(ValueError, match=f"^width must be a positive int, got {shown}$"):
-            make_node(1, {2}, {2: 5}, width=width)
+            make_node(1, {2: 5}, width=width)
     # A score the node's adder cannot hold is refused, not left to a hop's Drop.
     with pytest.raises(ValueError, match="node 1 trust for 3 is 8, which does not fit in 3 bits"):
-        make_node(1, {2, 3}, {2: 5, 3: 8}, width=3)
-    assert make_node(1, {2}, {2: 7}, width=3).trust_db == {2: 7}
+        make_node(1, {2: 5, 3: 8}, width=3)
+    assert make_node(1, {2: 7}, width=3).trust_db == {2: 7}
     # The adder follows from the width, so no node holds one of another width.
-    node = make_node(1, {2}, {2: 5}, width=3)
+    node = make_node(1, {2: 5}, width=3)
     assert node.circuit is build_ripple_adder(3)
     with pytest.raises(AttributeError):
         node.circuit = build_ripple_adder(4)
 
 
 def test_select_next_hop_argmax_and_ties():
-    node = make_node(0, {1, 2, 3, 4}, {1: 7, 2: 9, 3: 9, 4: 2})
+    node = make_node(0, {1: 7, 2: 9, 3: 9, 4: 2})
     assert select_next_hop(node, set()) == 2  # tie between 2 and 3 at 9
     assert select_next_hop(node, {2}) == 3
     assert select_next_hop(node, {2, 3}) == 1
@@ -85,7 +83,7 @@ def test_select_next_hop_argmax_and_ties():
 @given(st.dictionaries(st.integers(1, 30), st.integers(1, 10), min_size=1, max_size=12),
        st.sets(st.integers(1, 30), max_size=10))
 def test_select_next_hop_matches_brute_force(trust_db, exclude):
-    node = make_node(0, set(trust_db), trust_db)
+    node = make_node(0, trust_db)
     got = select_next_hop(node, exclude)
     candidates = [(t, nb) for nb, t in trust_db.items() if nb not in exclude]
     if not candidates:
@@ -100,7 +98,7 @@ def test_select_next_hop_matches_brute_force(trust_db, exclude):
 def test_source_initiate_builds_first_rr():
     params = params_for()
     rng = random.Random(0)
-    node = make_node(5, {6, 7}, {6: 3, 7: 9})
+    node = make_node(5, {6: 3, 7: 9})
     keys, rr = source_initiate(node, 99, params, rng)
     assert rr.source == 5
     assert rr.destination == 99
@@ -112,10 +110,10 @@ def test_source_initiate_builds_first_rr():
 def test_source_initiate_errors():
     params = params_for()
     rng = random.Random(0)
-    node = make_node(5, {6}, {6: 3})
+    node = make_node(5, {6: 3})
     with pytest.raises(ValueError):
         source_initiate(node, 5, params, rng)
-    lonely = make_node(5, set(), {})
+    lonely = make_node(5, {})
     with pytest.raises(ValueError):
         source_initiate(lonely, 9, params, rng)
 
@@ -127,15 +125,12 @@ def chain_fixture(trusts, width=4, eta=200, seed=1):
     n = len(trusts) + 1
     nodes = {}
     for i in range(n):
-        nb = set()
         tdb = {}
         if i > 0:
-            nb.add(i - 1)
             tdb[i - 1] = 1
         if i < n - 1:
-            nb.add(i + 1)
             tdb[i + 1] = trusts[i]
-        nodes[i] = make_node(i, nb, tdb, width)
+        nodes[i] = make_node(i, tdb, width)
     return params, rng, nodes
 
 
@@ -260,8 +255,8 @@ def test_no_candidates_drops():
     rng = random.Random(3)
     # node 1's only neighbors are the source and an already-visited node
     nodes = {
-        0: make_node(0, {1}, {1: 5}),
-        1: make_node(1, {0, 2}, {0: 4, 2: 6}),
+        0: make_node(0, {1: 5}),
+        1: make_node(1, {0: 4, 2: 6}),
     }
     keys, rr = source_initiate(nodes[0], 9, params, rng)
     rr = rr._replace(path=(0, 2), next_hop=1)

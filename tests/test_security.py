@@ -2,16 +2,19 @@
 
 README "Limitations" and "Evaluation modes" state them: the public key
 decrypts every ciphertext, and an evaluated one reads with no key at all;
-a star hop encrypts the gate flags of its own, public adder, so the flags
-hide nothing from it; and each attack in
-``ATTACKS`` gets the source to report a wrong total as ``trusted``.
+after the first updating hop no reduction mod ``pk`` changes a value; a
+star hop encrypts the gate flags of its own, public adder, so the flags
+hide nothing from it; each attack in ``ATTACKS`` gets the source to report
+a wrong total as ``trusted``; and a reply's path is trusted whatever node
+it names first.
 """
 
+import collections
 import random
 
 import pytest
 
-from enctrust import circuits, sim
+from enctrust import bignum, circuits, sim
 from enctrust.circuits import AND, build_ripple_adder
 from enctrust.protocol import (
     ForwardUpdated,
@@ -92,13 +95,14 @@ def test_star_hop_encrypts_the_flags_of_its_own_public_adder(monkeypatch, made_k
         assert flags == [int(gate.kind == AND) for gate in circuit.gates]
 
 
-def _reply_edit(edit):
-    """A tamper that rewrites the destination's reply: ``edit`` maps its ciphertexts."""
+def _reply_edit(edit, edit_path=lambda path: path):
+    """A tamper that rewrites the destination's reply: ``edit`` maps its
+    ciphertexts and ``edit_path`` its path."""
 
     def tamper(call, rr, decision, rng, oracle_trust):
         if isinstance(decision, Reply):
             reply = decision.reply
-            return Reply(RouteReply(reply.path, edit(reply.acc_trust)))
+            return Reply(RouteReply(edit_path(reply.path), edit(reply.acc_trust)))
         return decision
 
     return tamper
@@ -134,6 +138,11 @@ ATTACKS = {
     # source_finalize never compares the ciphertext count with the source's
     # width, so the low two bits come back as the total.
     "reply cut to 2 ciphertexts": (12, None, False, _reply_edit(lambda cts: cts[:2]), 36),
+    # The path claims no update, but source_finalize reads only the bounds,
+    # and at eta 30 the honest bounds already exceed eta: no reply is trusted.
+    "reply path cut to source and destination": (
+        20, 30, False, _reply_edit(lambda cts: cts, lambda path: (path[0], path[-1])), 0
+    ),
     "honest, plain": (12, None, False, _honest, 0),
     "honest, star": (12, None, True, _honest, 0),
 }
@@ -166,3 +175,63 @@ def test_wrong_totals_reported_trusted_under_each_attack(attack, monkeypatch):
         outcome = source_finalize(keys, decision.reply, params)
         wrong_but_trusted += outcome.trusted and outcome.trust != oracle.trust
     assert wrong_but_trusted == expected
+
+
+
+def test_a_reply_path_with_a_foreign_head_comes_back_trusted():
+    # Neither rp_from_json nor source_finalize checks that a reply's path
+    # starts at the source, so a path whose head is rewritten to a node off
+    # the route comes back trusted, with the oracle's total (README
+    # "Limitations").  ATTACKS counts only wrong totals; this counts replies.
+    def carry(msg):
+        if isinstance(msg, RouteReply):
+            return RouteReply((99, *msg.path[1:]), msg.acc_trust)
+        return msg
+
+    foreign_but_trusted = 0
+    for seed in range(50):
+        report = run_discovery(chain_topology(12, seed), 0, 11, RunConfig(lam=3, seed=seed), carry)
+        # run_discovery raises for a trusted total other than the oracle's.
+        assert report.path == (99, *report.oracle_path[1:])
+        foreign_but_trusted += report.trusted and 0 not in report.path
+    assert foreign_but_trusted == 50
+
+
+@pytest.mark.parametrize(
+    "star_mode, first_hop_changes, later_reductions",
+    [(False, 7, 4560), (True, 14, 22480)],
+    ids=["plain", "star"],
+)
+def test_no_reduction_after_the_first_updating_hop_changes_a_value(
+    monkeypatch, star_mode, first_hop_changes, later_reductions
+):
+    # pk = sk * q0, so c mod pk is the noise m + 2r itself, below sk.  Only
+    # the first updating hop reduces the source's full-form m + 2r + pk*Q
+    # bits; from then on every value is already below pk, and no reduction
+    # mod pk, nor decryption's mod sk, changes one (ROADMAP item 21).
+    received = 0  # process_rr calls so far, then 1 more for the reply
+
+    def carry(msg):
+        nonlocal received
+        received += 1
+        return msg
+
+    reductions, changed = collections.Counter(), collections.Counter()
+    real_mod = bignum.mod
+
+    def spy(a, m):
+        result = real_mod(a, m)
+        phase = "first hop" if received == 1 else "later"
+        reductions[phase] += 1
+        changed[phase] += result != a
+        return result
+
+    monkeypatch.setattr(bignum, "mod", spy)
+    for seed in range(20):
+        received = 0
+        cfg = RunConfig(lam=3, seed=seed, star_mode=star_mode)
+        report = run_discovery(chain_topology(20, seed), 0, 19, cfg, carry)
+        assert report.trusted and len(report.per_node_stats) == 17
+        assert report.per_node_stats[0][0] == 1  # node 1 is the first updating hop
+    assert changed == {"first hop": 20 * first_hop_changes, "later": 0}
+    assert reductions["later"] == later_reductions

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import functools
 import gc
 import hashlib
 import json
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enctrust import bignum, she, sim
+from enctrust import bignum, circuits, she, sim
 from enctrust.circuits import build_ripple_adder
 from enctrust.protocol import (
     ForwardUnchanged,
@@ -530,7 +529,6 @@ def test_neighbors_match_edge_scan(make):
 def test_build_nodes_mirrors_topology():
     t = triangle_with_pendant()
     nodes = build_nodes(t, width=4)
-    assert nodes[0].neighbors == frozenset({1, 2, 3})
     assert nodes[0].trust_db == {1: 9, 2: 4, 3: 1}
     assert nodes[2].trust_db == {0: 3, 1: 6}
 
@@ -554,7 +552,7 @@ def test_build_nodes_is_a_mapping_over_every_node():
     assert nodes[1] is nodes[1]
     for i, node in zip(t.nodes, nodes.values()):
         trust = {nb: t.trust[(i, nb)] for nb in t.neighbors(i)}
-        assert node == make_node(i, t.neighbors(i), trust, 4)
+        assert node == make_node(i, trust, 4)
 
 
 # ``RunReport.to_json()`` without ``cpu`` for the route below, hashed as in
@@ -803,8 +801,8 @@ def test_required_eta_plans_each_shape_once(monkeypatch):
     # A cleared cache: no earlier test can have planned these shapes.
     required_eta.cache_clear()
     updates = []
-    real_update = sim.update
-    monkeypatch.setattr(sim, "update", lambda *args: updates.append(args) or real_update(*args))
+    real_update = circuits.update
+    monkeypatch.setattr(circuits, "update", lambda *args: updates.append(args) or real_update(*args))
     assert required_eta(4, 2, 3, star_mode=True) == 523
     assert len(updates) == 2
     assert required_eta(4, 52, 3, star_mode=True) == TOO_DEEP
@@ -894,6 +892,24 @@ def test_run_discovery_drop():
     assert report.path == plaintext_oracle(t, 0, 3).path
 
 
+def test_run_discovery_drops_at_a_source_with_no_neighbor(monkeypatch):
+    # Topology admits an isolated node.  A discovery from it drops at the
+    # source, as the oracle's walk does, with a hop's reason and no key drawn.
+    t = Topology.from_json(
+        {"nodes": [0, 1, 2], "edges": [[0, 1]], "trust": [[0, 1, 5], [1, 0, 3]]}
+    )
+    monkeypatch.setattr(she, "keygen", lambda *args: pytest.fail("keygen ran"))
+    report = run_discovery(t, 2, 0, RunConfig(lam=3, seed=4))
+    oracle = plaintext_oracle(t, 2, 0)
+    assert report.status == oracle.status == DROPPED
+    assert report.path == report.oracle_path == oracle.path == (2,)
+    assert (report.dropped_at, report.decrypted_trust, report.trusted) == (2, None, False)
+    assert report.drop_reason == "no trusted next hop: node 2 exhausted its neighbors"
+    assert report.eta == required_eta(4, 0, 3)
+    assert report.per_node_stats == ()
+    assert report.stats == EvalStats()
+
+
 def test_hops_ends_a_decision_loop(monkeypatch):
     # Honest nodes cannot loop, so two nodes that bounce a request stand in
     # for a decision bug: the walk stops after 2n+2 calls instead of hanging.
@@ -948,14 +964,18 @@ def test_run_discovery_walks_once(monkeypatch, topo, source, destination, status
 )
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_run_stats_sum_the_hops(topo, source, destination, status, star_mode):
-    # No message carries op counts: the report's stats are the merge of the
+    # No message carries op counts: the report's stats are the sum of the
     # per-hop stats the simulator saw, delivered or dropped.
     cfg = RunConfig(lam=3, seed=4, star_mode=star_mode)
     report = run_discovery(topo, source, destination, cfg)
     assert report.status == status
     assert report.per_node_stats
     hops = [s for _, s in report.per_node_stats]
-    assert report.stats == functools.reduce(EvalStats.merge, hops, EvalStats())
+    assert report.stats == EvalStats(
+        n_he_add=sum(s.n_he_add for s in hops),
+        n_he_mul=sum(s.n_he_mul for s in hops),
+        max_noise_bits=max(s.max_noise_bits for s in hops),
+    )
 
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
@@ -985,9 +1005,7 @@ def test_forged_stats_in_a_request_change_nothing(star_mode):
 def test_stats_record_merge_and_json():
     a = EvalStats(n_he_add=3, n_he_mul=2, max_noise_bits=10)
     b = EvalStats(n_he_add=1, n_he_mul=4, max_noise_bits=7)
-    m = a.merge(b)
-    assert (m.n_he_add, m.n_he_mul, m.max_noise_bits) == (4, 6, 10)
-    assert m.to_json() == {"adds": 4, "muls": 6, "max_noise_bits": 10}
+    assert a.to_json() == {"adds": 3, "muls": 2, "max_noise_bits": 10}
     # An encryption is counted neither as an operation nor in the noise maximum.
     fresh = she.Ciphertext(value=1, noise_bits=40)
     b.record("encrypt", fresh)

@@ -15,6 +15,8 @@ topology but not which gates are which.
 adder, or in star mode the compile and the compiled adder.  A hop runs it on
 ciphertexts and :func:`required_eta`, the planner, on noise bounds, so the
 planner's bound is the hops' tracked bound by construction.
+:func:`update_op_counts` runs it once on a domain that only counts, so a
+hop's operation count is read off the same code.
 
 Every evaluator's inputs are the accumulator block, then the hop's local
 block.  Unlike the paper's, a star hop fires no identity gates before its
@@ -300,10 +302,29 @@ def update(
     return bind_and_continue(acc, local, compile_to_star(circuit, encrypt), xor, and_)
 
 
+# Memoized: a hop's count depends on its width and mode alone.
+@functools.lru_cache(maxsize=None, typed=True)
+def update_op_counts(width: int, star_mode: bool = False) -> tuple[int, int]:
+    """``(adds, muls)``: the XORs and ANDs of one hop's :func:`update` at
+    ``width``, counted by running it on a domain whose operations only count."""
+    circuit = build_ripple_adder(width)
+    counts = [0, 0]
+
+    def xor(a, b):
+        counts[0] += 1
+
+    def and_(a, b):
+        counts[1] += 1
+
+    bits = (None,) * width
+    update(circuit, bits, bits, (lambda bit: None) if star_mode else None, xor, and_)
+    return counts[0], counts[1]
+
+
 # Planner result when the requested depth cannot be certified: some noise
-# bound would exceed NOISE_CEILING bits.
+# bound would exceed NOISE_CEILING bits, half the widest key ``she`` builds.
 TOO_DEEP = "TOO_DEEP"
-NOISE_CEILING = 1 << 24
+NOISE_CEILING = she.MAX_PK_BITS // 2
 
 
 # Memoized: the answer depends on the four arguments alone, so a long-lived
@@ -322,7 +343,7 @@ def required_eta(width: int, hops: int, lam: int, star_mode: bool = False) -> in
     she.check_width(width)
     if hops < 0:
         raise ValueError(f"hops cannot be negative, got {hops}")
-    fresh = she.fresh_noise_bits(SecurityParams.from_lambda(lam))
+    fresh = SecurityParams.from_lambda(lam).fresh_noise_bits
     circuit = build_ripple_adder(width)
     local = (fresh,) * width
     acc = local

@@ -39,8 +39,8 @@ and the accumulator with its noise bounds, so each request carries exactly
 its accumulator's ciphertexts.  The source still draws one
 ``circuits.adapt`` set of the paper's identity-gate zeros and sends none of
 it (:func:`source_initiate`).  No message carries op counts or an adder
-interface: a simulation counts each hop's operations through
-``she.observe``.
+interface: a simulation reads each hop's operations off its circuit
+(``circuits.update_op_counts``).
 
 A decoder checks a message in one pass, in wire order (:func:`json_fields`):
 each field's exact JSON type, and each list's elements with one
@@ -432,7 +432,7 @@ def rr_from_json(obj: dict) -> RouteRequest:
     if len(pk_hex) > _hex_digits(pk_bits):
         raise ValueError(f"public key wider than {pk_bits} bits")
     pk = bignum.from_hex(pk_hex)
-    if pk % 2 == 0 or pk.bit_length() != pk_bits:
+    if not pk & 1 or pk.bit_length() != pk_bits:
         raise ValueError(f"public key must be odd and {pk_bits} bits wide")
     if max(map(len, hexes), default=0) > _hex_digits(max_bits):
         raise ValueError(f"ciphertext wider than {max_bits} bits")

@@ -48,6 +48,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from . import bignum
 
 
+# The widest public key a schedule may ask for.  ``circuits.NOISE_CEILING`` is
+# half of it, so every planned eta builds at every lam whose own key fits.
+MAX_PK_BITS = 1 << 25
+
+
 @dataclass(frozen=True)
 class SecurityParams:
     """Size schedule for one instance of the scheme, fixed by the two values the
@@ -56,9 +61,10 @@ class SecurityParams:
 
     ``lam`` and ``eta`` are its only fields, so they alone make its equality,
     hash and repr.  Its widths, ``r_bits``, ``q_bits``, ``pk_bits`` and
-    ``fresh_ct_bits``, are computed once, when it is built, and stored as
-    plain attributes: a decoder checks every request against the last two,
-    and every encryption reads the first two.
+    ``fresh_ct_bits``, and ``fresh_noise_bits``, are computed once, when it
+    is built, and stored as plain attributes: a decoder checks every request
+    against the middle two, and every encryption reads the other three.
+    A ``pk_bits`` over :data:`MAX_PK_BITS` is refused.
     """
 
     lam: int
@@ -77,12 +83,19 @@ class SecurityParams:
         # values: a ``functools.cached_property`` writes ``__dict__``, and
         # every later attribute read, ``lam`` and ``eta`` too, gets slower.
         pk_bits = max(self.lam**3, self.eta + self.lam)
+        if pk_bits > MAX_PK_BITS:
+            raise ValueError(
+                f"a {pk_bits}-bit public key (lam={self.lam}, eta={self.eta}) "
+                f"exceeds the limit of {MAX_PK_BITS} bits"
+            )
         q_bits = self.lam * self.lam
         object.__setattr__(self, "r_bits", self.lam)
         object.__setattr__(self, "q_bits", q_bits)
         object.__setattr__(self, "pk_bits", pk_bits)
         # Upper bound on a fresh ciphertext's bit length.
         object.__setattr__(self, "fresh_ct_bits", pk_bits + q_bits + 2)
+        # Noise bound of a fresh encryption: |m + 2r| <= lam + 2 bits.
+        object.__setattr__(self, "fresh_noise_bits", self.lam + 2)
 
     # Memoized: a schedule is immutable, so each ``(lam, eta)`` is built once
     # rather than once per decoded request.  The pair comes off the wire, so
@@ -121,18 +134,13 @@ class Ciphertext(NamedTuple):
     noise_bits: int
 
 
-def fresh_noise_bits(params: SecurityParams) -> int:
-    """Noise bound of a fresh encryption: |m + 2r| <= lam + 2 bits."""
-    return params.lam + 2
-
-
 def add_noise_bits(n1: int, n2: int) -> int:
-    """Noise bound after ciphertext addition."""
+    """Noise bound after ciphertext addition; :func:`he_add` computes it in place."""
     return max(n1, n2) + 1
 
 
 def mul_noise_bits(n1: int, n2: int) -> int:
-    """Noise bound after ciphertext multiplication."""
+    """Noise bound after ciphertext multiplication; :func:`he_mul` computes it in place."""
     return n1 + n2
 
 
@@ -175,16 +183,19 @@ def encrypt_bit(
     """Encrypt one bit as m + 2r + pk * Q, drawing r and then Q from ``rng``.
 
     With ``residue`` the value is ``m + 2r`` and only ``r`` is drawn: the form
-    of a ciphertext that never leaves its hop (module docstring).
+    of a ciphertext that never leaves its hop (module docstring).  Each draw
+    is ``bignum.random_bits``'s, in place: since ``lam >= 2``, no width is 1.
     """
     # Exactly the ints 0 and 1: ``1.0 == 1`` and ``True == 1``, and a float
     # here would become a float ciphertext that no decryption accepts.
     if type(m) is not int or m not in (0, 1):
         raise ValueError(f"plaintext bit must be the int 0 or 1, got {m!r}")
-    value = m + 2 * bignum.random_bits(params.r_bits, rng)
+    top = params.r_bits - 1
+    value = m + 2 * ((1 << top) | rng.getrandbits(top))
     if not residue:
-        value += bignum.mul(pk, bignum.random_bits(params.q_bits, rng))
-    ct = _tuple_new(Ciphertext, (value, fresh_noise_bits(params)))
+        top = params.q_bits - 1
+        value += bignum.mul(pk, (1 << top) | rng.getrandbits(top))
+    ct = _tuple_new(Ciphertext, (value, params.fresh_noise_bits))
     sink = _sink.get()
     if sink is not None:
         sink("encrypt", ct)
@@ -196,9 +207,9 @@ def decrypt_bit(sk: int, ct: Ciphertext) -> int:
 
 
 def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
-    """Homomorphic XOR of the underlying bits."""
-    value = bignum.mod(c1.value + c2.value, pk)
-    ct = _tuple_new(Ciphertext, (value, add_noise_bits(c1.noise_bits, c2.noise_bits)))
+    """Homomorphic XOR of the underlying bits, bounded by :func:`add_noise_bits`."""
+    (v1, n1), (v2, n2) = c1, c2
+    ct = _tuple_new(Ciphertext, (bignum.mod(v1 + v2, pk), (n1 if n1 > n2 else n2) + 1))
     sink = _sink.get()
     if sink is not None:
         sink("add", ct)
@@ -206,9 +217,9 @@ def he_add(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> C
 
 
 def he_mul(c1: Ciphertext, c2: Ciphertext, pk: int, params: SecurityParams) -> Ciphertext:
-    """Homomorphic AND of the underlying bits: ``(c1 * c2) mod pk``."""
-    value = bignum.mod(bignum.mul(c1.value, c2.value), pk)
-    ct = _tuple_new(Ciphertext, (value, mul_noise_bits(c1.noise_bits, c2.noise_bits)))
+    """Homomorphic AND of the bits, ``(c1 * c2) mod pk``, bounded by :func:`mul_noise_bits`."""
+    (v1, n1), (v2, n2) = c1, c2
+    ct = _tuple_new(Ciphertext, (bignum.mod(bignum.mul(v1, v2), pk), n1 + n2))
     sink = _sink.get()
     if sink is not None:
         sink("mul", ct)

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import she
-from .circuits import TOO_DEEP, required_eta
+from .circuits import TOO_DEEP, required_eta, update_op_counts
 from .protocol import (
     DEFAULT_WIDTH,
     MAX_TRUST,
@@ -60,7 +60,9 @@ class NoiseBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """An undirected connected graph with directed per-arc trust scores."""
+    """An undirected graph with directed per-arc trust scores.  The generators
+    build connected graphs, but nothing checks that a loaded one is: a
+    discovery from an isolated source drops there."""
 
     nodes: tuple[NodeId, ...]
     edges: tuple[tuple[NodeId, NodeId], ...]
@@ -438,22 +440,14 @@ class RunConfig:
 
 @dataclass
 class EvalStats:
-    """Homomorphic operations counted from ``she.observe`` events, plus the largest noise bound."""
+    """A hop's homomorphic operations, :func:`circuits.update_op_counts` of its
+    width and mode, and the largest bound among its outputs.  That is the
+    largest over every wire it computed: every adder gate feeds an output,
+    and no noise rule lowers a bound (:func:`circuits.required_eta`)."""
 
     n_he_add: int = 0
     n_he_mul: int = 0
     max_noise_bits: int = 0
-
-    def record(self, op: str, ct: she.Ciphertext) -> None:
-        """Count one event; an encryption is not an operation."""
-        if op == "add":
-            self.n_he_add += 1
-        elif op == "mul":
-            self.n_he_mul += 1
-        else:
-            return
-        if ct.noise_bits > self.max_noise_bits:
-            self.max_noise_bits = ct.noise_bits
 
     def to_json(self) -> dict:
         return {
@@ -565,10 +559,10 @@ def run_discovery(
     deep to certify.  A source with no neighbor is reported ``DROPPED`` at
     the source, with no key drawn.  ``carry``, when given, takes each
     request to the hop that receives it, as in :func:`hops`, and then the
-    reply back to the source, such as across a wire.  One ``she.observe``
-    sink around the walk tallies each hop's operations into that hop's
-    ``EvalStats``; a caller that observes around this call also receives
-    every ciphertext of the run.  ``RunReport.cpu`` holds the CPU seconds
+    reply back to the source, such as across a wire.  Each updating hop's
+    ``EvalStats`` is read off its circuit and its outputs, with no sink
+    installed; a caller that observes around this call receives every
+    ciphertext of the run.  ``RunReport.cpu`` holds the CPU seconds
     (``time.process_time``) of keygen, of the discovery (the source's
     request through the carried reply) and of finalize.  ``RuntimeError`` if
     the reply comes back ``trusted`` with a total other than the oracle's.
@@ -612,17 +606,12 @@ def run_discovery(
     keys = she.keygen(params, rng)
     t1 = time.process_time()
     keys, rr = source_initiate(nodes[source], destination, params, rng, _keys=keys)
+    adds, muls = update_op_counts(cfg.width, cfg.star_mode)
     per_node: list[tuple[NodeId, EvalStats]] = []
-    hop = EvalStats()
-    # One tally is the sink; each updating hop takes a copy of it, then
-    # resets it.  Only an updating hop's events are kept: the hop that ends
-    # the walk in a Drop may have tallied some before it failed.
-    with she.observe(hop.record):
-        for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode, carry):
-            if isinstance(decision, ForwardUpdated):
-                kept = EvalStats(hop.n_he_add, hop.n_he_mul, hop.max_noise_bits)
-                per_node.append((node_id, kept))
-                hop.n_he_add = hop.n_he_mul = hop.max_noise_bits = 0
+    for node_id, rr, decision in hops(nodes, rr, rng, cfg.star_mode, carry):
+        if isinstance(decision, ForwardUpdated):
+            bound = max(ct.noise_bits for ct in decision.rr.acc_trust)
+            per_node.append((node_id, EvalStats(adds, muls, bound)))
     if isinstance(decision, Drop):
         outcome = None
         t2 = t3 = time.process_time()
@@ -693,8 +682,7 @@ def benchmark(
     counts them, and its ``adds`` and ``muls`` are the run's homomorphic
     operations.  Times are medians over the repeats of the report's CPU
     seconds, split into keygen, hops (its discovery window, which includes
-    the codec and the run's ``she.observe`` tally) and finalize, with the
-    total's min and max as its spread.
+    the codec) and finalize, with the total's min and max as its spread.
 
     ``certified`` runs at the planner's eta and raises ``RuntimeError``
     instead of a row whose discovery is not delivered, ``trusted`` and equal

@@ -5,6 +5,7 @@ Each test prints an ``ACCEPTANCE nn <name>: PASS/FAIL`` line (visible with
 2 through 4 run, so this module must execute as a unit.
 """
 
+import collections
 import contextlib
 import json
 import math
@@ -33,7 +34,6 @@ from enctrust.she import (
 )
 from enctrust.sim import (
     DELIVERED,
-    EvalStats,
     RunConfig,
     benchmark,
     chain_topology,
@@ -55,10 +55,11 @@ def collect(produced: list[she.Ciphertext]):
 
 
 def counted(fn, *args):
-    """``fn(*args)`` and an EvalStats of its ops; an enclosing ``collect`` still sees them."""
-    stats = EvalStats()
-    with she.observe(stats.record):
-        return fn(*args), stats
+    """``fn(*args)`` and a Counter of its events by op; an enclosing ``collect``
+    still sees them."""
+    ops = collections.Counter()
+    with she.observe(lambda op, ct: ops.update((op,))):
+        return fn(*args), ops
 
 
 @contextlib.contextmanager
@@ -147,9 +148,9 @@ def test_c03_adder_equivalence_exhaustive():
                     ins = encrypt_value(keys.pk, a, 4, params, rng) + encrypt_value(
                         keys.pk, b, 4, params, rng
                     )
-                    outs, stats = counted(eval_plain, adder, ins, *he_ops(keys.pk, params))
+                    outs, ops = counted(eval_plain, adder, ins, *he_ops(keys.pk, params))
                     assert decrypt_value(keys.sk, outs) == (a + b) % 16
-                    assert (stats.n_he_add, stats.n_he_mul) == (9, 5)
+                    assert (ops["add"], ops["mul"]) == (9, 5)
                     assert all(she.noise_ok(ct, params) for ct in outs)
         _noise_evidence.append((keys.sk, produced))
 
@@ -226,6 +227,11 @@ def test_c05_op_count_claim():
         assert (row["adds"], row["muls"]) == (17 * 9, 17 * 5)
         assert row["adds"] <= 400
         assert row["muls"] <= 160
+        # The report reads its counts off the circuit; the row's discovery,
+        # run again under a sink, shows evaluation performs them.
+        cfg = RunConfig(lam=3, eta=9, seed=0)
+        _, ops = counted(run_discovery, chain_topology(20, 0), 0, 19, cfg)
+        assert (ops["add"], ops["mul"]) == (row["adds"], row["muls"])
 
 
 def test_c06_timing_claim():

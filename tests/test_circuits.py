@@ -28,6 +28,7 @@ from enctrust.circuits import (
     star_circuit_to_json,
     universal,
     update,
+    update_op_counts,
 )
 from enctrust.she import SecurityParams, decrypt_bit, decrypt_value, encrypt_bit, encrypt_value, keygen
 from enctrust.sim import required_eta
@@ -170,7 +171,7 @@ def test_star_eval_truth_table_and_cost():
                 assert decrypt_bit(keys.sk, out) == expected
                 assert ops == {"mul": 2, "add": 3}
                 # The same gate on noise bounds gives the tracked bound.
-                fresh = she.fresh_noise_bits(params)
+                fresh = params.fresh_noise_bits
                 assert out.noise_bits == universal(*BOUND_OPS, fresh, fresh, fresh) == fresh + 12
 
 
@@ -239,7 +240,7 @@ def test_symbolic_noise_matches_actual_eval():
     # Each evaluator run on noise bounds gives exactly the bounds the same
     # evaluator tracks on ciphertexts, on the adder and on random circuits.
     params, keys, rng = make(seed=3)
-    fresh = she.fresh_noise_bits(params)
+    fresh = params.fresh_noise_bits
     ops = he_ops(keys.pk, params)
     shapes = random.Random(33)
     circuit_list = [build_ripple_adder(4)]
@@ -263,7 +264,7 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
     circuit = build_ripple_adder(width)
     eta = required_eta(width, 3, lam, star_mode)
     params, keys, rng = make(lam=lam, eta=eta, seed=10)
-    fresh = she.fresh_noise_bits(params)
+    fresh = params.fresh_noise_bits
     acc = encrypt_value(keys.pk, 9, width, params, rng)
     bounds = (fresh,) * width
     total = 9
@@ -278,6 +279,27 @@ def test_planner_bounds_are_the_hops_tracked_bounds(star_mode):
         assert max(bounds) + 2 == required_eta(width, hops, lam, star_mode)
         assert decrypt_value(keys.sk, acc) == total
     assert all(she.noise_ok(ct, params) for ct in acc)
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+@pytest.mark.parametrize("width", [1, 2, 4, 7])
+def test_update_op_counts_are_the_ops_a_hop_performs(width, star_mode):
+    # The counting pass runs the hop's own update, so its count is what a
+    # sink sees when the hop runs it on ciphertexts: per plain gate one op of
+    # its kind, per universal gate 3 XORs and 2 ANDs.
+    params, keys, rng = make(lam=3, eta=required_eta(width, 1, 3, star_mode), seed=width)
+    circuit = build_ripple_adder(width)
+    acc = encrypt_value(keys.pk, 0, width, params, rng)
+    local = encrypt_value(keys.pk, 1, width, params, rng)
+    encrypt = encryptor(keys, params, rng) if star_mode else None
+    _, ops = observed(update, circuit, acc, local, encrypt, *he_ops(keys.pk, params))
+    counts = update_op_counts(width, star_mode)
+    assert counts == (ops["add"], ops["mul"])
+    gates = circuit.xor_count + circuit.and_count
+    assert counts == ((3 * gates, 2 * gates) if star_mode else (circuit.xor_count, circuit.and_count))
+    assert update_op_counts(4, star_mode) == ((42, 28) if star_mode else (9, 5))
+    with pytest.raises(ValueError, match="width must be a positive int"):
+        update_op_counts(0, star_mode)
 
 
 @settings(max_examples=30, deadline=None)

@@ -305,6 +305,24 @@ def test_error_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--lambda", "100000"], "a 1000000000000000-bit public key (lam=100000, eta=10000000000)"),
+        (["--lambda", "3", "--eta", "3000000000"],
+         "a 3000000003-bit public key (lam=3, eta=3000000000)"),
+    ],
+    ids=["lambda", "eta"],
+)
+def test_route_refuses_a_key_wider_than_the_limit(topo_file, capsys, flags, key):
+    # Both used to end in an OverflowError traceback from keygen's getrandbits.
+    argv = ["route", "--topology", topo_file, "--source", "0", "--dest", "7", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} exceeds the limit of 33554432 bits\n"
+
+
 def test_corrupt_topology_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": [0], "edges": [')

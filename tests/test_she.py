@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enctrust import bignum
+from enctrust.circuits import BOUND_OPS, NOISE_CEILING, TOO_DEEP, required_eta
 from enctrust.she import (
+    MAX_PK_BITS,
     Ciphertext,
     SecurityParams,
     decrypt_bit,
@@ -44,6 +46,7 @@ def test_schedule_computes_its_widths_once_and_holds_two_fields():
     # fields alone.
     assert vars(p) == {
         "lam": 4, "eta": 30, "r_bits": 4, "q_bits": 16, "pk_bits": 64, "fresh_ct_bits": 82,
+        "fresh_noise_bits": 6,
     }
     fresh = SecurityParams(lam=4, eta=30)
     assert p == fresh and hash(p) == hash(fresh)
@@ -64,6 +67,27 @@ def test_params_validation():
         SecurityParams.from_lambda(1)
     with pytest.raises(ValueError):
         SecurityParams.from_lambda(3, eta=4)  # below lam + 2
+
+
+def test_params_refuse_a_key_wider_than_the_limit():
+    # Such a key used to reach keygen and end in an OverflowError from
+    # getrandbits; now the schedule names the limit.
+    assert NOISE_CEILING == MAX_PK_BITS // 2
+    for lam, eta in [(100_000, None), (3, 3_000_000_000), (3, MAX_PK_BITS - 2), (323, None)]:
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_PK_BITS} bits"):
+            SecurityParams.from_lambda(lam, eta)
+    assert SecurityParams.from_lambda(3, MAX_PK_BITS - 3).pk_bits == MAX_PK_BITS
+    # The planner asks for its own lam's schedule, so it refuses the same lams.
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        required_eta(4, 1, 100_000)
+    # Every eta the planner certifies builds, up to the widest lam that fits:
+    # the deepest star chain below the ceiling, and the ceiling itself.
+    deepest = required_eta(4, 51, 3, star_mode=True)
+    assert deepest != TOO_DEEP and required_eta(4, 52, 3, star_mode=True) == TOO_DEEP
+    assert 322**3 <= MAX_PK_BITS < 323**3
+    for lam in (2, 3, 10, 322):
+        for eta in (deepest, NOISE_CEILING + 2, required_eta(4, 17, lam)):
+            assert SecurityParams.from_lambda(lam, eta).eta == eta
 
 
 @pytest.mark.parametrize(
@@ -235,6 +259,18 @@ def test_noise_tracking_rules():
     assert p.noise_bits == c1.noise_bits + c2.noise_bits
     deep = he_mul(p, s, keys.pk, params)
     assert deep.noise_bits == p.noise_bits + s.noise_bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 30), st.integers(min_value=0, max_value=1 << 30))
+def test_he_op_bounds_are_the_noise_rules(n1, n2):
+    # he_add and he_mul compute their bounds in place; the planner's
+    # BOUND_OPS are the same rules, so the two copies must agree.
+    params = SecurityParams.from_lambda(3)
+    c1, c2 = Ciphertext(value=5, noise_bits=n1), Ciphertext(value=6, noise_bits=n2)
+    add_rule, mul_rule = BOUND_OPS
+    assert he_add(c1, c2, 7, params) == (11 % 7, add_rule(n1, n2))
+    assert he_mul(c1, c2, 7, params) == (30 % 7, mul_rule(n1, n2))
 
 
 def test_noise_ok_boundary():

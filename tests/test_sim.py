@@ -1002,16 +1002,58 @@ def test_forged_stats_in_a_request_change_nothing(star_mode):
     assert (counts[0]["add"], counts[0]["mul"]) == (adds, muls)
 
 
-def test_stats_record_merge_and_json():
+def test_stats_to_json():
     a = EvalStats(n_he_add=3, n_he_mul=2, max_noise_bits=10)
-    b = EvalStats(n_he_add=1, n_he_mul=4, max_noise_bits=7)
     assert a.to_json() == {"adds": 3, "muls": 2, "max_noise_bits": 10}
-    # An encryption is counted neither as an operation nor in the noise maximum.
-    fresh = she.Ciphertext(value=1, noise_bits=40)
-    b.record("encrypt", fresh)
-    b.record("add", she.Ciphertext(value=1, noise_bits=12))
-    b.record("mul", she.Ciphertext(value=1, noise_bits=5))
-    assert (b.n_he_add, b.n_he_mul, b.max_noise_bits) == (2, 5, 12)
+
+
+def observed_hops(monkeypatch, t, source, destination, cfg):
+    """The run's report and, per updating hop, ``(node, adds, muls, bound)``
+    from a sink around that hop's ``process_rr``: its events counted by op,
+    and the largest bound among its operations' results."""
+    seen = []
+    real_process_rr = sim.process_rr
+
+    def observed_process_rr(node, rr, *args):
+        ops = collections.Counter()
+        bounds = [0]
+
+        def sink(op, ct):
+            ops[op] += 1
+            if op != "encrypt":
+                bounds.append(ct.noise_bits)
+
+        with she.observe(sink):
+            decision = real_process_rr(node, rr, *args)
+        if isinstance(decision, ForwardUpdated):
+            seen.append((node.id, ops["add"], ops["mul"], max(bounds)))
+        return decision
+
+    monkeypatch.setattr(sim, "process_rr", observed_process_rr)
+    report = run_discovery(t, source, destination, cfg)
+    monkeypatch.undo()
+    return report, seen
+
+
+@pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
+def test_per_hop_stats_are_what_a_sink_counts(monkeypatch, star_mode):
+    # The report reads each hop's counts off its circuit and its bound off
+    # its outputs; a sink around each hop, as the report used to be built,
+    # counts the same, on delivered and dropped runs and at several widths.
+    runs = [(triangle_with_pendant(), 0, 3, 4, 5)]
+    for seed in range(8):
+        t = generate_topology(10, 2.5, seed=seed)
+        source, destination = random.Random(seed).sample(t.nodes, 2)
+        runs.append((t, source, destination, (4, 5, 6)[seed % 3], seed))
+    statuses = collections.Counter()
+    for t, source, destination, width, seed in runs:
+        cfg = RunConfig(lam=3, width=width, seed=seed, star_mode=star_mode)
+        report, seen = observed_hops(monkeypatch, t, source, destination, cfg)
+        statuses[report.status] += 1
+        derived = [(node, st.n_he_add, st.n_he_mul, st.max_noise_bits)
+                   for node, st in report.per_node_stats]
+        assert derived == seen
+    assert statuses[DELIVERED] and statuses[DROPPED]
 
 
 # ``RunReport.to_json()`` without ``cpu`` for a 7-update chain, hashed with
@@ -1114,8 +1156,8 @@ def test_run_discovery_carries_each_request_a_hop_receives_and_the_reply(star_mo
 
 @pytest.mark.parametrize("star_mode", [False, True], ids=["plain", "star"])
 def test_caller_observing_run_discovery_sees_every_ciphertext(star_mode, made_keys):
-    # run_discovery observes each hop itself; the caller's sink still
-    # receives every event, so its counts are the report's stats.
+    # run_discovery installs no sink; the caller's sink receives every
+    # event, and its counts are the report's stats.
     t = chain_topology(5, seed=6)
     ops = collections.Counter()
     produced = []
